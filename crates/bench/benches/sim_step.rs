@@ -13,18 +13,29 @@ use criterion::{criterion_group, Criterion};
 use mdp::ProductSpace;
 use simkit::executor;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. The count is per thread, so
+    /// tests the harness runs in parallel never see each other's
+    /// allocations (the code under test runs on the calling thread).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: a thread in teardown has no counter left to bump.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: a pure pass-through to the System allocator; the only addition is
-// a relaxed atomic counter, which cannot affect GlobalAlloc's contract.
+// a thread-local counter bump, which neither allocates nor affects
+// GlobalAlloc's contract.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards `System.alloc`'s own contract unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: the caller upholds GlobalAlloc's layout contract, which is
         // forwarded verbatim to the System allocator.
         unsafe { System.alloc(layout) }
@@ -39,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: forwards `System.realloc`'s own contract unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: `ptr`/`layout` obey the caller's GlobalAlloc contract and
         // came from System via this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -49,10 +60,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations the calling thread makes while running `f`.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 /// One RSU of the fig1a preset (5 contents at age cap 9 → 59 049 states).
@@ -126,52 +138,6 @@ fn bench_step_loop(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lockstep batched replicates of the fig1a cell (`aoi_cache::run_batch`,
-/// SummaryOnly): 8 seed replicates advanced serially one-by-one versus in
-/// lockstep chunks of 1/2/8 through the structure-of-arrays batch kernel.
-/// Throughput is per replicate-slot (8 × horizon elements), so the ratio of
-/// `serial_x8` to `lockstep_b8` is the per-slot speedup of the batched step
-/// path; every variant returns bit-identical reports.
-fn bench_batched_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_step/batched");
-    group.sample_size(20);
-    let scenario = fig1a_scenario();
-    const REPLICATES: u64 = 8;
-    group.throughput(criterion::Throughput::Elements(
-        REPLICATES * scenario.horizon as u64,
-    ));
-    let sims: Vec<CacheSimulation> = (0..REPLICATES)
-        .map(|i| {
-            CacheSimulation::new(aoi_cache::CacheScenario {
-                seed: scenario.seed + i,
-                ..scenario
-            })
-            .expect("valid preset")
-            .with_recording(RecordingMode::SummaryOnly)
-        })
-        .collect();
-    group.bench_function("serial_x8", |b| {
-        b.iter(|| {
-            for sim in &sims {
-                std::hint::black_box(sim.run(CachePolicyKind::Myopic).expect("runs"));
-            }
-        })
-    });
-    for batch in [1usize, 2, 8] {
-        group.bench_function(format!("lockstep_b{batch}"), |b| {
-            b.iter(|| {
-                for chunk in sims.chunks(batch) {
-                    let refs: Vec<&CacheSimulation> = chunk.iter().collect();
-                    std::hint::black_box(
-                        aoi_cache::run_batch(&refs, CachePolicyKind::Myopic).expect("runs"),
-                    );
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 /// The fig1b service loop (1000 slots, Lyapunov rule): already
 /// allocation-free per slot; tracked here so regressions in the stage-2
 /// step path show up alongside the stage-1 numbers.
@@ -234,13 +200,7 @@ fn allocation_report() {
     );
 }
 
-criterion_group!(
-    benches,
-    bench_decide,
-    bench_step_loop,
-    bench_batched_step,
-    bench_service_loop
-);
+criterion_group!(benches, bench_decide, bench_step_loop, bench_service_loop);
 
 fn main() {
     let mut criterion = Criterion::configure_from_args();

@@ -84,39 +84,10 @@ fn bench_compiled_vs_callback(c: &mut Criterion) {
     group.finish();
 }
 
-/// One full Bellman sweep over the kernel through the given Q backend:
-/// per-state max over valid actions into `out`, then buffer swap.
-fn sweeps_with(
-    kernel: &CompiledMdp,
-    sweeps: usize,
-    q: impl Fn(&CompiledMdp, usize, usize, &[f64], f64) -> Option<f64>,
-) -> Vec<f64> {
-    let n = kernel.n_states();
-    let mut values = vec![0.0f64; n];
-    let mut out = vec![0.0f64; n];
-    for _ in 0..sweeps {
-        for (s, slot) in out.iter_mut().enumerate() {
-            let mut best = f64::NEG_INFINITY;
-            for a in 0..kernel.n_actions() {
-                if let Some(qv) = q(kernel, s, a, &values, 0.95) {
-                    if qv > best {
-                        best = qv;
-                    }
-                }
-            }
-            *slot = best;
-        }
-        std::mem::swap(&mut values, &mut out);
-    }
-    values
-}
-
-/// Pure sweep-kernel throughput (state backups per second): the padded-lane
-/// gather (`q_value`) against the reference scalar gather (`q_value_scalar`)
-/// on the same prebuilt kernels — the isolated before/after for the PR7
-/// data-parallel restructuring, with the end-to-end number tracked by
-/// `solve_compiled` above. Throughput is counted in state backups
-/// (`n_states × sweeps`).
+/// Pure sweep-kernel throughput (state backups per second): blocked sweeps
+/// over the action-major dense mirror on prebuilt kernels, with the
+/// end-to-end number tracked by `solve_compiled` above. Throughput is
+/// counted in state backups (`n_states × sweeps`).
 fn bench_sweep_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_kernel");
     group.sample_size(10);
@@ -130,20 +101,6 @@ fn bench_sweep_kernel(c: &mut Criterion) {
         group.throughput(criterion::Throughput::Elements(
             (kernel.n_states() * SWEEPS) as u64,
         ));
-        group.bench_with_input(BenchmarkId::new("scalar", label), &kernel, |b, kernel| {
-            b.iter(|| {
-                std::hint::black_box(sweeps_with(kernel, SWEEPS, |k, s, a, v, g| {
-                    k.q_value_scalar(s, a, v, g)
-                }))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("lanes", label), &kernel, |b, kernel| {
-            b.iter(|| {
-                std::hint::black_box(sweeps_with(kernel, SWEEPS, |k, s, a, v, g| {
-                    k.q_value(s, a, v, g)
-                }))
-            })
-        });
         group.bench_with_input(BenchmarkId::new("blocked", label), &kernel, |b, kernel| {
             b.iter(|| {
                 let n = kernel.n_states();

@@ -11,13 +11,8 @@
 //! ```sh
 //! cargo run --release -p aoi-bench --bin ensemble -- \
 //!     [n_seeds] [--workers N] [--out DIR] [--compress] [--resume] [--horizon N] \
-//!     [--batch N] [--claim] [--worker-id ID] [--lease-ttl-ms N] [--max-attempts N]
+//!     [--claim] [--worker-id ID] [--lease-ttl-ms N] [--max-attempts N]
 //! ```
-//!
-//! `--batch N` advances up to `N` seed replicates of each cache cell in
-//! lockstep through the structure-of-arrays batch kernel
-//! ([`aoi_cache::run_batch`]); every report, curve and artifact byte is
-//! identical for every `N` (the service grid runs per-cell regardless).
 //!
 //! `--workers N` pins the cell fan-out to exactly `N` workers (`1` runs
 //! fully serial); without it the executor sizes itself from the host's
@@ -69,10 +64,6 @@ fn configure(plan: ExperimentPlan, args: &aoi_bench::CliArgs, tag: &str) -> Expe
         Some(h) => plan.horizon(h),
         None => plan,
     };
-    let plan = match args.batch {
-        Some(n) => plan.batch(n),
-        None => plan,
-    };
     match &args.out {
         Some(dir) => {
             let plan = plan
@@ -110,7 +101,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         resume: true,
         claim: true,
         horizon: true,
-        batch: true,
         positional: Some(aoi_bench::Positional {
             name: "n_seeds",
             help: "seed replicates per policy (default 5)",

@@ -37,7 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         resume: false,
         claim: false,
         horizon: true,
-        batch: false,
         positional: None,
         extras: &[],
     }

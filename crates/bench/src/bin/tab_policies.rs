@@ -27,7 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         resume: false,
         claim: false,
         horizon: false,
-        batch: false,
         positional: None,
         extras: &[],
     }

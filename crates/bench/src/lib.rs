@@ -84,7 +84,6 @@ pub struct ExtraFlag {
 ///     resume: true,
 ///     claim: true,
 ///     horizon: true,
-///     batch: true,
 ///     positional: Some(aoi_bench::Positional {
 ///         name: "n_seeds",
 ///         help: "seed replicates per policy (default 5)",
@@ -115,10 +114,6 @@ pub struct CliSpec {
     pub claim: bool,
     /// Accept `--horizon N` (override every scenario's horizon).
     pub horizon: bool,
-    /// Accept `--batch N` (lockstep batch width for cache-grid cells; see
-    /// [`aoi_cache::ExperimentPlan::batch`] — results are bit-identical
-    /// for every width).
-    pub batch: bool,
     /// At most one positional argument.
     pub positional: Option<Positional>,
     /// Bin-specific flags beyond the shared set (read back with
@@ -137,7 +132,6 @@ impl CliSpec {
             resume: false,
             claim: false,
             horizon: false,
-            batch: false,
             positional: None,
             extras: &[],
         }
@@ -176,7 +170,6 @@ impl CliSpec {
             lease_ttl_ms: None,
             max_attempts: None,
             horizon: None,
-            batch: None,
             positional: None,
             extras: Vec::new(),
         };
@@ -224,14 +217,6 @@ impl CliSpec {
                         .filter(|n| *n >= 1)
                         .ok_or_else(|| self.error("--max-attempts needs a positive integer"))?;
                     parsed.max_attempts = Some(n);
-                }
-                "--batch" if self.batch => {
-                    let n: usize = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|n| *n >= 1)
-                        .ok_or_else(|| self.error("--batch needs a positive integer"))?;
-                    parsed.batch = Some(n);
                 }
                 "--horizon" if self.horizon => {
                     let n: usize = iter
@@ -339,11 +324,6 @@ impl CliSpec {
         if self.horizon {
             text.push_str("  --horizon N    override every scenario's horizon (quick runs/CI)\n");
         }
-        if self.batch {
-            text.push_str(
-                "  --batch N      advance N seed replicates of each cell in lockstep\n                 (bit-identical results for every N; default 1)\n",
-            );
-        }
         text.push_str("  --help         show this text\n");
         text
     }
@@ -370,8 +350,6 @@ pub struct CliArgs {
     pub max_attempts: Option<u32>,
     /// `--horizon N`, when accepted and given.
     pub horizon: Option<usize>,
-    /// `--batch N`, when accepted and given.
-    pub batch: Option<usize>,
     /// The positional argument, when accepted and given.
     pub positional: Option<String>,
     /// Values of the spec's bin-specific [`ExtraFlag`]s, in occurrence
@@ -409,7 +387,6 @@ mod tests {
             resume: true,
             claim: true,
             horizon: true,
-            batch: true,
             positional: Some(Positional {
                 name: "n",
                 help: "a number",
@@ -441,7 +418,6 @@ mod tests {
         assert_eq!(parsed.compression, Compression::None);
         assert!(!parsed.resume);
         assert_eq!(parsed.horizon, None);
-        assert_eq!(parsed.batch, None);
         assert_eq!(parsed.positional, None);
     }
 
@@ -460,8 +436,6 @@ mod tests {
                 "--resume",
                 "--horizon",
                 "200",
-                "--batch",
-                "8",
             ]))
             .unwrap();
         assert_eq!(parsed.workers, Some(4));
@@ -470,7 +444,6 @@ mod tests {
         assert_eq!(parsed.compression, Compression::Deflate);
         assert!(parsed.resume);
         assert_eq!(parsed.horizon, Some(200));
-        assert_eq!(parsed.batch, Some(8));
         assert_eq!(parsed.positional.as_deref(), Some("7"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -482,8 +455,6 @@ mod tests {
             args(&["--workers", "0"]),
             args(&["--workers", "many"]),
             args(&["--horizon", "0"]),
-            args(&["--batch", "0"]),
-            args(&["--batch"]),
             args(&["--out"]),
             args(&["--nope"]),
             args(&["1", "2"]),
@@ -542,7 +513,6 @@ mod tests {
             "--resume",
             "--claim",
             "--horizon",
-            "--batch",
         ] {
             assert!(
                 bare.parse_from(args(&[flag, "1"])).is_err(),
@@ -590,7 +560,6 @@ mod tests {
             "--lease-ttl-ms",
             "--max-attempts",
             "--horizon",
-            "--batch",
         ] {
             assert!(full.contains(needle), "{needle} missing from {full}");
         }
@@ -602,7 +571,6 @@ mod tests {
             "--resume",
             "--claim",
             "--horizon",
-            "--batch",
         ] {
             assert!(!bare.contains(needle), "{needle} leaked into {bare}");
         }

@@ -8,9 +8,7 @@
 use crate::aoi::{Age, AgeVector};
 use crate::catalog::Catalog;
 use crate::engine::RsuCacheEngine;
-use crate::policy::{
-    CacheDecisionContext, CachePolicyKind, CacheUpdatePolicy, CompiledRsuMdp, RsuSpec,
-};
+use crate::policy::{CachePolicyKind, CacheUpdatePolicy, CompiledRsuMdp, RsuSpec};
 use crate::AoiCacheError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -440,684 +438,115 @@ impl CacheSimulation {
 
     /// The shared run body: an in-memory run when `artifact` is `None`,
     /// a spilling run streaming into the artifact's channels otherwise.
-    /// Exactly `CacheRunState::new` + `horizon ×` step + finish — the same
-    /// machine the lockstep batch engine ([`run_batch`]) interleaves.
+    ///
+    /// Everything the slot loop touches is allocated up front (the
+    /// recorders pre-size their retained buffers to the exact retained
+    /// length, or register their artifact channel), so the loop itself
+    /// performs zero heap allocation per slot — see
+    /// `core/tests/alloc_free.rs`, which covers the spilling path too.
     fn run_with_sink(
         &self,
         policies: Vec<Box<dyn CacheUpdatePolicy>>,
         label: String,
         artifact: Option<&SharedArtifactWriter>,
     ) -> Result<CacheRunReport, AoiCacheError> {
-        let mut state = CacheRunState::new(self, policies, label, artifact)?;
-        for _ in 0..self.scenario.horizon {
-            state.step()?;
-        }
-        state.finish()
-    }
-}
-
-/// The in-flight state of one cache run, advanced one slot at a time.
-///
-/// [`CacheSimulation::run_with`] is `new` + `horizon ×` [`step`] +
-/// [`finish`]; the batch engine ([`run_batch`]) instead interleaves the
-/// `step` calls of many replicate states slot by slot. A state only ever
-/// touches its own fields — its own RNG stream, ages, recorders and
-/// accumulators — so *any* interleaving across states produces reports
-/// (and, in artifact mode, artifact bytes) identical to running each
-/// replicate alone.
-///
-/// [`step`]: CacheRunState::step
-/// [`finish`]: CacheRunState::finish
-struct CacheRunState<'a> {
-    sim: &'a CacheSimulation,
-    engines: Vec<RsuCacheEngine>,
-    label: String,
-    artifact: Option<&'a SharedArtifactWriter>,
-    rng: StdRng,
-    clock: SlotClock,
-    aoi_recorders: Vec<TraceRecorder>,
-    reward_series: TimeSeries,
-    updates: u64,
-    violation_content_slots: u64,
-    aoi_ratio_sum: f64,
-    utility_sum: f64,
-    cost_sum: f64,
-}
-
-impl<'a> CacheRunState<'a> {
-    /// Allocates everything the slot loop touches up front (the recorders
-    /// pre-size their retained buffers to the exact retained length, or
-    /// register their artifact channel); [`step`](CacheRunState::step)
-    /// itself performs zero heap allocation per slot — see
-    /// `core/tests/alloc_free.rs`, which covers the spilling and batched
-    /// paths too.
-    fn new(
-        sim: &'a CacheSimulation,
-        policies: Vec<Box<dyn CacheUpdatePolicy>>,
-        label: String,
-        artifact: Option<&'a SharedArtifactWriter>,
-    ) -> Result<Self, AoiCacheError> {
-        if policies.len() != sim.specs.len() {
-            return Err(AoiCacheError::BadParameter {
-                what: "policies",
-                valid: "one per RSU",
-            });
-        }
-        let mut seeds = SeedSequence::new(sim.scenario.seed);
-        let rng = seeds.rng("run");
-        let n_rsus = sim.scenario.n_rsus;
-        let per_rsu = sim.scenario.regions_per_rsu;
-        let horizon = sim.scenario.horizon;
-        let engines = sim.assemble_engines(policies)?;
+        let mut seeds = SeedSequence::new(self.scenario.seed);
+        let mut rng = seeds.rng("run");
+        let n_rsus = self.scenario.n_rsus;
+        let per_rsu = self.scenario.regions_per_rsu;
+        let horizon = self.scenario.horizon;
+        let mut engines = self.assemble_engines(policies)?;
         let mut aoi_recorders: Vec<TraceRecorder> = Vec::with_capacity(n_rsus * per_rsu);
         for k in 0..n_rsus {
             for h in 0..per_rsu {
                 let name = format!("rsu{k}/content{h}");
                 aoi_recorders.push(match artifact {
-                    Some(writer) => TraceRecorder::to_artifact(name, sim.recording, writer)?,
-                    None => TraceRecorder::new(name, sim.recording, horizon),
+                    Some(writer) => TraceRecorder::to_artifact(name, self.recording, writer)?,
+                    None => TraceRecorder::new(name, self.recording, horizon),
                 });
             }
         }
-        Ok(CacheRunState {
-            sim,
-            engines,
-            label,
-            artifact,
-            rng,
-            clock: SlotClock::new(),
-            aoi_recorders,
-            reward_series: TimeSeries::with_capacity("reward", horizon),
-            updates: 0,
-            violation_content_slots: 0,
-            aoi_ratio_sum: 0.0,
-            utility_sum: 0.0,
-            cost_sum: 0.0,
-        })
-    }
+        let mut clock = SlotClock::new();
+        let mut reward_series = TimeSeries::with_capacity("reward", horizon);
+        let mut updates = 0u64;
+        let mut violation_content_slots = 0u64;
+        let mut aoi_ratio_sum = 0.0;
+        let mut utility_sum = 0.0;
+        let mut cost_sum = 0.0;
 
-    /// Advances the run by one slot: per-RSU decisions, refreshes, Eq. 1
-    /// reward accounting, per-content recording, and aging — each RSU's
-    /// state transition delegated to its [`RsuCacheEngine`] core, in the
-    /// exact legacy statement order (bit-identity is pinned by
-    /// `core/tests/engine_identity.rs`).
-    fn step(&mut self) -> Result<(), AoiCacheError> {
-        let n_rsus = self.sim.scenario.n_rsus;
-        let per_rsu = self.sim.scenario.regions_per_rsu;
-        let now = self.clock.now();
-        let mut slot_reward = 0.0;
-        for k in 0..n_rsus {
-            let spec = &self.sim.specs[k];
-            let engine = &mut self.engines[k];
-            let decision = engine.decide_static(now, &spec.popularity, &mut self.rng);
-            if let Some(h) = decision {
-                engine.apply_refresh(h)?;
-                self.updates += 1;
-            }
-            // Post-action bookkeeping.
-            let updated = decision.is_some();
-            let utility = engine.aoi_utility(&spec.popularity);
-            let cost = engine.action_cost(updated);
-            slot_reward += spec.weight * utility - cost;
-            self.utility_sum += spec.weight * utility;
-            self.cost_sum += cost;
-            for h in 0..per_rsu {
-                let age = engine.age(h);
-                let max_age = spec.max_ages[h];
-                self.aoi_recorders[k * per_rsu + h].record(now, f64::from(age.get()));
-                self.aoi_ratio_sum += age.ratio_to(max_age);
-                if age.exceeds(max_age) {
-                    self.violation_content_slots += 1;
+        // Per slot: per-RSU decisions, refreshes, Eq. 1 reward accounting,
+        // per-content recording, and aging — each RSU's state transition
+        // delegated to its [`RsuCacheEngine`] core, in the exact legacy
+        // statement order (bit-identity is pinned by
+        // `core/tests/engine_identity.rs`).
+        for _ in 0..horizon {
+            let now = clock.now();
+            let mut slot_reward = 0.0;
+            for (k, engine) in engines.iter_mut().enumerate() {
+                let spec = &self.specs[k];
+                let decision = engine.decide_static(now, &spec.popularity, &mut rng);
+                if let Some(h) = decision {
+                    engine.apply_refresh(h)?;
+                    updates += 1;
+                }
+                // Post-action bookkeeping.
+                let utility = engine.aoi_utility(&spec.popularity);
+                let cost = engine.action_cost(decision.is_some());
+                slot_reward += spec.weight * utility - cost;
+                utility_sum += spec.weight * utility;
+                cost_sum += cost;
+                for h in 0..per_rsu {
+                    let age = engine.age(h);
+                    let max_age = spec.max_ages[h];
+                    aoi_recorders[k * per_rsu + h].record(now, f64::from(age.get()));
+                    aoi_ratio_sum += age.ratio_to(max_age);
+                    if age.exceeds(max_age) {
+                        violation_content_slots += 1;
+                    }
                 }
             }
+            reward_series.push(now, slot_reward);
+            for engine in &mut engines {
+                engine.advance();
+            }
+            clock.tick();
         }
-        self.reward_series.push(now, slot_reward);
-        for engine in &mut self.engines {
-            engine.advance();
-        }
-        self.clock.tick();
-        Ok(())
-    }
 
-    /// Drains the recorders into the run report (and, in artifact mode,
-    /// appends the headline curves so the artifact is self-contained).
-    fn finish(mut self) -> Result<CacheRunReport, AoiCacheError> {
-        let n_rsus = self.sim.scenario.n_rsus;
-        let per_rsu = self.sim.scenario.regions_per_rsu;
-        let horizon = self.sim.scenario.horizon;
-        let mut aoi_traces = Vec::with_capacity(self.aoi_recorders.len());
-        let mut aoi_summaries = Vec::with_capacity(self.aoi_recorders.len());
-        for recorder in self.aoi_recorders.drain(..) {
+        let mut aoi_traces = Vec::with_capacity(aoi_recorders.len());
+        let mut aoi_summaries = Vec::with_capacity(aoi_recorders.len());
+        for recorder in aoi_recorders {
             let (series, summary) = recorder.into_parts();
             aoi_traces.push(series);
             aoi_summaries.push(summary);
         }
         let content_slots = (horizon * n_rsus * per_rsu) as u64;
-        let cumulative_reward = self.reward_series.cumulative();
-        if let Some(writer) = self.artifact {
+        let cumulative_reward = reward_series.cumulative();
+        if let Some(writer) = artifact {
             // The headline curves stay in the report either way (they are
             // O(horizon)); writing them too makes the artifact
             // self-contained.
             let mut writer = writer.borrow_mut();
-            writer.series(&self.reward_series)?;
+            writer.series(&reward_series)?;
             writer.series(&cumulative_reward)?;
         }
         Ok(CacheRunReport {
-            policy: self.label,
-            recording: self.sim.recording,
+            policy: label,
+            recording: self.recording,
             aoi_traces,
             aoi_summaries,
             cumulative_reward,
-            reward: self.reward_series,
-            updates: self.updates,
-            violation_content_slots: self.violation_content_slots,
+            reward: reward_series,
+            updates,
+            violation_content_slots,
             content_slots,
-            mean_aoi_ratio: self.aoi_ratio_sum / content_slots as f64,
-            mean_utility: self.utility_sum / horizon as f64,
-            mean_cost: self.cost_sum / horizon as f64,
+            mean_aoi_ratio: aoi_ratio_sum / content_slots as f64,
+            mean_utility: utility_sum / horizon as f64,
+            mean_cost: cost_sum / horizon as f64,
             horizon: horizon as u64,
             n_rsus,
             regions_per_rsu: per_rsu,
         })
     }
-}
-
-/// Runs `sims.len()` independent replicates of one policy kind **in
-/// lockstep**: all replicates advance through slot `t` before any enters
-/// slot `t + 1`. Reports are bit-identical to calling
-/// [`CacheSimulation::run`] on each simulation alone, for every batch
-/// size — each replicate derives all randomness from its own scenario
-/// seed (one [`simkit::rng_lanes`] stream per replicate), so lockstep
-/// only changes *when* each replicate's work happens, never what it
-/// computes.
-///
-/// When every simulation records [`RecordingMode::SummaryOnly`] and the
-/// batch shares one scenario shape (RSUs, contents per RSU, horizon, age
-/// cap — the invariant of seed-replicate grids), the batch runs on a
-/// structure-of-arrays fast path: per-replicate age/statistics state is
-/// laid out replicate-contiguous so the hot per-slot division chains
-/// (hyperbolic utilities, AoI ratios, Welford mean updates) vectorize
-/// across replicate lanes. The lane arithmetic performs the exact
-/// per-replicate operations in the exact serial order, so the fast path is
-/// bit-identical too (`core/tests/batch_identity.rs` proves both paths).
-///
-/// # Errors
-///
-/// Propagates the first policy-construction or simulation error; the
-/// whole batch is abandoned on error.
-pub fn run_batch(
-    sims: &[&CacheSimulation],
-    kind: CachePolicyKind,
-) -> Result<Vec<CacheRunReport>, AoiCacheError> {
-    if sims.is_empty() {
-        return Ok(Vec::new());
-    }
-    let policies = sims
-        .iter()
-        .map(|sim| sim.build_policies(kind))
-        .collect::<Result<Vec<_>, _>>()?;
-    if summary_lanes_eligible(sims) {
-        return run_batch_summary_lanes(sims, policies, kind);
-    }
-    let artifacts = vec![None; sims.len()];
-    run_batch_interleaved(sims, policies, kind.label(), &artifacts)
-}
-
-/// [`run_batch`], but **spilling** each replicate's retained traces into
-/// its own artifact file (`paths[i]` for `sims[i]`), exactly like
-/// [`CacheSimulation::run_artifact_with`] would. Artifact bytes are
-/// identical to serial runs for every batch size: each replicate owns its
-/// writer, and its channel declarations, samples and headline curves are
-/// produced in the same per-replicate order lockstep or not.
-///
-/// # Errors
-///
-/// Propagates policy-construction errors and artifact write failures; the
-/// whole batch is abandoned on the first error.
-pub fn run_batch_artifacts(
-    sims: &[&CacheSimulation],
-    kind: CachePolicyKind,
-    paths: &[std::path::PathBuf],
-    compression: Compression,
-) -> Result<Vec<CacheRunReport>, AoiCacheError> {
-    if paths.len() != sims.len() {
-        return Err(AoiCacheError::BadParameter {
-            what: "artifact paths",
-            valid: "one per simulation",
-        });
-    }
-    let policies = sims
-        .iter()
-        .map(|sim| sim.build_policies(kind))
-        .collect::<Result<Vec<_>, _>>()?;
-    let writers = sims
-        .iter()
-        .zip(paths)
-        .map(|(sim, path)| {
-            let manifest = Manifest {
-                artifact: ArtifactKind::Trace,
-                scenario: "cache".to_string(),
-                policy: kind.label().to_string(),
-                seed: Some(sim.scenario.seed),
-                recording: sim.recording,
-                config_hash: persist::config_hash(&sim.scenario),
-            };
-            ArtifactWriter::create_with(path, &manifest, compression).map(ArtifactWriter::shared)
-        })
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(AoiCacheError::from)?;
-    let artifacts: Vec<Option<&SharedArtifactWriter>> = writers.iter().map(Some).collect();
-    let reports = run_batch_interleaved(sims, policies, kind.label(), &artifacts)?;
-    for writer in writers {
-        ArtifactWriter::finish_shared(writer).map_err(AoiCacheError::from)?;
-    }
-    Ok(reports)
-}
-
-/// Whether a batch can take the structure-of-arrays summary fast path:
-/// summary-only recording everywhere and one shared scenario shape. Seed
-/// replicates of a grid cell always qualify; heterogeneous batches fall
-/// back to the (equally exact) interleaved state machine.
-fn summary_lanes_eligible(sims: &[&CacheSimulation]) -> bool {
-    let first = sims[0].scenario;
-    sims.iter().all(|sim| {
-        sim.recording == RecordingMode::SummaryOnly
-            && sim.scenario.n_rsus == first.n_rsus
-            && sim.scenario.regions_per_rsu == first.regions_per_rsu
-            && sim.scenario.horizon == first.horizon
-            && sim.scenario.age_cap == first.age_cap
-    })
-}
-
-/// How the summary fast path runs its decision phase: the data-parallel
-/// policy kinds decide straight off the age plane (or off nothing at
-/// all), everything else goes through the boxed policy against the
-/// canonical per-replicate ages.
-#[derive(Clone, Copy)]
-enum LaneDecider {
-    /// `NeverPolicy`: no decisions, no age reads.
-    Never,
-    /// `RandomPolicy`: per-lane RNG draws in the serial order; never
-    /// reads ages.
-    Random {
-        /// Per-slot update probability.
-        probability: f64,
-    },
-    /// `MyopicPolicy`: the Eq. 1 gain argmax, vectorized across lanes
-    /// with the exact serial operation order.
-    Myopic,
-    /// Any other kind: the boxed policy decides on the canonical ages.
-    Generic,
-}
-
-/// The general lockstep engine: one [`CacheRunState`] per replicate,
-/// `step` interleaved slot by slot. Handles every recording mode and
-/// per-replicate artifact sinks; trivially bit-identical to serial runs
-/// because each state is self-contained.
-fn run_batch_interleaved(
-    sims: &[&CacheSimulation],
-    policies: Vec<Vec<Box<dyn CacheUpdatePolicy>>>,
-    label: &str,
-    artifacts: &[Option<&SharedArtifactWriter>],
-) -> Result<Vec<CacheRunReport>, AoiCacheError> {
-    let mut states = Vec::with_capacity(sims.len());
-    for ((sim, policy_set), artifact) in sims.iter().zip(policies).zip(artifacts) {
-        states.push(CacheRunState::new(
-            sim,
-            policy_set,
-            label.to_string(),
-            *artifact,
-        )?);
-    }
-    let max_horizon = sims.iter().map(|s| s.scenario.horizon).max().unwrap_or(0);
-    for slot in 0..max_horizon {
-        for state in &mut states {
-            if slot < state.sim.scenario.horizon {
-                state.step()?;
-            }
-        }
-    }
-    states.into_iter().map(CacheRunState::finish).collect()
-}
-
-/// The structure-of-arrays lockstep fast path for summary-only batches.
-///
-/// Per-replicate state is split into two synchronized views: the canonical
-/// per-replicate [`AgeVector`]s (what policies decide on and refreshes
-/// mutate — never reimplemented) and replicate-contiguous `f64` planes
-/// indexed `[(rsu · L′ + content) · lanes + replicate]` that the per-slot
-/// arithmetic streams over. Each slot runs four phases:
-///
-/// 1. **Decide** — per replicate, in RSU order (the serial order), against
-///    the replicate's own RNG lane and canonical ages;
-/// 2. **Reward + statistics**, fused into one pass with the content loop
-///    outer and the replicate lane inner: the Eq. 2 hyperbolic utilities
-///    `Σ_h (A^max/Ã)·p` (every lane accumulates its terms in exactly the
-///    serial content order while the divisions vectorize across lanes),
-///    and the Welford update, AoI ratio and violation test of every
-///    `(content, lane)` pair (`RunningStats::push` unrolled across lanes:
-///    every sample here is finite by construction, and per-lane operation
-///    order is exactly the serial push order — accumulators are mutually
-///    independent, so fusing the passes reorders nothing within any one
-///    of them);
-/// 3. **Advance** — per-slot reward rows, canonical aging, and the vector
-///    `min(age + 1, cap)` on the age plane.
-///
-/// Per-lane f64 division, min and comparison are bitwise equal to their
-/// scalar counterparts (IEEE 754 is lane-invariant), so the whole path is
-/// bit-identical to serial — no tolerance needed anywhere.
-///
-/// Phase 1 itself is lane-batched for the policy kinds whose decision rule
-/// is data-parallel (`LaneDecider`): myopic gains vectorize across
-/// replicates with the same operation order as `MyopicPolicy::decide`,
-/// never/random never read ages at all — and those kinds then skip the
-/// canonical [`AgeVector`] bookkeeping entirely (the plane is the only
-/// age state the remaining phases touch). Every other kind decides
-/// through its boxed policy against the canonical ages, exactly like the
-/// interleaved engine.
-fn run_batch_summary_lanes(
-    sims: &[&CacheSimulation],
-    mut policies: Vec<Vec<Box<dyn CacheUpdatePolicy>>>,
-    kind: CachePolicyKind,
-) -> Result<Vec<CacheRunReport>, AoiCacheError> {
-    let label = kind.label();
-    let lanes = sims.len();
-    let scenario = sims[0].scenario;
-    let (n_rsus, per_rsu, horizon) = (scenario.n_rsus, scenario.regions_per_rsu, scenario.horizon);
-    let channels = n_rsus * per_rsu;
-    let cap = f64::from(scenario.age_cap);
-    for policy_set in &policies {
-        if policy_set.len() != n_rsus {
-            return Err(AoiCacheError::BadParameter {
-                what: "policies",
-                valid: "one per RSU",
-            });
-        }
-    }
-
-    // Canonical per-replicate state (exactly what a serial run holds).
-    let roots: Vec<u64> = sims.iter().map(|s| s.scenario.seed).collect();
-    let mut rngs = simkit::rng_lanes(&roots, "run");
-    let mut ages: Vec<Vec<AgeVector>> = sims.iter().map(|s| s.initial_ages.clone()).collect();
-    let mut reward_series: Vec<TimeSeries> = (0..lanes)
-        .map(|_| TimeSeries::with_capacity("reward", horizon))
-        .collect();
-
-    let decider = match kind {
-        CachePolicyKind::Never => LaneDecider::Never,
-        CachePolicyKind::Random { probability } => LaneDecider::Random { probability },
-        CachePolicyKind::Myopic => LaneDecider::Myopic,
-        _ => LaneDecider::Generic,
-    };
-    let generic = matches!(decider, LaneDecider::Generic);
-
-    // Replicate-contiguous planes mirroring the canonical ages plus the
-    // per-(replicate, content) constants the inner loops read. The myopic
-    // planes hold the decision rule's per-content constants: `w · p_h`
-    // (the serial rule's first product, precomputed once — same two
-    // factors, same rounding) and the fresh utility `A^max/1`.
-    let mut age_plane = vec![0.0f64; channels * lanes];
-    let mut max_plane = vec![0.0f64; channels * lanes];
-    let mut pop_plane = vec![0.0f64; channels * lanes];
-    let mut wp_plane = vec![0.0f64; channels * lanes];
-    let mut u1_plane = vec![0.0f64; channels * lanes];
-    let mut weight_rk = vec![0.0f64; n_rsus * lanes];
-    let mut cost_rk = vec![0.0f64; n_rsus * lanes];
-    let mut dcost_rk = vec![0.0f64; n_rsus * lanes];
-    for (r, sim) in sims.iter().enumerate() {
-        for (k, spec) in sim.specs.iter().enumerate() {
-            // Build (and validate) the reward model exactly like a serial
-            // run would; only its two scalars feed the lane loops.
-            let reward = spec.reward_model()?;
-            weight_rk[k * lanes + r] = reward.weight();
-            cost_rk[k * lanes + r] = reward.update_cost();
-            // The myopic rule reads the spec's scalars directly (what its
-            // decision context carries), not the reward model's.
-            dcost_rk[k * lanes + r] = spec.update_cost;
-            for h in 0..per_rsu {
-                let i = (k * per_rsu + h) * lanes + r;
-                age_plane[i] = f64::from(ages[r][k].age(h).get());
-                max_plane[i] = f64::from(spec.max_ages[h].get());
-                pop_plane[i] = spec.popularity[h];
-                wp_plane[i] = spec.weight * spec.popularity[h];
-                u1_plane[i] = Age::ONE.utility(spec.max_ages[h]);
-            }
-        }
-    }
-
-    // Welford lanes (RunningStats fields, replicate-contiguous). The
-    // shared sample count is implicit: every lane pushes one finite sample
-    // per (content, slot), so after slot `t` every accumulator holds
-    // exactly `t + 1` samples.
-    let mut w_sum = vec![0.0f64; channels * lanes];
-    let mut w_mean = vec![0.0f64; channels * lanes];
-    let mut w_m2 = vec![0.0f64; channels * lanes];
-    let mut w_min = vec![f64::INFINITY; channels * lanes];
-    let mut w_max = vec![f64::NEG_INFINITY; channels * lanes];
-
-    let mut updates = vec![0u64; lanes];
-    let mut violations = vec![0u64; lanes];
-    let mut ratio_sum = vec![0.0f64; lanes];
-    let mut utility_sum = vec![0.0f64; lanes];
-    let mut cost_sum = vec![0.0f64; lanes];
-    let mut slot_reward = vec![0.0f64; lanes];
-    let mut acc = vec![0.0f64; lanes];
-    let mut updated = vec![false; n_rsus * lanes];
-    let mut best_gain = vec![0.0f64; lanes];
-    let mut best_h = vec![usize::MAX; lanes];
-
-    let mut clock = SlotClock::new();
-    for slot in 0..horizon {
-        let now = clock.now();
-        // Phase 1: decisions, per replicate in RSU order. Each replicate
-        // consumes only its own RNG lane, in the serial (slot, rsu) order.
-        match decider {
-            LaneDecider::Never => updated.fill(false),
-            LaneDecider::Random { probability } => {
-                for (r, rng) in rngs.iter_mut().enumerate() {
-                    for k in 0..n_rsus {
-                        // The exact draws RandomPolicy::decide makes, in
-                        // the serial per-replicate RSU order.
-                        let hit = rng.gen::<f64>() < probability;
-                        if hit {
-                            let h = rng.gen_range(0..per_rsu);
-                            age_plane[(k * per_rsu + h) * lanes + r] = 1.0;
-                            updates[r] += 1;
-                        }
-                        updated[k * lanes + r] = hit;
-                    }
-                }
-            }
-            LaneDecider::Myopic => {
-                for k in 0..n_rsus {
-                    let wbase = k * lanes;
-                    // MyopicPolicy takes a content only when its gain is
-                    // strictly positive and beats every earlier taken
-                    // gain, ties to the lowest index — starting `best`
-                    // at 0.0 with a strict test encodes both conditions.
-                    best_gain.fill(0.0);
-                    best_h.fill(usize::MAX);
-                    for h in 0..per_rsu {
-                        let base = (k * per_rsu + h) * lanes;
-                        let (wps, u1s, ms, xs) = (
-                            &wp_plane[base..base + lanes],
-                            &u1_plane[base..base + lanes],
-                            &max_plane[base..base + lanes],
-                            &age_plane[base..base + lanes],
-                        );
-                        let costs = &dcost_rk[wbase..wbase + lanes];
-                        let (bg, bh) = (&mut best_gain[..lanes], &mut best_h[..lanes]);
-                        for r in 0..lanes {
-                            let gain = wps[r] * (u1s[r] - ms[r] / xs[r]) - costs[r];
-                            if gain > bg[r] {
-                                bg[r] = gain;
-                                bh[r] = h;
-                            }
-                        }
-                    }
-                    for r in 0..lanes {
-                        if best_h[r] == usize::MAX {
-                            updated[wbase + r] = false;
-                        } else {
-                            age_plane[(k * per_rsu + best_h[r]) * lanes + r] = 1.0;
-                            updates[r] += 1;
-                            updated[wbase + r] = true;
-                        }
-                    }
-                }
-            }
-            LaneDecider::Generic => {
-                for (r, sim) in sims.iter().enumerate() {
-                    for (k, spec) in sim.specs.iter().enumerate() {
-                        let decision = {
-                            let ctx = CacheDecisionContext {
-                                slot: now,
-                                ages: &ages[r][k],
-                                max_ages: &spec.max_ages,
-                                popularity: &spec.popularity,
-                                weight: spec.weight,
-                                update_cost: spec.update_cost,
-                            };
-                            policies[r][k].decide(&ctx, &mut rngs[r])
-                        };
-                        match decision {
-                            Some(h) if h >= per_rsu => {
-                                return Err(AoiCacheError::BadParameter {
-                                    what: "policy decision",
-                                    valid: "local content index",
-                                });
-                            }
-                            Some(h) => {
-                                ages[r][k].refresh(h);
-                                age_plane[(k * per_rsu + h) * lanes + r] = 1.0;
-                                updates[r] += 1;
-                                updated[k * lanes + r] = true;
-                            }
-                            None => updated[k * lanes + r] = false,
-                        }
-                    }
-                }
-            }
-        }
-        // Phases 2+3 in one pass: Eq. 1 reward plus per-content statistics
-        // (Welford push, AoI ratio, violation test), content outer and
-        // lanes inner. Every accumulator is independent and every lane
-        // consumes its samples in the serial content order, so fusing the
-        // passes changes nothing about any individual accumulator's
-        // floating-point op sequence.
-        let count = (slot + 1) as f64;
-        for k in 0..n_rsus {
-            acc.fill(0.0);
-            for h in 0..per_rsu {
-                let base = (k * per_rsu + h) * lanes;
-                let (xs, ms, ps) = (
-                    &age_plane[base..base + lanes],
-                    &max_plane[base..base + lanes],
-                    &pop_plane[base..base + lanes],
-                );
-                let (sums, means, m2s) = (
-                    &mut w_sum[base..base + lanes],
-                    &mut w_mean[base..base + lanes],
-                    &mut w_m2[base..base + lanes],
-                );
-                let (mins, maxs) = (
-                    &mut w_min[base..base + lanes],
-                    &mut w_max[base..base + lanes],
-                );
-                for r in 0..lanes {
-                    let x = xs[r];
-                    acc[r] += ms[r] / x * ps[r];
-                    sums[r] += x;
-                    let delta = x - means[r];
-                    means[r] += delta / count;
-                    m2s[r] += delta * (x - means[r]);
-                    if x < mins[r] {
-                        mins[r] = x;
-                    }
-                    if x > maxs[r] {
-                        maxs[r] = x;
-                    }
-                    ratio_sum[r] += x / ms[r];
-                    violations[r] += u64::from(x > ms[r]);
-                }
-            }
-            let wbase = k * lanes;
-            for r in 0..lanes {
-                let utility = acc[r];
-                let cost = if updated[wbase + r] {
-                    cost_rk[wbase + r]
-                } else {
-                    0.0
-                };
-                slot_reward[r] += weight_rk[wbase + r] * utility - cost;
-                utility_sum[r] += weight_rk[wbase + r] * utility;
-                cost_sum[r] += cost;
-            }
-        }
-        // Phase 4: reward rows, canonical aging, and the plane mirror of
-        // `Age::aged` (`min(age + 1, cap)` is exact in f64 for ages this
-        // small).
-        for r in 0..lanes {
-            reward_series[r].push(now, slot_reward[r]);
-            slot_reward[r] = 0.0;
-        }
-        // The canonical ages only feed generic deciders; the lane-batched
-        // kinds read ages exclusively from the plane, so the mirror can
-        // go stale for them.
-        if generic {
-            for replicate_ages in &mut ages {
-                for a in replicate_ages.iter_mut() {
-                    a.advance();
-                }
-            }
-        }
-        for x in &mut age_plane {
-            *x = (*x + 1.0).min(cap);
-        }
-        clock.tick();
-    }
-
-    let content_slots = (horizon * channels) as u64;
-    let mut reports = Vec::with_capacity(lanes);
-    for (r, (sim, series)) in sims.iter().zip(reward_series).enumerate() {
-        let mut aoi_traces = Vec::with_capacity(channels);
-        let mut aoi_summaries = Vec::with_capacity(channels);
-        for k in 0..n_rsus {
-            for h in 0..per_rsu {
-                let i = (k * per_rsu + h) * lanes + r;
-                // What a SummaryOnly TraceRecorder's into_parts returns:
-                // an empty named series and the exact streamed summary.
-                aoi_traces.push(TimeSeries::with_capacity(format!("rsu{k}/content{h}"), 0));
-                aoi_summaries.push(Summary {
-                    count: horizon as u64,
-                    mean: w_mean[i],
-                    std_dev: (w_m2[i] / horizon as f64).sqrt(),
-                    min: Some(w_min[i]),
-                    max: Some(w_max[i]),
-                    sum: w_sum[i],
-                });
-            }
-        }
-        let cumulative_reward = series.cumulative();
-        reports.push(CacheRunReport {
-            policy: label.to_string(),
-            recording: sim.recording,
-            aoi_traces,
-            aoi_summaries,
-            cumulative_reward,
-            reward: series,
-            updates: updates[r],
-            violation_content_slots: violations[r],
-            content_slots,
-            mean_aoi_ratio: ratio_sum[r] / content_slots as f64,
-            mean_utility: utility_sum[r] / horizon as f64,
-            mean_cost: cost_sum[r] / horizon as f64,
-            horizon: horizon as u64,
-            n_rsus,
-            regions_per_rsu: per_rsu,
-        });
-    }
-    Ok(reports)
 }
 
 /// Everything measured in one stage-1 run.
@@ -1518,117 +947,5 @@ mod tests {
         for summary in &report.aoi_summaries {
             assert_eq!(summary.count, 300, "stats must see every slot");
         }
-    }
-
-    /// Seed replicates of one scenario, as the ensemble driver batches them.
-    fn replicates(mode: RecordingMode, seeds: &[u64]) -> Vec<CacheSimulation> {
-        seeds
-            .iter()
-            .map(|&seed| {
-                let mut s = tiny();
-                s.seed = seed;
-                CacheSimulation::new(s).unwrap().with_recording(mode)
-            })
-            .collect()
-    }
-
-    /// The SoA fast path (summary-only seed replicates) must reproduce the
-    /// serial reports bit for bit, for every batch size and for both a
-    /// deterministic and an RNG-consuming policy.
-    #[test]
-    fn batched_summary_lanes_match_serial_bitwise() {
-        for kind in [
-            CachePolicyKind::Myopic,
-            CachePolicyKind::Random { probability: 0.3 },
-        ] {
-            let sims = replicates(RecordingMode::SummaryOnly, &[42, 43, 44, 45, 46]);
-            let serial: Vec<CacheRunReport> = sims.iter().map(|s| s.run(kind).unwrap()).collect();
-            for batch in [1usize, 2, 5] {
-                for (chunk, want) in sims.chunks(batch).zip(serial.chunks(batch)) {
-                    let refs: Vec<&CacheSimulation> = chunk.iter().collect();
-                    let got = run_batch(&refs, kind).unwrap();
-                    assert_eq!(got, want, "{kind:?} batch {batch}");
-                }
-            }
-        }
-    }
-
-    /// Full-trace batches take the interleaved state-machine path; it must
-    /// be exactly serial too.
-    #[test]
-    fn batched_interleave_matches_serial_with_full_traces() {
-        let sims = replicates(RecordingMode::Full, &[7, 9, 11]);
-        let serial: Vec<CacheRunReport> = sims
-            .iter()
-            .map(|s| s.run(CachePolicyKind::Random { probability: 0.3 }).unwrap())
-            .collect();
-        let refs: Vec<&CacheSimulation> = sims.iter().collect();
-        let got = run_batch(&refs, CachePolicyKind::Random { probability: 0.3 }).unwrap();
-        assert_eq!(got, serial);
-    }
-
-    /// Heterogeneous batches (different horizons here) fall back to the
-    /// interleaved path and still reproduce serial runs exactly.
-    #[test]
-    fn batched_mixed_shapes_fall_back_and_match_serial() {
-        let mut short = tiny();
-        short.horizon = 120;
-        short.seed = 3;
-        let sims = [
-            CacheSimulation::new(tiny())
-                .unwrap()
-                .with_recording(RecordingMode::SummaryOnly),
-            CacheSimulation::new(short)
-                .unwrap()
-                .with_recording(RecordingMode::SummaryOnly),
-        ];
-        let serial: Vec<CacheRunReport> = sims
-            .iter()
-            .map(|s| s.run(CachePolicyKind::Myopic).unwrap())
-            .collect();
-        let refs: Vec<&CacheSimulation> = sims.iter().collect();
-        let got = run_batch(&refs, CachePolicyKind::Myopic).unwrap();
-        assert_eq!(got, serial);
-    }
-
-    #[test]
-    fn batched_empty_input_is_empty() {
-        assert_eq!(run_batch(&[], CachePolicyKind::Myopic).unwrap().len(), 0);
-    }
-
-    /// Batched artifact runs must produce byte-identical files to serial
-    /// artifact runs (each replicate owns its writer, so interleaving the
-    /// slots cannot reorder any replicate's stream).
-    #[test]
-    fn batched_artifacts_are_byte_identical_to_serial() {
-        let dir = std::env::temp_dir().join(format!("aoi-batch-artifacts-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let sims = replicates(RecordingMode::Decimate(5), &[5, 6, 7]);
-        let refs: Vec<&CacheSimulation> = sims.iter().collect();
-        let batch_paths: Vec<std::path::PathBuf> = (0..sims.len())
-            .map(|i| dir.join(format!("batch-{i}.trace.jsonl")))
-            .collect();
-        let reports = run_batch_artifacts(
-            &refs,
-            CachePolicyKind::Random { probability: 0.3 },
-            &batch_paths,
-            Compression::None,
-        )
-        .unwrap();
-        for (i, sim) in sims.iter().enumerate() {
-            let serial_path = dir.join(format!("serial-{i}.trace.jsonl"));
-            let serial = sim
-                .run_artifact_with(
-                    CachePolicyKind::Random { probability: 0.3 },
-                    &serial_path,
-                    Compression::None,
-                )
-                .unwrap();
-            assert_eq!(reports[i], serial, "report {i}");
-            let batch_bytes = std::fs::read(&batch_paths[i]).unwrap();
-            let serial_bytes = std::fs::read(&serial_path).unwrap();
-            assert_eq!(batch_bytes, serial_bytes, "artifact bytes {i}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

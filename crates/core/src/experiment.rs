@@ -61,7 +61,6 @@ use simkit::lease;
 use simkit::persist::{self, ArtifactKind, ArtifactWriter, Compression, Manifest};
 use simkit::supervise;
 use simkit::{CurveAccumulator, CurveSummary, RecordingMode, TimeSeries};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -200,16 +199,6 @@ pub struct ExperimentPlan {
     /// TTL. Lower values recover crashed cells faster; higher values
     /// tolerate longer stalls without duplicated work.
     pub lease_ttl_ms: u64,
-    /// Lockstep batch width for cache-grid cells: up to this many seed
-    /// replicates of one `(scenario, policy)` cell advance through their
-    /// slots together ([`crate::run_batch`]), amortizing the per-slot
-    /// arithmetic across replicate lanes. `1` (the default) runs every
-    /// cell alone. Reports, ensemble curves and artifact bytes are
-    /// **bit-identical** for every width — batching only reorders when
-    /// each replicate's work happens, never what it computes. Service and
-    /// joint grids currently ignore this knob (their cells run one at a
-    /// time).
-    pub batch: usize,
     /// Claim mode only: how many times a failing cell (a returned error
     /// *or* a panic — claim-mode cells run under
     /// [`executor::parallel_map_supervised`] panic isolation) is attempted
@@ -252,7 +241,6 @@ impl ExperimentPlan {
             claim: false,
             worker_id: None,
             lease_ttl_ms: DEFAULT_LEASE_TTL_MS,
-            batch: 1,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
         }
     }
@@ -273,7 +261,6 @@ impl ExperimentPlan {
             claim: false,
             worker_id: None,
             lease_ttl_ms: DEFAULT_LEASE_TTL_MS,
-            batch: 1,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
         }
     }
@@ -291,7 +278,6 @@ impl ExperimentPlan {
             claim: false,
             worker_id: None,
             lease_ttl_ms: DEFAULT_LEASE_TTL_MS,
-            batch: 1,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
         }
     }
@@ -463,15 +449,6 @@ impl ExperimentPlan {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
-        self
-    }
-
-    /// Sets the lockstep batch width for cache cells (see
-    /// [`batch`](ExperimentPlan::batch); `0` is treated as `1`). Results
-    /// are bit-identical for every width.
-    #[must_use]
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -686,16 +663,13 @@ impl ExperimentPlan {
         let n_policies = self.grid.n_policies();
         let all_ids = self.cell_ids();
         let resume_dir = self.artifacts.as_deref().filter(|_| self.resume);
-        // Waves span `batch` replicates so lockstep groups can form within
-        // a wave (`batch == 1` reproduces the one-replicate schedule
-        // exactly). A wave keeps cell-id order (scenario ▸ replicate ▸
-        // policy), so each group's curves still fold in ascending-replicate
-        // order and the ensembles stay bit-identical for every width.
-        let width = self.batch.max(1);
-        for wave_start in (0..self.n_replicates()).step_by(width) {
+        // One wave per replicate. A wave keeps cell-id order (scenario ▸
+        // policy), so each group's curves fold in ascending-replicate
+        // order.
+        for replicate in 0..self.n_replicates() {
             let wave: Vec<CellId> = all_ids
                 .iter()
-                .filter(|id| (wave_start..wave_start + width).contains(&id.replicate))
+                .filter(|id| id.replicate == replicate)
                 .copied()
                 .collect();
             // Partition the wave: cells whose artifact verifies are
@@ -1297,9 +1271,6 @@ impl ExperimentPlan {
                         sim.compiled()?;
                     }
                 }
-                if self.batch > 1 {
-                    return self.run_cache_cells_lockstep(ids, policies, &keys, &sims, workers);
-                }
                 executor::parallel_map(workers, ids, |_, id| {
                     let sim = keys
                         .binary_search(&(id.scenario, id.replicate))
@@ -1350,76 +1321,6 @@ impl ExperimentPlan {
             }),
         };
         outcomes.into_iter().collect()
-    }
-
-    /// The batched cache fan-out: cells are grouped by `(scenario, policy)`
-    /// — so a group is the seed replicates of one logical cell — and each
-    /// group runs in lockstep chunks of up to [`batch`](ExperimentPlan::batch)
-    /// replicates via [`crate::run_batch`] /
-    /// [`crate::run_batch_artifacts`]. Outcomes return in `ids` order and
-    /// are bit-identical (artifacts byte-identical) to the unbatched path.
-    fn run_cache_cells_lockstep(
-        &self,
-        ids: &[CellId],
-        policies: &[CachePolicyKind],
-        keys: &[(usize, usize)],
-        sims: &[CacheSimulation],
-        workers: usize,
-    ) -> Result<Vec<CellOutcome>, AoiCacheError> {
-        // Group the cell indices by (scenario, policy); `ids` is in cell-id
-        // order, so each group collects its replicates ascending.
-        let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for (i, id) in ids.iter().enumerate() {
-            groups.entry((id.scenario, id.policy)).or_default().push(i);
-        }
-        let jobs: Vec<Vec<usize>> = groups
-            .into_values()
-            .flat_map(|members| {
-                members
-                    .chunks(self.batch)
-                    .map(<[usize]>::to_vec)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let artifacts = self.artifacts.as_deref();
-        let results: Vec<Result<Vec<CellOutcome>, AoiCacheError>> =
-            executor::parallel_map(workers, &jobs, |_, job| {
-                let sim_refs: Vec<&CacheSimulation> = job
-                    .iter()
-                    .map(|&i| {
-                        let id = ids[i];
-                        keys.binary_search(&(id.scenario, id.replicate))
-                            .map(|sim| &sims[sim])
-                            .map_err(|_| AoiCacheError::Internal {
-                                what: "batch is missing a lockstep cell's shared simulation",
-                            })
-                    })
-                    .collect::<Result<_, _>>()?;
-                let kind = policies[ids[job[0]].policy];
-                match artifacts {
-                    Some(dir) => {
-                        let paths: Vec<PathBuf> = job
-                            .iter()
-                            .map(|&i| Self::cell_artifact_path_with(dir, ids[i], self.compression))
-                            .collect();
-                        crate::run_batch_artifacts(&sim_refs, kind, &paths, self.compression)
-                    }
-                    None => crate::run_batch(&sim_refs, kind),
-                }
-                .map(|reports| reports.into_iter().map(CellOutcome::Cache).collect())
-            });
-        let mut outcomes: Vec<Option<CellOutcome>> = (0..ids.len()).map(|_| None).collect();
-        for (job, result) in jobs.iter().zip(results) {
-            for (&i, outcome) in job.iter().zip(result?) {
-                outcomes[i] = Some(outcome);
-            }
-        }
-        Ok(outcomes
-            .into_iter()
-            // lint:allow(panic-hygiene): the jobs vector is a partition of
-            // 0..ids.len() by construction directly above.
-            .map(|o| o.expect("every cell belongs to exactly one lockstep job"))
-            .collect())
     }
 
     /// Aggregates each `(scenario, policy)` group's headline curves across
@@ -1946,66 +1847,6 @@ mod tests {
                 cell.id
             );
         }
-    }
-
-    /// Batched lockstep grids must reproduce the unbatched grid bit for
-    /// bit — cells, ensembles, everything — for every batch width,
-    /// including widths that straddle replicate waves unevenly.
-    #[test]
-    fn batched_grid_reports_match_unbatched_bitwise() {
-        let base = ExperimentPlan::cache(
-            vec![tiny_cache()],
-            vec![
-                CachePolicyKind::Myopic,
-                CachePolicyKind::Random { probability: 0.4 },
-            ],
-        )
-        .replicate_seeds(vec![21, 22, 23, 24, 25])
-        .recording(RecordingMode::SummaryOnly);
-        let want = base.clone().run().unwrap();
-        for batch in [2usize, 3, 5, 7] {
-            let got = base.clone().batch(batch).run().unwrap();
-            assert_eq!(got, want, "batch {batch}");
-        }
-    }
-
-    /// A batched ensemble run with artifacts must leave a byte-identical
-    /// artifact directory to a cold serial run of the same plan.
-    #[test]
-    fn batched_ensemble_artifacts_are_byte_identical() {
-        let dir = std::env::temp_dir().join(format!("aoi-batch-grid-{}", std::process::id()));
-        let serial_dir = dir.join("serial");
-        let batched_dir = dir.join("batched");
-        let base = ExperimentPlan::cache(
-            vec![tiny_cache()],
-            vec![CachePolicyKind::Myopic, CachePolicyKind::Never],
-        )
-        .replicate_seeds(vec![31, 32, 33])
-        .recording(RecordingMode::SummaryOnly);
-        let want = base
-            .clone()
-            .artifact_dir(&serial_dir)
-            .run_ensembles()
-            .unwrap();
-        let got = base
-            .clone()
-            .batch(2)
-            .artifact_dir(&batched_dir)
-            .run_ensembles()
-            .unwrap();
-        assert_eq!(got, want);
-        let mut names: Vec<String> = std::fs::read_dir(&serial_dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        assert!(!names.is_empty());
-        for name in names {
-            let a = std::fs::read(serial_dir.join(&name)).unwrap();
-            let b = std::fs::read(batched_dir.join(&name)).unwrap();
-            assert_eq!(a, b, "{name}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -10,13 +10,6 @@
 //!    requests for contents older than their freshness limit are *stale
 //!    hits* and incur an extra MBS-fetch cost,
 //! 4. ages advance.
-//!
-//! Joint runs always execute one replicate at a time: the network substrate
-//! couples every RSU through shared mobility and congestion state, so the
-//! replicate-lane batching the cache kernel enjoys
-//! ([`crate::run_batch`]) does not decompose here.
-//! [`ExperimentPlan::batch`](crate::ExperimentPlan::batch) is therefore a
-//! no-op for joint (and service) grids.
 
 use crate::aoi::{Age, AgeVector};
 use crate::catalog::Catalog;

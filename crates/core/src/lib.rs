@@ -75,9 +75,7 @@ mod service;
 mod service_sim;
 
 pub use aoi::{Age, AgeVector};
-pub use cache_sim::{
-    run_batch, run_batch_artifacts, CacheRunReport, CacheScenario, CacheSimulation,
-};
+pub use cache_sim::{CacheRunReport, CacheScenario, CacheSimulation};
 pub use catalog::{Catalog, ContentSpec};
 pub use engine::{RsuCacheEngine, RsuServiceEngine};
 pub use error::AoiCacheError;

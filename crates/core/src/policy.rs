@@ -8,7 +8,7 @@ use crate::AoiCacheError;
 use mdp::solver::{
     BackwardInduction, PolicyIteration, QLearning, RelativeValueIteration, Sarsa, ValueIteration,
 };
-use mdp::{CompiledMdp, TabularPolicy};
+use mdp::{CompiledMdp, MdpError, TabularPolicy};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use simkit::TimeSlot;
@@ -141,12 +141,21 @@ impl SolvedMdpPolicy {
     ///
     /// # Errors
     ///
-    /// Propagates solver errors.
+    /// Propagates solver errors, and returns [`MdpError::NotConverged`]
+    /// when the solve hits its sweep cap before reaching tolerance: a
+    /// truncated iterate never silently becomes a policy.
     pub fn value_iteration_on(
         compiled: &CompiledRsuMdp,
         gamma: f64,
     ) -> Result<Self, AoiCacheError> {
         let outcome = ValueIteration::new(gamma).solve_compiled(&compiled.kernel)?;
+        if !outcome.converged {
+            return Err(MdpError::NotConverged {
+                iterations: outcome.sweeps,
+                residual: outcome.residual,
+            }
+            .into());
+        }
         Ok(SolvedMdpPolicy {
             name: "mdp-vi".to_string(),
             mdp: compiled.model.clone(),
@@ -779,6 +788,23 @@ mod tests {
         assert_eq!(decision, Some(0), "popular stale content first");
         let fresh = AgeVector::fresh(2, spec.age_cap);
         assert_eq!(policy.decide(&ctx(0, &fresh, &spec), &mut rng), None);
+    }
+
+    #[test]
+    fn unconverged_value_iteration_is_an_error() {
+        // At gamma = 0.9999 the sweep change still shrinks only by
+        // ~e^-1 over the 10,000-sweep cap, far above the 1e-9 tolerance.
+        let err = SolvedMdpPolicy::value_iteration(&spec(), 0.9999).unwrap_err();
+        match err {
+            AoiCacheError::Solver(MdpError::NotConverged {
+                iterations,
+                residual,
+            }) => {
+                assert_eq!(iterations, 10_000);
+                assert!(residual > 1e-9, "residual {residual}");
+            }
+            other => panic!("expected NotConverged, got {other:?}"),
+        }
     }
 
     #[test]

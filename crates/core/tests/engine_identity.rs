@@ -14,16 +14,16 @@
 //!    built-in driver's report bit for bit, proving the driver is nothing
 //!    but `decide → refresh → account → advance` glue with no hidden
 //!    state of its own.
-//! 3. *Driver variants* — recording modes and batch widths change trace
-//!    retention and scheduling, never results.
+//! 3. *Driver variants* — recording modes change trace retention, never
+//!    results.
 //!
 //! The whole suite is feature-free on purpose: CI runs it under both
 //! `--features parallel` and `--no-default-features`, so an executor that
 //! perturbed results would fail here, not in a downstream experiment.
 
 use aoi_cache::{
-    run_batch, run_joint, CachePolicyKind, CacheRunReport, CacheScenario, CacheSimulation,
-    JointScenario, RecordingMode, ServicePolicyKind,
+    run_joint, CachePolicyKind, CacheRunReport, CacheScenario, CacheSimulation, JointScenario,
+    RecordingMode, ServicePolicyKind,
 };
 use simkit::{SeedSequence, TimeSeries};
 use vanet::NetworkConfig;
@@ -457,30 +457,4 @@ fn recording_modes_change_retention_never_results() {
         .run(kind)
         .expect("run");
     assert_eq!(summary_only.aoi_traces[0].len(), 0);
-}
-
-#[test]
-fn batch_widths_change_scheduling_never_results() {
-    let base = golden_cache_scenario();
-    let sims: Vec<CacheSimulation> = (0..5u64)
-        .map(|i| {
-            CacheSimulation::new(CacheScenario {
-                seed: base.seed + i,
-                ..base
-            })
-            .expect("valid scenario")
-        })
-        .collect();
-    let kind = CachePolicyKind::Random { probability: 0.3 };
-    let serial: Vec<CacheRunReport> = sims.iter().map(|s| s.run(kind).expect("run")).collect();
-    for width in [1usize, 2, 5] {
-        let refs: Vec<&CacheSimulation> = sims.iter().collect();
-        let mut batched = Vec::new();
-        for chunk in refs.chunks(width) {
-            batched.extend(run_batch(chunk, kind).expect("batch run"));
-        }
-        for (i, (a, b)) in serial.iter().zip(&batched).enumerate() {
-            assert_reports_identical(a, b, &format!("width {width}, replicate {i}"));
-        }
-    }
 }

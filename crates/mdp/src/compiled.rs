@@ -21,19 +21,13 @@
 //! state's backup reads only the previous iterate), so serial and parallel
 //! runs are bit-for-bit identical.
 //!
-//! # Data-parallel sweep kernel
+//! # Sweep kernels
 //!
-//! Besides the exact CSR rows, compilation builds a **lane-padded mirror**
-//! of the transition arrays: every row's `(next, probability)` pairs are
-//! padded up to a multiple of [`LANES`] with explicit `probability = 0.0`
-//! no-op entries, so the `Σ p·V(s')` gather runs as fixed-width f64 lane
-//! batches with no tail loop — a shape the stable-Rust autovectorizer
-//! turns into packed multiply-adds. The per-row validity bit test is
-//! hoisted out of the action loop (one bitmap word covers all of a
-//! state's rows until the row index crosses a word boundary), and sweeps
-//! walk the state space in cache-blocked ranges
-//! ([`simkit::executor::run_rounds_blocked`]) so a block's output slice
-//! and streamed row data stay cache-resident.
+//! The per-row validity bit test is hoisted out of the action loop (one
+//! bitmap word covers all of a state's rows until the row index crosses a
+//! word boundary), and sweeps walk the state space in cache-blocked
+//! ranges ([`simkit::executor::run_rounds_blocked`]) so a block's output
+//! slice and streamed row data stay cache-resident.
 //!
 //! For **deterministic** models (every row at most one transition — the
 //! cache MDP under static popularity) compilation additionally builds an
@@ -42,18 +36,9 @@
 //! contiguously with one `values` gather per row and no per-row validity
 //! test (invalid rows are folded into the data as `-∞` expected rewards
 //! that the over-actions max skips). Per row this is the same multiply
-//! and add set as the scalar kernel, so deterministic sweeps agree
-//! exactly (`==`) with the per-state backup.
-//!
-//! **Where bit-identity holds:** rows with a single transition — every row
-//! of the cache MDP under static popularity — are bitwise identical to the
-//! scalar kernel ([`CompiledMdp::q_value_scalar`]): padding lanes multiply
-//! `0.0` by a finite value and add the resulting signed zero, which is an
-//! exact no-op. Rows with two or more transitions reassociate the gather
-//! sum `(a₀+a₁)+(a₂+a₃)` instead of accumulating left-to-right, so lane
-//! and scalar Q-values may differ by a few ulps there; the equivalence
-//! tests bound that drift explicitly (`q_values_match_callback_path`,
-//! `lane_and_scalar_q_values_agree_to_ulps`).
+//! and add set as the CSR gather, so deterministic sweeps agree exactly
+//! (`==`) with the per-state backup. Every other path gathers
+//! `Σ p·V(s')` through the CSR row left to right.
 //!
 //! ```
 //! use mdp::{reference, CompiledMdp, FiniteMdp};
@@ -100,21 +85,11 @@ pub struct CompiledMdp {
     /// Validity bitmap: bit `row % 64` of word `row / 64` marks a non-empty
     /// row.
     valid: Vec<u64>,
-    /// Lane-padded row bounds: `lane_ptr[row] .. lane_ptr[row + 1]` indexes
-    /// row `row` inside `lane_next`/`lane_prob`; every span's length is a
-    /// multiple of [`LANES`].
-    lane_ptr: Vec<usize>,
-    /// Lane-padded destination states (`u32`; compilation rejects models
-    /// with more than `u32::MAX` states). Padding entries repeat the row's
-    /// first real destination so their `0.0 · V(s')` product carries the
-    /// same sign as the row's genuine terms.
-    lane_next: Vec<u32>,
-    /// Lane-padded transition probabilities (padding entries are `0.0`).
-    lane_prob: Vec<f64>,
     /// Action-major dense destinations, built only for **deterministic**
     /// models (every row has at most one transition — the cache MDP under
     /// static popularity): slot `action * n_states + state`. Empty for
-    /// stochastic models.
+    /// stochastic models. Stored as `u32` to halve the gather bandwidth;
+    /// compilation rejects models with more than `u32::MAX` states.
     det_next: Vec<u32>,
     /// Action-major dense probabilities (`0.0` for invalid rows, so their
     /// gather term is an exact no-op).
@@ -123,12 +98,6 @@ pub struct CompiledMdp {
     /// over-actions max skips them without a bitmap test.
     det_expected: Vec<f64>,
 }
-
-/// Fixed f64 lane width of the padded sweep kernel: four independent
-/// accumulators break the gather's floating-point add dependency chain and
-/// map onto one AVX2 register (two SSE2 registers); see the module docs
-/// for the exact bit-identity guarantees.
-pub const LANES: usize = 4;
 
 impl CompiledMdp {
     /// Enumerates every `(state, action)` row of `mdp` into CSR form.
@@ -147,7 +116,7 @@ impl CompiledMdp {
         if n_states == 0 || n_actions == 0 {
             return Err(MdpError::EmptyModel);
         }
-        // The lane mirror stores destinations as u32 to halve its gather
+        // The dense mirror stores destinations as u32 to halve its gather
         // bandwidth; every practical model is orders of magnitude smaller.
         if u32::try_from(n_states).is_err() {
             return Err(MdpError::BadParameter {
@@ -211,28 +180,6 @@ impl CompiledMdp {
             }
         }
 
-        // Lane-padded mirror of (next, probability): each row rounded up
-        // to a LANES multiple with 0.0-probability entries pointing at the
-        // row's first real destination (see the field docs for why).
-        let mut lane_ptr = Vec::with_capacity(n_rows + 1);
-        lane_ptr.push(0);
-        let mut lane_next = Vec::new();
-        let mut lane_prob = Vec::new();
-        for row in 0..n_rows {
-            let span = row_ptr[row]..row_ptr[row + 1];
-            let pad_to = span.len().next_multiple_of(LANES);
-            let anchor = next.get(span.start).copied().unwrap_or(0) as u32;
-            for i in span.clone() {
-                lane_next.push(next[i] as u32);
-                lane_prob.push(probability[i]);
-            }
-            for _ in span.len()..pad_to {
-                lane_next.push(anchor);
-                lane_prob.push(0.0);
-            }
-            lane_ptr.push(lane_next.len());
-        }
-
         // Action-major dense mirror for deterministic models: the blocked
         // sweep then runs action-outer / state-inner over contiguous
         // streams (one value gather per row) with validity folded into the
@@ -271,9 +218,6 @@ impl CompiledMdp {
             reward,
             expected,
             valid,
-            lane_ptr,
-            lane_next,
-            lane_prob,
             det_next,
             det_prob,
             det_expected,
@@ -329,70 +273,26 @@ impl CompiledMdp {
     }
 
     /// The expected next-state value `Σ p · V(s')` of one row, gathered
-    /// through the lane-padded mirror: [`LANES`] independent accumulators,
-    /// no tail loop, combined pairwise at the end. Bitwise equal to the
-    /// scalar left-to-right sum for rows with at most one transition;
-    /// within ulps otherwise (see the module docs).
+    /// through the CSR row left to right.
     #[inline]
-    fn lane_future(&self, row: usize, values: &[f64]) -> f64 {
-        let (lo, hi) = (self.lane_ptr[row], self.lane_ptr[row + 1]);
-        if hi - lo == LANES {
-            // Single-chunk rows (≤ 4 real transitions — every row of the
-            // cache MDP) skip the chunk iterator: same 4 products combined
-            // in the same pairwise order, so the result is bitwise equal
-            // to the general loop below.
-            let n = &self.lane_next[lo..lo + LANES];
-            let p = &self.lane_prob[lo..lo + LANES];
-            return (p[0] * values[n[0] as usize] + p[1] * values[n[1] as usize])
-                + (p[2] * values[n[2] as usize] + p[3] * values[n[3] as usize]);
+    fn future(&self, row: usize, values: &[f64]) -> f64 {
+        let (lo, hi) = (self.row_ptr[row], self.row_ptr[row + 1]);
+        let mut future = 0.0;
+        for (p, nx) in self.probability[lo..hi].iter().zip(&self.next[lo..hi]) {
+            future += p * values[*nx];
         }
-        let next = &self.lane_next[lo..hi];
-        let prob = &self.lane_prob[lo..hi];
-        let mut acc = [0.0f64; LANES];
-        for (n, p) in next.chunks_exact(LANES).zip(prob.chunks_exact(LANES)) {
-            for l in 0..LANES {
-                acc[l] += p[l] * values[n[l] as usize];
-            }
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3])
+        future
     }
 
     /// One-step lookahead `Q(s, a) = E[r] + γ Σ p · V(s')`, or `None` for an
-    /// invalid action. Computed through the lane-padded gather
-    /// (`lane_future` — see the module docs for where this is bitwise
-    /// equal to [`q_value_scalar`](Self::q_value_scalar)).
+    /// invalid action.
     #[inline]
     pub fn q_value(&self, state: usize, action: usize, values: &[f64], gamma: f64) -> Option<f64> {
         if !self.is_valid(state, action) {
             return None;
         }
         let row = state * self.n_actions + action;
-        Some(self.expected[row] + gamma * self.lane_future(row, values))
-    }
-
-    /// [`q_value`](Self::q_value) through the original scalar left-to-right
-    /// CSR gather. Kept as the reference kernel: the tolerance-based
-    /// equivalence tests compare the lane kernel against it, and the
-    /// `solvers` bench group reports both so the lane speedup stays
-    /// measured.
-    #[inline]
-    pub fn q_value_scalar(
-        &self,
-        state: usize,
-        action: usize,
-        values: &[f64],
-        gamma: f64,
-    ) -> Option<f64> {
-        if !self.is_valid(state, action) {
-            return None;
-        }
-        let row = state * self.n_actions + action;
-        let (lo, hi) = (self.row_ptr[row], self.row_ptr[row + 1]);
-        let mut future = 0.0;
-        for (p, nx) in self.probability[lo..hi].iter().zip(&self.next[lo..hi]) {
-            future += p * values[*nx];
-        }
-        Some(self.expected[row] + gamma * future)
+        Some(self.expected[row] + gamma * self.future(row, values))
     }
 
     /// Bellman-optimality backup of one state: `max_a Q(s, a)` over valid
@@ -429,7 +329,7 @@ impl CompiledMdp {
             if word & (1 << (row % 64)) == 0 {
                 continue;
             }
-            let q = self.expected[row] + gamma * self.lane_future(row, values);
+            let q = self.expected[row] + gamma * self.future(row, values);
             if q > best {
                 best = q;
                 best_a = a;
@@ -467,8 +367,8 @@ impl CompiledMdp {
     /// inner loop streams `(expected, probability, next)` contiguously
     /// with exactly one `values` gather per row and folds validity into
     /// the data (invalid rows are `-∞ + γ·0`, which the strict max skips).
-    /// Per row this performs the same multiply and add set as the scalar
-    /// kernel's single-term gather, so the results agree exactly
+    /// Per row this performs the same multiply and add set as the CSR
+    /// single-term gather, so the results agree exactly
     /// (`==`) with [`backup_state`](Self::backup_state); ties in the max
     /// resolve identically because both iterate actions in ascending order
     /// with strict improvement.
@@ -486,7 +386,7 @@ impl CompiledMdp {
             let prob = &self.det_prob[base + states.start..base + states.end];
             let next = &self.det_next[base + states.start..base + states.end];
             for ((slot, &e), (&p, &nx)) in out.iter_mut().zip(exp).zip(prob.iter().zip(next)) {
-                // Same op order as the scalar kernel: the row's single-term
+                // Same op order as the CSR gather: the row's single-term
                 // gather accumulates from 0.0.
                 let future = 0.0 + p * values[nx as usize];
                 let q = e + gamma * future;
@@ -873,46 +773,6 @@ mod tests {
             compiled.greedy_policy(&[0.0; 3], gamma),
             Err(MdpError::BadParameter { what: "values", .. })
         ));
-    }
-
-    /// The lane-padded gather reassociates the `Σ p·V(s')` reduction into
-    /// [`LANES`] partial sums, so on rows with several transitions it may
-    /// differ from the scalar left-to-right sum by rounding — but only by a
-    /// few ulps, which this pins down across every (state, action) row of
-    /// the multi-transition reference models. (Rows with a single
-    /// transition, like the cache MDP's, are asserted bitwise equal.)
-    #[test]
-    fn lane_and_scalar_q_values_agree_to_ulps() {
-        for (model, gamma) in [reference::gridworld(5, 7, 0.2), reference::chain(9, 0.55)] {
-            let compiled = CompiledMdp::compile(&model).unwrap();
-            let values: Vec<f64> = (0..model.n_states())
-                .map(|s| (s as f64 * 0.61).cos() * 3.0)
-                .collect();
-            for s in 0..model.n_states() {
-                for a in 0..model.n_actions() {
-                    let lane = compiled.q_value(s, a, &values, gamma);
-                    let scalar = compiled.q_value_scalar(s, a, &values, gamma);
-                    match (lane, scalar) {
-                        (None, None) => {}
-                        (Some(x), Some(y)) => {
-                            let row = s * compiled.n_actions() + a;
-                            let n_tr = compiled.row_ptr[row + 1] - compiled.row_ptr[row];
-                            if n_tr <= 1 {
-                                assert_eq!(
-                                    x.to_bits(),
-                                    y.to_bits(),
-                                    "single-transition row ({s},{a}) must be bitwise equal"
-                                );
-                            } else {
-                                let ulps = x.to_bits().abs_diff(y.to_bits());
-                                assert!(ulps <= 4, "({s},{a}): {x} vs {y} ({ulps} ulps apart)");
-                            }
-                        }
-                        other => panic!("validity mismatch at ({s},{a}): {other:?}"),
-                    }
-                }
-            }
-        }
     }
 
     /// The blocked sweep loop must reproduce the per-state loop bitwise for

@@ -3,25 +3,36 @@
 //! grow with the number of sweeps performed.
 //!
 //! A counting wrapper around the system allocator tallies every allocation
-//! on this test binary; solving the same compiled model with a small and a
+//! per thread; solving the same compiled model with a small and a
 //! large sweep budget must allocate exactly the same number of times (all
 //! buffers are set up before the first sweep).
 
 use mdp::solver::{evaluate_policy_compiled, PolicyIteration, ValueIteration};
 use mdp::{reference, CompiledMdp};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. The count is per thread, so
+    /// tests the harness runs in parallel never see each other's
+    /// allocations (the code under test runs on the calling thread).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: a thread in teardown has no counter left to bump.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: a pure pass-through to the System allocator; the only addition is
-// a relaxed atomic counter, which cannot affect GlobalAlloc's contract.
+// a thread-local counter bump, which neither allocates nor affects
+// GlobalAlloc's contract.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards `System.alloc`'s own contract unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: the caller upholds GlobalAlloc's layout contract, which is
         // forwarded verbatim to the System allocator.
         unsafe { System.alloc(layout) }
@@ -36,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: forwards `System.realloc`'s own contract unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: `ptr`/`layout` obey the caller's GlobalAlloc contract and
         // came from System via this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -46,10 +57,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations the calling thread makes while running `f`.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 /// A 16×14 gridworld (224 states × 4 actions) — comparable in size to the

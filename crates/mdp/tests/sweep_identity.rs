@@ -1,8 +1,8 @@
 //! Differential tests for the deterministic dense sweep path: on models
 //! where every `(state, action)` row has at most one transition (the cache
 //! MDP under static popularity), blocked backups run action-major over the
-//! dense mirror — and must agree **bitwise** with the per-state scalar
-//! kernel, at every block split, and through every solver.
+//! dense mirror — and must agree **bitwise** with the per-state CSR
+//! gather, at every block split, and through every solver.
 
 use mdp::solver::{BackwardInduction, PolicyIteration, RelativeValueIteration, ValueIteration};
 use mdp::{CompiledMdp, TabularMdp};
@@ -36,7 +36,7 @@ fn probe_values(n: usize) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One blocked backup over the dense mirror equals per-state scalar
+    /// One blocked backup over the dense mirror equals per-state CSR
     /// backups bit for bit — full range and chunked at widths 1, 2, 7, n.
     #[test]
     fn dense_blocked_backups_match_scalar_bitwise(mdp in arb_det_mdp(10, 4)) {
@@ -46,11 +46,11 @@ proptest! {
         let n = kernel.n_states();
         let values = probe_values(n);
 
-        // Scalar reference: per-state max over per-row scalar gathers.
+        // CSR reference: per-state max over per-row left-to-right gathers.
         let reference: Vec<f64> = (0..n)
             .map(|s| {
                 (0..kernel.n_actions())
-                    .filter_map(|a| kernel.q_value_scalar(s, a, &values, gamma))
+                    .filter_map(|a| kernel.q_value(s, a, &values, gamma))
                     .fold(f64::NEG_INFINITY, f64::max)
             })
             .collect();
@@ -72,7 +72,7 @@ proptest! {
     }
 
     /// Value iteration through the dense blocked sweeps against the
-    /// trait-callback scalar reference.
+    /// trait-callback reference.
     #[test]
     fn value_iteration_dense_matches_callback(mdp in arb_det_mdp(8, 3)) {
         let solver = ValueIteration::new(0.9).tolerance(1e-12);
@@ -123,7 +123,7 @@ proptest! {
     }
 
     /// Parallel and serial dense sweeps stay bitwise identical (the same
-    /// invariant the lane kernel holds, now through the dense dispatch).
+    /// invariant the CSR kernel holds, now through the dense dispatch).
     #[test]
     fn dense_parallel_and_serial_agree_bitwise(mdp in arb_det_mdp(8, 4)) {
         let kernel = CompiledMdp::compile(&mdp).unwrap();
@@ -170,8 +170,8 @@ fn relative_vi_dense_matches_callback() {
 }
 
 /// A single stochastic row anywhere in the model must disable the dense
-/// mirror — and the lane path it falls back to still matches the scalar
-/// reference on the untouched deterministic rows.
+/// mirror — and the CSR blocked path it falls back to still matches the
+/// per-state backup.
 #[test]
 fn stochastic_row_disables_dense_mirror() {
     let mut b = TabularMdp::builder(4, 2);

@@ -36,6 +36,22 @@ pub struct ServeConfig {
     pub workers: usize,
 }
 
+impl ServeConfig {
+    /// The telemetry manifest's `config_hash`: a fingerprint of the
+    /// serving setup (scenario, both policies and the service-level
+    /// menu), so `verify`/`diff` tell a changed setup apart. `workers` is
+    /// left out because it never changes a telemetry byte; `serve_seed`
+    /// is the manifest's own `seed` field.
+    pub fn config_hash(&self) -> u64 {
+        aoi_cache::persist::config_hash(&(
+            &self.scenario,
+            &self.cache_policy,
+            &self.service_policy,
+            &self.levels,
+        ))
+    }
+}
+
 impl Default for ServeConfig {
     /// Myopic stage-1 + drift-plus-penalty stage-2 over the default
     /// Fig. 1a scenario and the standard service menu.
@@ -241,7 +257,7 @@ impl ServeEngine {
             ),
             seed: Some(config.serve_seed),
             recording: RecordingMode::Full,
-            config_hash: aoi_cache::persist::config_hash(&config.scenario),
+            config_hash: config.config_hash(),
         };
         let sim = CacheSimulation::new(config.scenario)?;
         let cache_engines = sim.cache_engines(config.cache_policy)?;

@@ -3,7 +3,7 @@
 //! telemetry bytes for **any** worker count, in both executor feature
 //! configurations.
 
-use aoi_cache::{CachePolicyKind, CacheScenario, Compression, ServicePolicyKind};
+use aoi_cache::{CachePolicyKind, CacheScenario, Compression, ServiceLevel, ServicePolicyKind};
 use aoi_serve::{ServeConfig, ServeEngine, TelemetrySpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,6 +133,32 @@ fn compressed_telemetry_round_trips_and_clock_advances() {
             assert_eq!(artifact.channels.len(), 3);
         }
     }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn config_hash_covers_the_serving_setup_but_not_workers() {
+    let base = config(0);
+    let hash = base.config_hash();
+    assert_eq!(config(3).config_hash(), hash, "workers never change bytes");
+    let levels = ServeConfig {
+        levels: vec![ServiceLevel::new(0.0, 0.0), ServiceLevel::new(1.0, 2.0)],
+        ..config(0)
+    };
+    assert_ne!(levels.config_hash(), hash, "levels must be hashed");
+    let service = ServeConfig {
+        service_policy: ServicePolicyKind::Lyapunov { v: 5.0 },
+        ..config(0)
+    };
+    assert_ne!(service.config_hash(), hash, "service policy must be hashed");
+
+    // The telemetry manifest carries exactly this hash.
+    let dir = temp_dir("hash");
+    let mut engine = ServeEngine::new(base).unwrap();
+    let spec = TelemetrySpec::plain(&dir);
+    let outcome = engine.serve_recorded(&trace(3, 9), &spec).unwrap();
+    let artifact = aoi_cache::persist::read_artifact(&spec.shard_path(0, outcome.start)).unwrap();
+    assert_eq!(artifact.manifest.config_hash, hash);
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -79,7 +79,7 @@ mod time;
 
 pub use error::SimkitError;
 pub use recorder::{RecordingMode, TraceRecorder, TraceSink};
-pub use rng::{rng_lanes, sample_poisson, SeedSequence};
+pub use rng::{sample_poisson, SeedSequence};
 pub use series::{SeriesPoint, TimeSeries};
 pub use stats::{
     percentile, summarize_curves, CurveAccumulator, CurveSummary, Histogram, RunningStats, Summary,

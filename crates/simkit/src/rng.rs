@@ -104,30 +104,6 @@ impl SeedSequence {
     }
 }
 
-/// One RNG lane per root seed, each bit-identical to the stream a fresh
-/// `SeedSequence::new(root).rng(label)` would produce.
-///
-/// This is the derivation the batched lockstep simulators use to give every
-/// replicate of a `(scenario, policy)` cell its own stream: lane `i` is
-/// exactly the RNG the serial run of replicate `i` draws from, so a lockstep
-/// batch that advances the lanes in per-replicate program order consumes
-/// each stream identically to `roots.len()` independent serial runs.
-///
-/// ```
-/// use rand::Rng;
-/// use simkit::{rng_lanes, SeedSequence};
-///
-/// let mut lanes = rng_lanes(&[3, 8], "run");
-/// let mut serial = SeedSequence::new(8).rng("run");
-/// assert_eq!(lanes[1].gen::<u64>(), serial.gen::<u64>());
-/// ```
-pub fn rng_lanes(roots: &[u64], label: &str) -> Vec<StdRng> {
-    roots
-        .iter()
-        .map(|&root| SeedSequence::new(root).rng(label))
-        .collect()
-}
-
 /// Samples a Poisson-distributed count with the given mean (Knuth's
 /// algorithm — exact, O(λ) per draw, intended for the small per-slot rates
 /// used in slotted simulations).
@@ -245,18 +221,6 @@ mod tests {
         let xs: Vec<u32> = (0..16).map(|_| a.rng("r").gen()).collect();
         let ys: Vec<u32> = (0..16).map(|_| b.rng("r").gen()).collect();
         assert_eq!(xs, ys);
-    }
-
-    #[test]
-    fn rng_lanes_match_serial_streams() {
-        let roots = [7u64, 11, 7, 40];
-        let mut lanes = rng_lanes(&roots, "run");
-        for (i, root) in roots.iter().enumerate() {
-            let mut serial = SeedSequence::new(*root).rng("run");
-            let want: Vec<u64> = (0..8).map(|_| serial.gen()).collect();
-            let got: Vec<u64> = (0..8).map(|_| lanes[i].gen()).collect();
-            assert_eq!(got, want, "lane {i}");
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! ## Offline dependency stand-ins
 //!
 //! The build environment has no crates.io access; `serde`, `rand`,
-//! `proptest`, `criterion`, `parking_lot` and `crossbeam` are provided as
+//! `proptest` and `criterion` are provided as
 //! API-compatible local implementations under `crates/compat/`, declared in
 //! one place (`[workspace.dependencies]`) so each can be swapped for its
 //! real release by editing a single line.
