@@ -47,6 +47,11 @@
 //! worker's `events-<id>.jsonl` health journal (`aoi-artifacts health`
 //! folds them into a post-mortem). See the README's "Distributed
 //! campaigns" section.
+//!
+//! All of these modes run the one grid engine behind
+//! [`ExperimentPlan::run_ensembles_resumable`]; `--claim` only switches
+//! on its leasing part (leases, journal, retries, quarantine). Without
+//! `--claim` the first failing cell aborts the run.
 
 use aoi_cache::presets::{fig1a_ensemble, fig1b_ensemble};
 use aoi_cache::{EnsembleSummary, ExperimentPlan, ResumeReport};

@@ -63,6 +63,7 @@ use simkit::supervise;
 use simkit::{CurveAccumulator, CurveSummary, RecordingMode, TimeSeries};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// The policy/scenario axes of an experiment grid.
 ///
@@ -185,8 +186,10 @@ pub struct ExperimentPlan {
     /// worker holds, so K independent processes sharing one directory
     /// partition the grid with no coordinator. A crashed worker's leases
     /// expire after [`lease_ttl_ms`](ExperimentPlan::lease_ttl_ms) and its
-    /// cells are taken over. The final ensembles are folded from the
-    /// on-disk cell artifacts and are bit-identical to a cold
+    /// cells are taken over. Leasing is the only part of the grid engine
+    /// that claim mode switches on: each wave folds from the curves this
+    /// worker computed plus those it verified on disk after another worker
+    /// landed them, so the final ensembles are bit-identical to a cold
     /// single-process run.
     pub claim: bool,
     /// Owner id this worker claims leases under. `None` derives a
@@ -194,13 +197,14 @@ pub struct ExperimentPlan {
     /// make crash-safety tests and logs deterministic.
     pub worker_id: Option<String>,
     /// Lease time-to-live in milliseconds for claim mode. A worker
-    /// heartbeats each held lease every `lease_ttl_ms / 3`, so a lease
+    /// heartbeats each held lease every `lease_ttl_ms / 3`
+    /// ([`simkit::lease::heartbeat_interval`]), so a lease
     /// only expires when its worker has been dead (or stalled) for a full
     /// TTL. Lower values recover crashed cells faster; higher values
     /// tolerate longer stalls without duplicated work.
     pub lease_ttl_ms: u64,
     /// Claim mode only: how many times a failing cell (a returned error
-    /// *or* a panic — claim-mode cells run under
+    /// *or* a panic — every cell runs under
     /// [`executor::parallel_map_supervised`] panic isolation) is attempted
     /// before the worker gives up and **quarantines** it. A quarantined
     /// cell leaves a `cell-s<scenario>-r<replicate>-p<policy>.quarantine.jsonl`
@@ -211,8 +215,8 @@ pub struct ExperimentPlan {
     /// [`EnsembleSummary::quarantined`], never papered over. Retries wait
     /// on the worker's deterministic jittered backoff schedule
     /// ([`simkit::supervise::Backoff`]). Must be at least 1 in claim
-    /// mode; the non-claim engines abort on the first cell error exactly
-    /// as before.
+    /// mode. Outside claim mode the knob is inert: a run returns the first
+    /// cell error, or re-raises a cell's panic, with no retry.
     pub max_attempts: u32,
 }
 
@@ -227,48 +231,29 @@ pub const DEFAULT_MAX_ATTEMPTS: u32 = 3;
 impl ExperimentPlan {
     /// A stage-1 cache-management grid.
     pub fn cache(scenarios: Vec<CacheScenario>, policies: Vec<CachePolicyKind>) -> Self {
-        ExperimentPlan {
-            grid: ExperimentGrid::Cache {
-                scenarios,
-                policies,
-            },
-            seeds: Vec::new(),
-            workers: None,
-            recording: RecordingMode::Full,
-            artifacts: None,
-            compression: Compression::None,
-            resume: false,
-            claim: false,
-            worker_id: None,
-            lease_ttl_ms: DEFAULT_LEASE_TTL_MS,
-            max_attempts: DEFAULT_MAX_ATTEMPTS,
-        }
+        Self::over(ExperimentGrid::Cache {
+            scenarios,
+            policies,
+        })
     }
 
     /// A stage-2 content-service grid.
     pub fn service(scenarios: Vec<ServiceScenario>, policies: Vec<ServicePolicyKind>) -> Self {
-        ExperimentPlan {
-            grid: ExperimentGrid::Service {
-                scenarios,
-                policies,
-            },
-            seeds: Vec::new(),
-            workers: None,
-            recording: RecordingMode::Full,
-            artifacts: None,
-            compression: Compression::None,
-            resume: false,
-            claim: false,
-            worker_id: None,
-            lease_ttl_ms: DEFAULT_LEASE_TTL_MS,
-            max_attempts: DEFAULT_MAX_ATTEMPTS,
-        }
+        Self::over(ExperimentGrid::Service {
+            scenarios,
+            policies,
+        })
     }
 
     /// A joint two-stage grid (each scenario embeds its policy pair).
     pub fn joint(scenarios: Vec<JointScenario>) -> Self {
+        Self::over(ExperimentGrid::Joint { scenarios })
+    }
+
+    /// A plan over `grid` with every other setting at its default.
+    fn over(grid: ExperimentGrid) -> Self {
         ExperimentPlan {
-            grid: ExperimentGrid::Joint { scenarios },
+            grid,
             seeds: Vec::new(),
             workers: None,
             recording: RecordingMode::Full,
@@ -497,21 +482,13 @@ impl ExperimentPlan {
                 valid: "non-empty",
             });
         }
-        match &self.grid {
-            ExperimentGrid::Cache { policies, .. } if policies.is_empty() => {
-                Err(AoiCacheError::BadParameter {
-                    what: "policies",
-                    valid: "non-empty",
-                })
-            }
-            ExperimentGrid::Service { policies, .. } if policies.is_empty() => {
-                Err(AoiCacheError::BadParameter {
-                    what: "policies",
-                    valid: "non-empty",
-                })
-            }
-            _ => Ok(()),
-        }?;
+        // Joint grids have no policy axis (one policy cell per scenario).
+        if self.grid.n_policies() == 0 {
+            return Err(AoiCacheError::BadParameter {
+                what: "policies",
+                valid: "non-empty",
+            });
+        }
         if self.claim && !(self.resume && self.artifacts.is_some()) {
             return Err(AoiCacheError::BadParameter {
                 what: "claim",
@@ -531,13 +508,8 @@ impl ExperimentPlan {
             });
         }
         if let Some(dir) = &self.artifacts {
-            std::fs::create_dir_all(dir).map_err(|e| {
-                AoiCacheError::Persist(persist::PersistError::Io {
-                    op: "create artifact directory",
-                    path: dir.display().to_string(),
-                    message: e.to_string(),
-                })
-            })?;
+            std::fs::create_dir_all(dir)
+                .map_err(|e| io_error("create artifact directory", dir, &e))?;
         }
         Ok(())
     }
@@ -573,13 +545,13 @@ impl ExperimentPlan {
 
     fn run_cells(&self) -> Result<ExperimentReport, AoiCacheError> {
         let ids = self.cell_ids();
-        let outcomes = self.run_cell_batch(&ids)?;
+        let results = self.run_cell_batch(&ids, None);
         let mut cells = Vec::with_capacity(ids.len());
-        for (id, outcome) in ids.into_iter().zip(outcomes) {
+        for (id, result) in ids.into_iter().zip(results) {
             cells.push(CellReport {
                 label: self.grid.policy_label(id.scenario, id.policy),
                 id,
-                outcome,
+                outcome: result.unwrap_or_else(|panic| reraise(panic))?,
             });
         }
         let ensembles = self.summarize(&cells)?;
@@ -587,13 +559,13 @@ impl ExperimentPlan {
     }
 
     /// Runs the grid **streamed**: one seed-replicate wave at a time, each
-    /// cell's headline curve folded into its `(scenario, policy)` group's
-    /// [`CurveAccumulator`] and the cell report dropped immediately, so the
-    /// engine never holds more than one wave of reports (combine with
-    /// [`RecordingMode::SummaryOnly`] to make each of those cells
-    /// `O(horizon)`). Peak memory is `O(cells-per-wave × horizon + groups ×
-    /// horizon)` instead of [`run`](ExperimentPlan::run)'s whole-grid
-    /// report.
+    /// cell's report dropped as soon as it is computed, and only its
+    /// headline curve kept until the wave folds into its `(scenario,
+    /// policy)` group's [`CurveAccumulator`]. The engine never holds more
+    /// than one wave of reports (combine with [`RecordingMode::SummaryOnly`]
+    /// to make each of those cells `O(horizon)`). Peak memory is
+    /// `O(cells-per-wave × horizon + groups × horizon)` instead of
+    /// [`run`](ExperimentPlan::run)'s whole-grid report.
     ///
     /// The returned ensembles are bit-identical to
     /// [`run`](ExperimentPlan::run)`()?.ensembles` for any worker count —
@@ -643,98 +615,205 @@ impl ExperimentPlan {
                 valid: "a plan with an artifact directory (artifact_dir)",
             });
         }
-        if self.claim {
-            return if self.workers == Some(1) {
-                executor::serialized(|| self.run_claimed())
-            } else {
-                self.run_claimed()
-            };
-        }
         if self.workers == Some(1) {
-            executor::serialized(|| self.run_ensemble_waves())
+            executor::serialized(|| self.run_waves())
         } else {
-            self.run_ensemble_waves()
+            self.run_waves()
         }
     }
 
-    fn run_ensemble_waves(&self) -> Result<(Vec<EnsembleSummary>, ResumeReport), AoiCacheError> {
+    /// The grid engine: one seed-replicate wave at a time, each looping
+    /// over passes until every cell is done or quarantined. A pass checks
+    /// the pending cells' artifacts (under `resume`), acquires the rest,
+    /// computes them as one batch, handles failures and backs off when it
+    /// was blocked or a retry is pending. The wave then folds in cell-id
+    /// order from its in-memory curves (computed, or verified on disk), so
+    /// the ensembles are bit-identical to a cold run's however the cells
+    /// were split across passes and workers. Leasing is the only optional
+    /// part: [`Campaign`] exists only under
+    /// [`claim`](ExperimentPlan::claim), and without it every pending cell
+    /// is simply taken and the first failure aborts the run.
+    fn run_waves(&self) -> Result<(Vec<EnsembleSummary>, ResumeReport), AoiCacheError> {
+        let resume_dir = self.artifacts.as_deref().filter(|_| self.resume);
+        let mut campaign = match resume_dir {
+            Some(dir) if self.claim => Some(Campaign::open(self, dir)?),
+            _ => None,
+        };
+        let mut report = ResumeReport::default();
         let mut groups = self.group_accumulators();
-        let mut resume = ResumeReport::default();
+        let mut gaps = vec![0usize; groups.len()];
         let n_policies = self.grid.n_policies();
         let all_ids = self.cell_ids();
-        let resume_dir = self.artifacts.as_deref().filter(|_| self.resume);
-        // One wave per replicate. A wave keeps cell-id order (scenario ▸
-        // policy), so each group's curves fold in ascending-replicate
-        // order.
         for replicate in 0..self.n_replicates() {
-            let wave: Vec<CellId> = all_ids
+            // A wave keeps cell-id order (scenario ▸ policy), so each
+            // group's curves fold in ascending-replicate order.
+            let mut wave: Vec<WaveCell> = all_ids
                 .iter()
                 .filter(|id| id.replicate == replicate)
-                .copied()
+                .map(|&id| WaveCell {
+                    id,
+                    curve: None,
+                    quarantined: false,
+                    attempts: 0,
+                    saw_foreign_lease: false,
+                })
                 .collect();
-            // Partition the wave: cells whose artifact verifies are
-            // *skipped* (their headline curve loads from disk), the rest
-            // run. The per-cell verifications are independent reads, so
-            // they fan out on the executor like the cells themselves; the
-            // results come back in wave order, and curves are folded into
-            // the groups in wave order either way, so the accumulation —
-            // and with it every ensemble — is bit-identical to a cold run.
-            let checks: Vec<Option<CellResume>> = match resume_dir {
-                Some(dir) => {
-                    let workers = self
-                        .workers
-                        .unwrap_or_else(|| executor::worker_count(wave.len(), true, 1));
-                    executor::parallel_map(workers, &wave, |_, id| {
-                        Some(self.check_cell_artifact(dir, *id))
-                    })
+            loop {
+                let pending: Vec<usize> = (0..wave.len())
+                    .filter(|&i| wave[i].curve.is_none() && !wave[i].quarantined)
+                    .collect();
+                if pending.is_empty() {
+                    break;
                 }
-                None => (0..wave.len()).map(|_| None).collect(),
-            };
-            let mut loaded: Vec<Option<TimeSeries>> = vec![None; wave.len()];
-            let mut to_run: Vec<CellId> = Vec::with_capacity(wave.len());
-            let mut run_slots: Vec<usize> = Vec::with_capacity(wave.len());
-            for (slot, (id, check)) in wave.iter().zip(checks).enumerate() {
-                match check {
-                    Some(CellResume::Valid(curve)) => {
-                        loaded[slot] = Some(curve);
-                        resume.skipped.push(*id);
+                // 1. Check: the verifications are independent reads, so
+                //    they fan out on the executor like the cells do.
+                let checks: Vec<CellResume> = match resume_dir {
+                    Some(dir) => {
+                        let ids: Vec<CellId> = pending.iter().map(|&i| wave[i].id).collect();
+                        let workers = self
+                            .workers
+                            .unwrap_or_else(|| executor::worker_count(ids.len(), true, 1));
+                        executor::parallel_map(workers, &ids, |_, id| {
+                            self.check_cell_artifact(dir, *id)
+                        })
                     }
-                    Some(CellResume::Invalid(why)) => {
-                        to_run.push(*id);
-                        run_slots.push(slot);
-                        resume.invalidated.push((*id, why));
+                    None => pending.iter().map(|_| CellResume::Missing).collect(),
+                };
+                // 2. Acquire.
+                let mut taken: Vec<usize> = Vec::with_capacity(pending.len());
+                let mut guards = Vec::new();
+                let (mut blocked, mut progress) = (false, false);
+                for (&i, mut check) in pending.iter().zip(checks) {
+                    let cell = &mut wave[i];
+                    if let (Some(campaign), Some(dir)) = (campaign.as_mut(), resume_dir) {
+                        if !matches!(check, CellResume::Valid(_)) {
+                            let Some((guard, expired)) = campaign.acquire(cell.id)? else {
+                                cell.saw_foreign_lease = true;
+                                blocked = true;
+                                continue;
+                            };
+                            // Re-check under the lease: a worker that landed
+                            // the cell and released its lease between the
+                            // check and the claim has already finished it.
+                            check = self.check_cell_artifact(dir, cell.id);
+                            if matches!(check, CellResume::Valid(_)) {
+                                cell.saw_foreign_lease = true;
+                                release_lease(guard)?;
+                            } else {
+                                campaign.book(cell.id, cell.attempts + 1, expired, &mut report);
+                                guards.push(guard);
+                            }
+                        }
                     }
-                    Some(CellResume::Missing) | None => {
-                        to_run.push(*id);
-                        run_slots.push(slot);
-                        resume.recomputed.push(*id);
+                    let invalid = match check {
+                        CellResume::Valid(curve) => {
+                            // A cell is accounted once: skipped now, or
+                            // recomputed/invalidated when first taken.
+                            if cell.attempts == 0 {
+                                report.skipped.push(cell.id);
+                                if cell.saw_foreign_lease {
+                                    report.stolen.push(cell.id);
+                                }
+                            }
+                            cell.curve = Some(curve);
+                            progress = true;
+                            continue;
+                        }
+                        CellResume::Invalid(why) => Some(why),
+                        CellResume::Missing => None,
+                    };
+                    if cell.attempts == 0 {
+                        match invalid {
+                            Some(why) => report.invalidated.push((cell.id, why)),
+                            None => report.recomputed.push(cell.id),
+                        }
+                    }
+                    cell.attempts += 1;
+                    taken.push(i);
+                }
+                // 3. Compute.
+                let mut retry_pending = false;
+                if !taken.is_empty() {
+                    let batch: Vec<CellId> = taken.iter().map(|&i| wave[i].id).collect();
+                    if let Some(dir) = resume_dir {
+                        // Clear whatever sits where the recomputed
+                        // artifacts will land, so the rewrite cannot fail
+                        // on debris.
+                        self.prepare_recompute(dir, &batch)?;
+                    }
+                    let keeper = campaign.as_ref().map(|c| c.keep(guards));
+                    let results =
+                        self.run_cell_batch(&batch, campaign.as_ref().and_then(|c| c.poison));
+                    if let (Some(campaign), Some(keeper)) = (campaign.as_mut(), keeper) {
+                        campaign.release(
+                            keeper,
+                            taken.iter().map(|&i| (wave[i].id, wave[i].attempts)),
+                        )?;
+                    }
+                    // 4. Handle failures.
+                    for (&i, result) in taken.iter().zip(results) {
+                        let cell = &mut wave[i];
+                        let (campaign, failure) = match (result, campaign.as_mut()) {
+                            (Ok(Ok(outcome)), _) => {
+                                cell.curve = Some(outcome.headline_curve().clone());
+                                progress = true;
+                                continue;
+                            }
+                            (Ok(Err(e)), None) => return Err(e),
+                            (Err(panic), None) => reraise(panic),
+                            (Ok(Err(e)), Some(campaign)) => (campaign, e.to_string()),
+                            (Err(panic), Some(campaign)) => {
+                                (campaign, format!("panic: {}", panic.message))
+                            }
+                        };
+                        if cell.attempts < self.max_attempts {
+                            // Budget left: the cell stays pending, and a
+                            // later pass re-claims and re-runs it.
+                            retry_pending = true;
+                            campaign.record(
+                                supervise::EventKind::Retry,
+                                &cell.id.coords(),
+                                cell.attempts,
+                                &failure,
+                            );
+                        } else {
+                            campaign.quarantine(cell.id, cell.attempts, &failure)?;
+                            cell.quarantined = true;
+                            report.quarantined.push((cell.id, failure));
+                        }
+                    }
+                }
+                // 5. Back off.
+                if let Some(campaign) = campaign.as_mut() {
+                    if retry_pending || (taken.is_empty() && blocked) {
+                        campaign.back_off();
+                    } else if progress {
+                        campaign.backoff.reset();
                     }
                 }
             }
-            if let Some(dir) = resume_dir {
-                // Clear whatever sits where the recomputed artifacts will
-                // land (an unreadable file, even a directory) and sweep
-                // orphaned `*.tmp-<pid>-<seq>` files a crashed writer left for
-                // these cells, so the rewrite cannot fail on debris.
-                self.prepare_recompute(dir, &to_run)?;
-            }
-            let outcomes = self.run_cell_batch(&to_run)?;
-            let mut computed: Vec<Option<CellOutcome>> = vec![None; wave.len()];
-            for (slot, outcome) in run_slots.into_iter().zip(outcomes) {
-                computed[slot] = Some(outcome);
-            }
-            for (slot, id) in wave.iter().enumerate() {
-                let group = &mut groups[id.scenario * n_policies + id.policy];
-                match (&loaded[slot], &computed[slot]) {
-                    (Some(curve), _) => group.push_curve(curve),
-                    (None, Some(outcome)) => group.push_curve(outcome.headline_curve()),
-                    (None, None) => unreachable!("every wave cell is loaded or computed"),
+            for cell in wave {
+                let group = cell.id.scenario * n_policies + cell.id.policy;
+                if cell.attempts > 1 {
+                    report.attempts.push((cell.id, cell.attempts));
+                }
+                match cell.curve {
+                    Some(curve) => groups[group].push_curve(&curve),
+                    // Only a quarantined cell ends its wave without a
+                    // curve. Another worker may have landed its artifact
+                    // anyway; then its (bit-identical) curve folds in and
+                    // there is no gap.
+                    None => match resume_dir.map(|dir| self.check_cell_artifact(dir, cell.id)) {
+                        Some(CellResume::Valid(curve)) => groups[group].push_curve(&curve),
+                        _ => gaps[group] += 1,
+                    },
                 }
             }
-            // The wave's outcomes drop here: only the per-group slot
-            // statistics remain.
         }
-        Ok((self.finish_groups(groups, &[])?, resume))
+        if let Some(campaign) = campaign.as_mut() {
+            campaign.sweep_stale_leases(&all_ids)?;
+        }
+        Ok((self.finish_groups(groups, &gaps)?, report))
     }
 
     /// The artifact channel holding a cell's headline curve (what
@@ -814,370 +893,6 @@ impl ExperimentPlan {
         }
     }
 
-    /// The claim-mode engine: one worker of a distributed campaign (see
-    /// [`claim`](ExperimentPlan::claim)), **supervised**.
-    ///
-    /// Loops over the grid until every cell's artifact verifies or is
-    /// quarantined: each pass re-checks the unfinished cells in parallel,
-    /// claims the lease of every cell that needs recomputing, runs each
-    /// claimed cell in its own panic-isolated compute
-    /// ([`executor::parallel_map_supervised`]) under a heartbeat keeper,
-    /// releases the leases, and sleeps a deterministic jittered backoff
-    /// ([`supervise::Backoff`]) when the only cells left are held by other
-    /// live workers or a failed cell awaits its retry. A cell that fails
-    /// [`max_attempts`](ExperimentPlan::max_attempts) times is quarantined
-    /// — a diagnostic marker lands beside its missing artifact and the
-    /// campaign continues without it. Expired leases (dead workers) are
-    /// taken over; cells another worker completes while this one waits
-    /// are counted as stolen and skipped. Every claim, steal, release,
-    /// retry, backoff, quarantine and lost heartbeat is appended to this
-    /// worker's health journal (`events-<worker>.jsonl`).
-    fn run_claimed(&self) -> Result<(Vec<EnsembleSummary>, ResumeReport), AoiCacheError> {
-        let Some(dir) = self.artifacts.clone() else {
-            return Err(AoiCacheError::Internal {
-                what: "claim mode reached run_claimed without an artifact directory",
-            });
-        };
-        let dir = dir.as_path();
-        let owner = self.effective_worker_id();
-        let ttl = std::time::Duration::from_millis(self.lease_ttl_ms);
-        let heartbeat_every = std::time::Duration::from_millis((self.lease_ttl_ms / 3).max(1));
-        // Waiting (on foreign leases) and retrying (after a failure) share
-        // one worker-seeded backoff schedule: it starts near-instant and
-        // grows toward the old fixed quarter-TTL poll, with enough jitter
-        // to de-synchronize workers that fail or block in lockstep.
-        let backoff_base = std::time::Duration::from_millis((self.lease_ttl_ms / 16).clamp(2, 250));
-        let backoff_cap = std::time::Duration::from_millis((self.lease_ttl_ms / 4).clamp(5, 1_000));
-        let mut backoff = supervise::Backoff::for_worker(&owner, backoff_base, backoff_cap);
-        let journal_path = dir.join(supervise::journal_file_name(&owner));
-        let mut journal = supervise::EventJournal::open(&journal_path, &owner).map_err(|e| {
-            AoiCacheError::Persist(persist::PersistError::Io {
-                op: "open health journal",
-                path: journal_path.display().to_string(),
-                message: e.to_string(),
-            })
-        })?;
-        // Test-only poison hook (see the crash-safety suites): the cell
-        // matching `AOI_POISON_CELL=s<S>-r<R>-p<P>` panics inside its
-        // supervised compute, exercising retry and quarantine end-to-end.
-        let poison = std::env::var("AOI_POISON_CELL")
-            .ok()
-            .and_then(|spec| parse_cell_coords(&spec));
-        let all_ids = self.cell_ids();
-        let mut resume = ResumeReport::default();
-        let mut done = vec![false; all_ids.len()];
-        let mut accounted = vec![false; all_ids.len()];
-        let mut saw_foreign_lease = vec![false; all_ids.len()];
-        let mut attempts_made = vec![0u32; all_ids.len()];
-        let mut quarantined = vec![false; all_ids.len()];
-        loop {
-            let pending: Vec<usize> = (0..all_ids.len())
-                .filter(|&i| !done[i] && !quarantined[i])
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            let pending_ids: Vec<CellId> = pending.iter().map(|&i| all_ids[i]).collect();
-            let workers = self
-                .workers
-                .unwrap_or_else(|| executor::worker_count(pending_ids.len(), true, 1));
-            let checks: Vec<CellResume> = executor::parallel_map(workers, &pending_ids, |_, id| {
-                self.check_cell_artifact(dir, *id)
-            });
-            let mut claimed: Vec<(usize, lease::LeaseGuard)> = Vec::new();
-            let mut blocked = 0usize;
-            let mut progress = false;
-            for (&i, check) in pending.iter().zip(checks) {
-                let id = all_ids[i];
-                match check {
-                    CellResume::Valid(_) => {
-                        done[i] = true;
-                        progress = true;
-                        if !accounted[i] {
-                            accounted[i] = true;
-                            resume.skipped.push(id);
-                            if saw_foreign_lease[i] {
-                                resume.stolen.push(id);
-                            }
-                        }
-                    }
-                    needs_run => {
-                        let lease_path = Self::cell_lease_path(dir, id);
-                        let was_expired = lease::inspect(&lease_path)?
-                            .map(|info| info.expired_at(lease::wall_ms()))
-                            .unwrap_or(false);
-                        match lease::claim(&lease_path, &owner, ttl) {
-                            Ok(lease::Claim::Acquired(guard)) => {
-                                if !accounted[i] {
-                                    accounted[i] = true;
-                                    match needs_run {
-                                        CellResume::Invalid(why) => {
-                                            resume.invalidated.push((id, why))
-                                        }
-                                        _ => resume.recomputed.push(id),
-                                    }
-                                }
-                                resume.claimed.push(id);
-                                if was_expired {
-                                    resume.expired.push(id);
-                                }
-                                attempts_made[i] += 1;
-                                // Journal writes are advisory telemetry:
-                                // they never fail the campaign.
-                                let kind = if was_expired {
-                                    supervise::EventKind::Steal
-                                } else {
-                                    supervise::EventKind::Claim
-                                };
-                                let _ = journal.record(kind, &id.coords(), attempts_made[i], "");
-                                claimed.push((i, guard));
-                            }
-                            Ok(lease::Claim::Held { .. }) => {
-                                saw_foreign_lease[i] = true;
-                                blocked += 1;
-                            }
-                            Err(lease::LeaseError::Contended) => {
-                                saw_foreign_lease[i] = true;
-                                blocked += 1;
-                            }
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                }
-            }
-            let claimed_any = !claimed.is_empty();
-            let mut retries_pending = false;
-            if claimed_any {
-                let batch: Vec<CellId> = claimed.iter().map(|&(i, _)| all_ids[i]).collect();
-                self.prepare_recompute(dir, &batch)?;
-                let (slots, guards): (Vec<usize>, Vec<lease::LeaseGuard>) =
-                    claimed.into_iter().unzip();
-                let lease_paths: Vec<PathBuf> = batch
-                    .iter()
-                    .map(|id| Self::cell_lease_path(dir, *id))
-                    .collect();
-                let keeper = lease::Heartbeat::keep(guards, heartbeat_every);
-                // Each claimed cell computes as its own single-cell batch
-                // with a panic fence around it: one poisoned or buggy cell
-                // yields a structured failure for that cell only, and the
-                // rest of the batch still lands its artifacts. (Claim mode
-                // trades the batch's shared-simulation reuse for this
-                // isolation; artifact bytes are identical either way.)
-                let workers = self
-                    .workers
-                    .unwrap_or_else(|| executor::worker_count(batch.len(), true, 1));
-                let results = executor::parallel_map_supervised(workers, &batch, |_, id| {
-                    if poison == Some((id.scenario, id.replicate, id.policy)) {
-                        // lint:allow(panic-hygiene): deliberate test hook — the panic is
-                        // the supervised-campaign fault being injected.
-                        panic!("poisoned by AOI_POISON_CELL={}", id.coords());
-                    }
-                    self.run_cell_batch(std::slice::from_ref(id))
-                });
-                let survivors = keeper.stop();
-                let mut kept = std::collections::BTreeSet::new();
-                for guard in survivors {
-                    // A lost lease means another worker took the cell over
-                    // after a stall; its (bit-identical) artifact stands.
-                    kept.insert(guard.path().to_path_buf());
-                    match guard.release() {
-                        Ok(()) | Err(lease::LeaseError::Lost { .. }) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                for ((slot, result), lease_path) in slots.into_iter().zip(results).zip(&lease_paths)
-                {
-                    let id = all_ids[slot];
-                    let item = id.coords();
-                    if kept.contains(lease_path.as_path()) {
-                        let _ = journal.record(
-                            supervise::EventKind::Release,
-                            &item,
-                            attempts_made[slot],
-                            "",
-                        );
-                    } else {
-                        let _ = journal.record(
-                            supervise::EventKind::HeartbeatLost,
-                            &item,
-                            attempts_made[slot],
-                            "lease taken over mid-compute",
-                        );
-                    }
-                    let failure = match result {
-                        Ok(Ok(_outcomes)) => None,
-                        Ok(Err(e)) => Some(e.to_string()),
-                        Err(panic) => Some(format!("panic: {}", panic.message)),
-                    };
-                    match failure {
-                        None => {
-                            done[slot] = true;
-                            progress = true;
-                        }
-                        Some(message) if attempts_made[slot] < self.max_attempts => {
-                            // Budget left: leave the cell pending — a later
-                            // pass re-claims and re-runs it.
-                            retries_pending = true;
-                            let _ = journal.record(
-                                supervise::EventKind::Retry,
-                                &item,
-                                attempts_made[slot],
-                                &message,
-                            );
-                        }
-                        Some(message) => {
-                            let marker = supervise::Quarantine {
-                                item: item.clone(),
-                                worker: owner.clone(),
-                                attempts: attempts_made[slot],
-                                error: message.clone(),
-                                wall_ms: lease::wall_ms(),
-                            };
-                            let marker_path = Self::cell_quarantine_path(dir, id);
-                            marker.write(&marker_path).map_err(|e| {
-                                AoiCacheError::Persist(persist::PersistError::Io {
-                                    op: "write quarantine marker",
-                                    path: marker_path.display().to_string(),
-                                    message: e.to_string(),
-                                })
-                            })?;
-                            let _ = journal.record(
-                                supervise::EventKind::Quarantine,
-                                &item,
-                                attempts_made[slot],
-                                &message,
-                            );
-                            quarantined[slot] = true;
-                            resume.quarantined.push((id, message));
-                        }
-                    }
-                }
-            }
-            if retries_pending || (!claimed_any && blocked > 0) {
-                // Wait for foreign artifacts to land, foreign leases to
-                // expire, or our own retry turn — with exponential jitter
-                // so stuck workers don't hammer the directory in lockstep.
-                let delay = backoff.next_delay();
-                let _ = journal.record(
-                    supervise::EventKind::Backoff,
-                    "",
-                    0,
-                    &format!("{} ms", delay.as_millis()),
-                );
-                std::thread::sleep(delay);
-            } else if progress {
-                backoff.reset();
-            }
-        }
-        for (i, id) in all_ids.iter().enumerate() {
-            if attempts_made[i] > 1 {
-                resume.attempts.push((*id, attempts_made[i]));
-            }
-        }
-        // A worker that dies between landing a cell's artifact and
-        // releasing its lease leaves a lease no claimant would ever look
-        // at again — the valid artifact means the cell is skipped forever,
-        // so nothing would clear the file. Sweep those up before
-        // declaring the campaign complete: a live holder releases on its
-        // own (wait it out); an expired lease is taken over and released.
-        backoff.reset();
-        for id in &all_ids {
-            let lease_path = Self::cell_lease_path(dir, *id);
-            loop {
-                match lease::inspect(&lease_path)? {
-                    None => break,
-                    Some(info) if info.expired_at(lease::wall_ms()) => {
-                        match lease::claim(&lease_path, &owner, ttl) {
-                            Ok(lease::Claim::Acquired(guard)) => {
-                                match guard.release() {
-                                    Ok(()) | Err(lease::LeaseError::Lost { .. }) => {}
-                                    Err(e) => return Err(e.into()),
-                                }
-                                let _ = journal.record(
-                                    supervise::EventKind::Release,
-                                    &id.coords(),
-                                    0,
-                                    "cleared a dead worker's lease beside a finished cell",
-                                );
-                                break;
-                            }
-                            // Lost the cleanup race: the winner clears it.
-                            Ok(lease::Claim::Held { .. }) | Err(lease::LeaseError::Contended) => {}
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                    // Live holder mid-release (or re-verifying a cell that
-                    // already landed): it deletes its own lease shortly.
-                    Some(_) => {}
-                }
-                std::thread::sleep(backoff.next_delay());
-            }
-        }
-        // Fold the ensembles from the on-disk cell artifacts, one
-        // replicate wave at a time. Within each (scenario, policy) group
-        // the curves arrive in replicate order — the same sequence a cold
-        // single-process run folds — and re-read curves are bit-identical
-        // to computed ones, so on a healthy campaign the ensembles (and
-        // their artifacts) are bit-identical to a cold run's no matter how
-        // the cells were partitioned across workers. Quarantined cells are
-        // the one exception: their artifact is allowed to be missing, and
-        // the gap is counted per group instead of erroring — unless
-        // another worker landed the artifact anyway, in which case its
-        // (bit-identical) curve folds in and there is no gap.
-        let quarantined_ids: std::collections::BTreeSet<(usize, usize, usize)> = all_ids
-            .iter()
-            .zip(&quarantined)
-            .filter(|&(_, &q)| q)
-            .map(|(id, _)| (id.scenario, id.replicate, id.policy))
-            .collect();
-        let mut groups = self.group_accumulators();
-        let n_policies = self.grid.n_policies();
-        let mut gaps = vec![0usize; groups.len()];
-        for rep in 0..self.n_replicates() {
-            let wave: Vec<CellId> = all_ids
-                .iter()
-                .filter(|id| id.replicate == rep)
-                .copied()
-                .collect();
-            let workers = self
-                .workers
-                .unwrap_or_else(|| executor::worker_count(wave.len(), true, 1));
-            let checks: Vec<CellResume> =
-                executor::parallel_map(workers, &wave, |_, id| self.check_cell_artifact(dir, *id));
-            for (id, check) in wave.iter().zip(checks) {
-                match check {
-                    CellResume::Valid(curve) => {
-                        groups[id.scenario * n_policies + id.policy].push_curve(&curve);
-                    }
-                    _ if quarantined_ids.contains(&(id.scenario, id.replicate, id.policy)) => {
-                        gaps[id.scenario * n_policies + id.policy] += 1;
-                    }
-                    _ => {
-                        return Err(AoiCacheError::Persist(persist::PersistError::Io {
-                            op: "reload cell artifact",
-                            path: Self::cell_artifact_path_with(dir, *id, self.compression)
-                                .display()
-                                .to_string(),
-                            message: "cell artifact vanished or failed verification after \
-                                      the campaign completed"
-                                .to_string(),
-                        }));
-                    }
-                }
-            }
-        }
-        Ok((self.finish_groups(groups, &gaps)?, resume))
-    }
-
-    /// The owner id leases are claimed under: the explicit
-    /// [`worker_id`](ExperimentPlan::worker_id) or a process-unique
-    /// default.
-    fn effective_worker_id(&self) -> String {
-        self.worker_id
-            .clone()
-            .unwrap_or_else(|| format!("w{}-{:x}", std::process::id(), lease::wall_ms()))
-    }
-
     /// Clears the landing zone for cells about to be recomputed: removes
     /// whatever sits at each cell's final artifact path (an invalidated
     /// file — or even a directory, which would make the finalizing rename
@@ -1196,13 +911,8 @@ impl ExperimentPlan {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(_) => {
-                    std::fs::remove_dir_all(&path).map_err(|e| {
-                        AoiCacheError::Persist(persist::PersistError::Io {
-                            op: "clear stale artifact",
-                            path: path.display().to_string(),
-                            message: e.to_string(),
-                        })
-                    })?;
+                    std::fs::remove_dir_all(&path)
+                        .map_err(|e| io_error("clear stale artifact", &path, &e))?;
                 }
             }
             if let Some(name) = path.file_name() {
@@ -1213,13 +923,8 @@ impl ExperimentPlan {
             // worth of bad press) — clear it with the debris.
             let _ = std::fs::remove_file(Self::cell_quarantine_path(dir, *id));
         }
-        let entries = std::fs::read_dir(dir).map_err(|e| {
-            AoiCacheError::Persist(persist::PersistError::Io {
-                op: "sweep stale temporaries",
-                path: dir.display().to_string(),
-                message: e.to_string(),
-            })
-        })?;
+        let entries =
+            std::fs::read_dir(dir).map_err(|e| io_error("sweep stale temporaries", dir, &e))?;
         for entry in entries.flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
             if let Some(pos) = name.rfind(".tmp-") {
@@ -1233,94 +938,111 @@ impl ExperimentPlan {
     }
 
     /// Runs one batch of cells (the whole grid for
-    /// [`run`](ExperimentPlan::run), one replicate wave for
+    /// [`run`](ExperimentPlan::run), one pass of a replicate wave for
     /// [`run_ensembles`](ExperimentPlan::run_ensembles)) on the shared
-    /// executor; outcomes return in `ids` order.
-    fn run_cell_batch(&self, ids: &[CellId]) -> Result<Vec<CellOutcome>, AoiCacheError> {
+    /// executor; results return in `ids` order. Every cell runs behind a
+    /// panic fence ([`executor::parallel_map_supervised`]), so a failing
+    /// cell yields its own result while the rest of the batch lands.
+    ///
+    /// Cache cells of one `(scenario, replicate)` share one
+    /// [`CacheSimulation`], built — and its per-RSU MDP kernels compiled,
+    /// if a cell of the batch runs an MDP policy — ahead of the fan-out,
+    /// so cells never race the lazy kernel cache. Each build is fenced on
+    /// the calling thread (its compiles still fan out) and fails only its
+    /// own cells. `poison` is claim mode's test hook
+    /// ([`Campaign::poison`]).
+    fn run_cell_batch(
+        &self,
+        ids: &[CellId],
+        poison: Option<(usize, usize, usize)>,
+    ) -> Vec<CellResult> {
         let workers = self
             .workers
             .unwrap_or_else(|| executor::worker_count(ids.len(), true, 1));
-        let artifacts = self.artifacts.as_deref();
-
-        let outcomes: Vec<Result<CellOutcome, AoiCacheError>> = match &self.grid {
+        // `ids` is scenario-major then replicate-major, so the distinct
+        // simulation keys are consecutive and sorted.
+        let mut keys: Vec<(usize, usize)> =
+            ids.iter().map(|id| (id.scenario, id.replicate)).collect();
+        keys.dedup();
+        let sims = match &self.grid {
             ExperimentGrid::Cache {
                 scenarios,
                 policies,
             } => {
-                // One shared simulation per distinct (scenario, replicate)
-                // in the batch: every policy cell reuses its catalog,
-                // initial ages and compiled per-RSU MDP kernels. `ids` is
-                // scenario-major then replicate-major, so the distinct keys
-                // are consecutive and sorted.
-                let mut keys: Vec<(usize, usize)> =
-                    ids.iter().map(|id| (id.scenario, id.replicate)).collect();
-                keys.dedup();
-                let mut sims = Vec::with_capacity(keys.len());
-                for &(si, rep) in &keys {
+                let uses_mdp = ids.iter().any(|id| policies[id.policy].uses_mdp());
+                executor::parallel_map_supervised(1, &keys, |_, &(si, rep)| {
                     let mut scenario = scenarios[si];
                     scenario.seed = self.seed_of(si, rep);
-                    sims.push(CacheSimulation::new(scenario)?.with_recording(self.recording));
-                }
-                if ids.iter().any(|id| policies[id.policy].uses_mdp()) {
-                    // Compile ahead of the fan-out so cells never race the
-                    // lazy kernel cache (the per-RSU compiles themselves run
-                    // on the executor). Gated on the batch's *own* cells so
-                    // the single-cell batches of supervised claim mode
-                    // don't compile kernels for policies they never run.
-                    for sim in &sims {
+                    let sim = CacheSimulation::new(scenario)?.with_recording(self.recording);
+                    if uses_mdp {
                         sim.compiled()?;
                     }
-                }
-                executor::parallel_map(workers, ids, |_, id| {
-                    let sim = keys
-                        .binary_search(&(id.scenario, id.replicate))
-                        .map_err(|_| AoiCacheError::Internal {
-                            what: "batch is missing this cell's shared simulation",
-                        })?;
-                    match artifacts {
-                        Some(dir) => sims[sim].run_artifact_with(
-                            policies[id.policy],
-                            &Self::cell_artifact_path_with(dir, *id, self.compression),
-                            self.compression,
-                        ),
-                        None => sims[sim].run(policies[id.policy]),
-                    }
-                    .map(CellOutcome::Cache)
+                    Ok::<_, AoiCacheError>(sim)
                 })
             }
-            ExperimentGrid::Service {
-                scenarios,
-                policies,
-            } => executor::parallel_map(workers, ids, |_, id| {
-                let mut scenario = scenarios[id.scenario].clone();
-                scenario.seed = id.seed;
-                let report = run_service(&scenario, policies[id.policy])?;
-                if let Some(dir) = artifacts {
-                    write_service_artifact_with(
-                        &scenario,
-                        &report,
-                        &Self::cell_artifact_path_with(dir, *id, self.compression),
-                        self.compression,
-                    )?;
-                }
-                Ok(CellOutcome::Service(report))
-            }),
-            ExperimentGrid::Joint { scenarios } => executor::parallel_map(workers, ids, |_, id| {
-                let mut scenario = scenarios[id.scenario].clone();
-                scenario.seed = id.seed;
-                match artifacts {
-                    Some(dir) => run_joint_artifact_with(
-                        &scenario,
-                        self.recording,
-                        &Self::cell_artifact_path_with(dir, *id, self.compression),
-                        self.compression,
-                    ),
-                    None => run_joint_recorded(&scenario, self.recording),
-                }
-                .map(CellOutcome::Joint)
-            }),
+            _ => Vec::new(),
         };
-        outcomes.into_iter().collect()
+        executor::parallel_map_supervised(workers, ids, |_, id| {
+            if poison == Some((id.scenario, id.replicate, id.policy)) {
+                // lint:allow(panic-hygiene): deliberate test hook — the panic is
+                // the supervised-campaign fault being injected.
+                panic!("poisoned by AOI_POISON_CELL={}", id.coords());
+            }
+            let artifact = self
+                .artifacts
+                .as_deref()
+                .map(|dir| Self::cell_artifact_path_with(dir, *id, self.compression));
+            match &self.grid {
+                ExperimentGrid::Cache { policies, .. } => {
+                    let sim = match keys
+                        .binary_search(&(id.scenario, id.replicate))
+                        .map(|k| &sims[k])
+                    {
+                        Ok(Ok(Ok(sim))) => sim,
+                        Ok(Ok(Err(e))) => return Err(e.clone()),
+                        Ok(Err(panic)) => reraise(panic.clone()),
+                        Err(_) => {
+                            return Err(AoiCacheError::Internal {
+                                what: "batch is missing this cell's shared simulation",
+                            })
+                        }
+                    };
+                    match &artifact {
+                        Some(path) => {
+                            sim.run_artifact_with(policies[id.policy], path, self.compression)
+                        }
+                        None => sim.run(policies[id.policy]),
+                    }
+                    .map(CellOutcome::Cache)
+                }
+                ExperimentGrid::Service {
+                    scenarios,
+                    policies,
+                } => {
+                    let mut scenario = scenarios[id.scenario].clone();
+                    scenario.seed = id.seed;
+                    let report = run_service(&scenario, policies[id.policy])?;
+                    if let Some(path) = &artifact {
+                        write_service_artifact_with(&scenario, &report, path, self.compression)?;
+                    }
+                    Ok(CellOutcome::Service(report))
+                }
+                ExperimentGrid::Joint { scenarios } => {
+                    let mut scenario = scenarios[id.scenario].clone();
+                    scenario.seed = id.seed;
+                    match &artifact {
+                        Some(path) => run_joint_artifact_with(
+                            &scenario,
+                            self.recording,
+                            path,
+                            self.compression,
+                        ),
+                        None => run_joint_recorded(&scenario, self.recording),
+                    }
+                    .map(CellOutcome::Joint)
+                }
+            }
+        })
     }
 
     /// Aggregates each `(scenario, policy)` group's headline curves across
@@ -1350,8 +1072,8 @@ impl ExperimentPlan {
     }
 
     /// `gaps` is the per-group count of replicates missing because a
-    /// claim-mode campaign quarantined their cells (empty for the
-    /// non-claim engines — every group then folds its full complement).
+    /// claim-mode campaign quarantined their cells (all zero, or empty,
+    /// when every group folds its full complement).
     fn finish_groups(
         &self,
         groups: Vec<CurveAccumulator>,
@@ -1524,6 +1246,238 @@ enum CellResume {
     /// An artifact exists but failed verification (the reason is the
     /// human-readable `why`): recompute and rewrite it.
     Invalid(String),
+}
+
+/// One cell's result from a batch: its outcome, its error, or the panic
+/// its fence caught.
+type CellResult = Result<Result<CellOutcome, AoiCacheError>, executor::TaskPanic>;
+
+/// Re-raises a cell's caught panic on the calling thread — the failure
+/// policy of every run outside claim mode. The payload is the original
+/// message; the panic hook already reported it where it first fired.
+fn reraise(panic: executor::TaskPanic) -> ! {
+    std::panic::resume_unwind(Box::new(panic.message))
+}
+
+/// An I/O failure of operation `op` on `path`, as an engine error.
+fn io_error(op: &'static str, path: &Path, e: &std::io::Error) -> AoiCacheError {
+    AoiCacheError::Persist(persist::PersistError::Io {
+        op,
+        path: path.display().to_string(),
+        message: e.to_string(),
+    })
+}
+
+/// Releases a lease. One another worker took over after a stall is
+/// already gone, which is fine: that worker's artifact is bit-identical.
+fn release_lease(guard: lease::LeaseGuard) -> Result<(), AoiCacheError> {
+    match guard.release() {
+        Ok(()) | Err(lease::LeaseError::Lost { .. }) => Ok(()),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// One cell's progress through the passes of its replicate wave.
+struct WaveCell {
+    id: CellId,
+    /// The headline curve, once computed or verified on disk.
+    curve: Option<TimeSeries>,
+    /// Claim mode: the retry budget is spent and the cell quarantined.
+    quarantined: bool,
+    /// Compute attempts made so far.
+    attempts: u32,
+    /// Claim mode: another live worker's lease blocked the cell on some
+    /// pass (if it then verifies, it was stolen).
+    saw_foreign_lease: bool,
+}
+
+/// Claim mode's per-worker state — the one optional part of the grid
+/// engine (see [`ExperimentPlan::claim`]): the lease owner id, the health
+/// journal (`events-<worker>.jsonl`) every claim, steal, release, retry,
+/// backoff, quarantine and lost heartbeat is appended to, and the backoff
+/// schedule waiting and retrying share.
+struct Campaign {
+    dir: PathBuf,
+    owner: String,
+    ttl_ms: u64,
+    backoff: supervise::Backoff,
+    journal: supervise::EventJournal,
+    /// Test-only poison hook (see the supervision and crash-point suites):
+    /// the cell named by `AOI_POISON_CELL=s<S>-r<R>-p<P>` panics inside
+    /// its supervised compute, exercising retry and quarantine end to end.
+    poison: Option<(usize, usize, usize)>,
+}
+
+impl Campaign {
+    fn open(plan: &ExperimentPlan, dir: &Path) -> Result<Self, AoiCacheError> {
+        // An explicit worker id, or a process-unique default.
+        let owner = plan
+            .worker_id
+            .clone()
+            .unwrap_or_else(|| format!("w{}-{:x}", std::process::id(), lease::wall_ms()));
+        // The schedule starts near-instant and grows toward a quarter
+        // TTL, with enough jitter to de-synchronize workers that fail or
+        // block in lockstep.
+        let backoff = supervise::Backoff::for_worker(
+            &owner,
+            Duration::from_millis((plan.lease_ttl_ms / 16).clamp(2, 250)),
+            Duration::from_millis((plan.lease_ttl_ms / 4).clamp(5, 1_000)),
+        );
+        let journal_path = dir.join(supervise::journal_file_name(&owner));
+        let journal = supervise::EventJournal::open(&journal_path, &owner)
+            .map_err(|e| io_error("open health journal", &journal_path, &e))?;
+        Ok(Campaign {
+            dir: dir.to_path_buf(),
+            owner,
+            ttl_ms: plan.lease_ttl_ms,
+            backoff,
+            journal,
+            poison: std::env::var("AOI_POISON_CELL")
+                .ok()
+                .and_then(|spec| parse_cell_coords(&spec)),
+        })
+    }
+
+    /// Appends one event to the health journal. Journal writes are
+    /// advisory telemetry: they never fail the campaign.
+    fn record(&mut self, kind: supervise::EventKind, item: &str, attempt: u32, detail: &str) {
+        let _ = self.journal.record(kind, item, attempt, detail);
+    }
+
+    /// Takes cell `id`'s lease, taking over an expired one (a dead or
+    /// stalled worker's): the guard and whether it was a takeover, or
+    /// `None` while another live worker holds the lease.
+    fn acquire(&self, id: CellId) -> Result<Option<(lease::LeaseGuard, bool)>, AoiCacheError> {
+        let path = ExperimentPlan::cell_lease_path(&self.dir, id);
+        let expired = lease::inspect(&path)?
+            .map(|info| info.expired_at(lease::wall_ms()))
+            .unwrap_or(false);
+        match lease::claim(&path, &self.owner, Duration::from_millis(self.ttl_ms)) {
+            Ok(lease::Claim::Acquired(guard)) => Ok(Some((guard, expired))),
+            Ok(lease::Claim::Held { .. }) | Err(lease::LeaseError::Contended) => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Books a lease taken for the cell's `attempt`-th compute in the
+    /// report and the journal.
+    fn book(&mut self, id: CellId, attempt: u32, expired: bool, report: &mut ResumeReport) {
+        report.claimed.push(id);
+        let kind = if expired {
+            report.expired.push(id);
+            supervise::EventKind::Steal
+        } else {
+            supervise::EventKind::Claim
+        };
+        self.record(kind, &id.coords(), attempt, "");
+    }
+
+    /// Heartbeats a batch's leases while its cells compute, at the
+    /// cadence the takeover grace of [`simkit::lease`] is derived from.
+    fn keep(&self, guards: Vec<lease::LeaseGuard>) -> lease::Heartbeat {
+        lease::Heartbeat::keep(guards, lease::heartbeat_interval(self.ttl_ms))
+    }
+
+    /// Stops the keeper and releases the leases it still holds. Each cell
+    /// of the batch journals its release — or its lost heartbeat, when
+    /// another worker took the lease over after a stall (that worker's
+    /// artifact is bit-identical, so it stands).
+    fn release(
+        &mut self,
+        keeper: lease::Heartbeat,
+        cells: impl IntoIterator<Item = (CellId, u32)>,
+    ) -> Result<(), AoiCacheError> {
+        let mut kept = std::collections::BTreeSet::new();
+        for guard in keeper.stop() {
+            kept.insert(guard.path().to_path_buf());
+            release_lease(guard)?;
+        }
+        for (id, attempt) in cells {
+            if kept.contains(&ExperimentPlan::cell_lease_path(&self.dir, id)) {
+                self.record(supervise::EventKind::Release, &id.coords(), attempt, "");
+            } else {
+                self.record(
+                    supervise::EventKind::HeartbeatLost,
+                    &id.coords(),
+                    attempt,
+                    "lease taken over mid-compute",
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Gives up on a cell that failed `attempts` times: writes its
+    /// quarantine marker beside the missing artifact and journals it.
+    fn quarantine(&mut self, id: CellId, attempts: u32, error: &str) -> Result<(), AoiCacheError> {
+        let marker = supervise::Quarantine {
+            item: id.coords(),
+            worker: self.owner.clone(),
+            attempts,
+            error: error.to_string(),
+            wall_ms: lease::wall_ms(),
+        };
+        let path = ExperimentPlan::cell_quarantine_path(&self.dir, id);
+        marker
+            .write(&path)
+            .map_err(|e| io_error("write quarantine marker", &path, &e))?;
+        self.record(
+            supervise::EventKind::Quarantine,
+            &id.coords(),
+            attempts,
+            error,
+        );
+        Ok(())
+    }
+
+    /// Sleeps the next backoff delay: waiting for foreign artifacts to
+    /// land, foreign leases to expire, or a retry's turn.
+    fn back_off(&mut self) {
+        let delay = self.backoff.next_delay();
+        self.record(
+            supervise::EventKind::Backoff,
+            "",
+            0,
+            &format!("{} ms", delay.as_millis()),
+        );
+        std::thread::sleep(delay);
+    }
+
+    /// A worker that dies between landing a cell's artifact and releasing
+    /// its lease leaves a lease no claimant would look at again: the valid
+    /// artifact means the cell is skipped forever. Before the campaign
+    /// completes, wait out each live holder (it releases on its own) and
+    /// take over and release each expired lease.
+    fn sweep_stale_leases(&mut self, ids: &[CellId]) -> Result<(), AoiCacheError> {
+        self.backoff.reset();
+        for &id in ids {
+            let path = ExperimentPlan::cell_lease_path(&self.dir, id);
+            loop {
+                match lease::inspect(&path)? {
+                    None => break,
+                    Some(info) if info.expired_at(lease::wall_ms()) => {
+                        // Losing the cleanup race is fine: the winner
+                        // clears the lease.
+                        if let Some((guard, _)) = self.acquire(id)? {
+                            release_lease(guard)?;
+                            self.record(
+                                supervise::EventKind::Release,
+                                &id.coords(),
+                                0,
+                                "cleared a dead worker's lease beside a finished cell",
+                            );
+                            break;
+                        }
+                    }
+                    // Live holder mid-release (or re-verifying a cell that
+                    // already landed): it deletes its own lease shortly.
+                    Some(_) => {}
+                }
+                std::thread::sleep(self.backoff.next_delay());
+            }
+        }
+        Ok(())
+    }
 }
 
 /// What a resumed run did with each cell (see

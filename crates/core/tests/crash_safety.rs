@@ -265,3 +265,46 @@ fn claim_misconfigurations_are_rejected() {
         .is_err());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Claim mode with compiled MDP kernels: a claimed cold run over a
+/// 2-replicate grid of exact-MDP policies writes cell and ensemble
+/// artifacts byte-identical to a plain cold run's.
+#[test]
+fn claimed_mdp_grid_is_byte_identical_to_plain_cold_run() {
+    let mdp_plan = |dir: &Path| {
+        ExperimentPlan::cache(
+            vec![tiny_cache()],
+            vec![
+                CachePolicyKind::ValueIteration { gamma: 0.9 },
+                CachePolicyKind::AverageReward,
+            ],
+        )
+        .replicate_seeds(vec![5, 6])
+        .artifact_dir(dir)
+    };
+    let cold_dir = scratch_dir("mdp-cold");
+    let (cold, _) = mdp_plan(&cold_dir).run_ensembles_resumable().unwrap();
+
+    let dir = scratch_dir("mdp-claimed");
+    let (claimed, report) = mdp_plan(&dir)
+        .resume(true)
+        .claim(true)
+        .worker_id("mdp")
+        .run_ensembles_resumable()
+        .unwrap();
+    assert_eq!(claimed, cold, "{report}");
+    assert_eq!(report.claimed.len(), 4, "{report}");
+    assert!(report.quarantined.is_empty(), "{report}");
+    let bytes = |dir: &Path| {
+        read_dir_artifacts(dir)
+            .into_iter()
+            .map(|(name, _)| (name.clone(), std::fs::read(dir.join(name)).unwrap()))
+            .collect::<Vec<_>>()
+    };
+    let cold_bytes = bytes(&cold_dir);
+    assert_eq!(cold_bytes.len(), 4 + 2, "4 cells and 2 ensembles");
+    assert_eq!(bytes(&dir), cold_bytes);
+    assert!(leftover_leases(&dir).is_empty());
+    std::fs::remove_dir_all(&cold_dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -47,9 +47,10 @@
 //! writes a stamp smaller than the one already on disk (a backwards
 //! wall-clock step must not make a live lease look instantly expired),
 //! and a claimant that observes an expired-by-stamp lease confirms the
-//! holder is really gone before stealing: it re-reads after a short grace
-//! and treats an advanced heartbeat counter — clock-free liveness
-//! evidence — as *live*, only tombstoning a lease whose counter stalled.
+//! holder is really gone before stealing: it re-reads after a grace longer
+//! than a keeper's refresh period ([`heartbeat_interval`]) and treats an
+//! advanced heartbeat counter — clock-free liveness evidence — as *live*,
+//! only tombstoning a lease whose counter stalled.
 //!
 //! A slow-but-alive holder can also lose its lease: if it stalls past the
 //! TTL, another worker takes the cell over, and both then compute it.
@@ -265,7 +266,7 @@ pub fn claim_at(path: &Path, owner: &str, ttl: Duration, now_ms: u64) -> Result<
                 // Expired by wall-clock stamp — but the stamp alone can
                 // lie when this claimant's clock runs ahead of the
                 // holder's. Confirm with the monotone heartbeat counter:
-                // re-read after a short grace, and treat an advanced
+                // re-read after a keeper refresh period, and treat an advanced
                 // counter (or a new owner) as clock-free proof of life.
                 std::thread::sleep(confirm_grace(info.ttl_ms));
                 match inspect(path)? {
@@ -356,11 +357,15 @@ fn try_create(
 }
 
 /// How long a claimant waits between the two reads of an expired-by-stamp
-/// lease before trusting the expiry: long enough for a live holder's
-/// keeper thread to advance the heartbeat counter, short enough not to
-/// stall takeover of a genuinely dead worker's lease.
+/// lease before trusting the expiry. A live holder's [`Heartbeat`] keeper
+/// must get to advance the counter inside it, so the grace outlasts the
+/// keeper's longest gap between refreshes — its
+/// [`heartbeat_interval`] rounded up to a whole tick — plus slack for the
+/// refresh write itself (inspect, temporary write, `sync_data`, rename).
+/// A dead worker's lease is taken over after TTL plus this grace.
 fn confirm_grace(ttl_ms: u64) -> Duration {
-    Duration::from_millis((ttl_ms / 4).clamp(10, 50))
+    let every = heartbeat_interval(ttl_ms);
+    every + keeper_tick(every) + Duration::from_millis((ttl_ms / 6).max(10))
 }
 
 /// Atomically move an abandoned lease out of the way so exactly one
@@ -574,6 +579,20 @@ pub fn keeper_interval(every: Duration) -> Duration {
     every.max(MIN_REFRESH_INTERVAL)
 }
 
+/// The refresh cadence a holder's [`Heartbeat`] keeper runs at for a
+/// lease of `ttl_ms`: every TTL/3 (see [`keeper_interval`]), so a live
+/// lease survives two missed refreshes. The takeover confirmation grace
+/// is derived from it.
+pub fn heartbeat_interval(ttl_ms: u64) -> Duration {
+    keeper_interval(Duration::from_millis(ttl_ms / 3))
+}
+
+/// The keeper's sleep granularity at refresh interval `every`: it wakes
+/// every tick and refreshes once a whole interval of ticks has passed.
+fn keeper_tick(every: Duration) -> Duration {
+    Duration::from_millis(25).min(every)
+}
+
 impl Heartbeat {
     /// Spawn the keeper. Each lease in `guards` is refreshed every
     /// `every` (clamped up to [`MIN_REFRESH_INTERVAL`] — a zero interval
@@ -587,7 +606,7 @@ impl Heartbeat {
         let handle = std::thread::spawn(move || {
             let mut guards = guards;
             let every = keeper_interval(every);
-            let tick = Duration::from_millis(25).min(every);
+            let tick = keeper_tick(every);
             let mut since_refresh = Duration::ZERO;
             while !flag.load(Ordering::Relaxed) {
                 std::thread::sleep(tick);
@@ -617,5 +636,27 @@ impl Heartbeat {
     pub fn stop(self) -> Vec<LeaseGuard> {
         self.stop.store(true, Ordering::Relaxed);
         self.handle.join().unwrap_or_default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn confirm_grace_outlasts_the_keeper_refresh_period() {
+        for ttl_ms in [
+            0, 1, 2, 3, 10, 30, 75, 100, 300, 1_000, 2_000, 30_000, 600_000,
+        ] {
+            let every = heartbeat_interval(ttl_ms);
+            assert!(
+                confirm_grace(ttl_ms) > keeper_interval(Duration::from_millis(ttl_ms / 3)),
+                "ttl {ttl_ms} ms"
+            );
+            assert!(
+                confirm_grace(ttl_ms) > every + keeper_tick(every),
+                "ttl {ttl_ms} ms: a keeper wakes on whole ticks"
+            );
+        }
     }
 }

@@ -365,6 +365,35 @@ fn advancing_heartbeat_defeats_expired_stamp_takeover() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The campaign engine's cadence: a TTL-1 s lease kept alive by a
+/// [`Heartbeat`] refreshing every TTL/3. A claimant whose clock runs a
+/// minute ahead sees the stamp as expired on every try, but the
+/// confirmation grace outlasts the keeper's refresh period, so the counter
+/// always advances across it and the live lease is never stolen.
+#[test]
+fn keeper_held_lease_survives_a_skewed_claimant() {
+    let dir = scratch("skew-keeper");
+    let path = dir.join("cell.lease");
+    let ttl = Duration::from_millis(1_000);
+    let guard = match claim(&path, "holder", ttl).unwrap() {
+        Claim::Acquired(g) => g,
+        other => panic!("expected Acquired, got {other:?}"),
+    };
+    let keeper = Heartbeat::keep(vec![guard], ttl / 3);
+    for attempt in 0..3 {
+        match claim_at(&path, "thief", ttl, wall_ms() + 60_000).unwrap() {
+            Claim::Held { owner, .. } => assert_eq!(owner.as_deref(), Some("holder")),
+            Claim::Acquired(_) => panic!("attempt {attempt}: a keeper-held lease was stolen"),
+        }
+    }
+    let survivors = keeper.stop();
+    assert_eq!(survivors.len(), 1, "the holder must keep its lease");
+    for guard in survivors {
+        guard.release().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A sub-3 ms TTL makes the TTL/3 refresh interval round to zero; the
 /// keeper must clamp it to a real interval instead of busy-spinning on
 /// `sleep(0)`.
