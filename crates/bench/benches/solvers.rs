@@ -84,6 +84,33 @@ fn bench_compiled_vs_callback(c: &mut Criterion) {
     group.finish();
 }
 
+/// Value iteration at the true fig1a solver size (5 contents, age cap 9:
+/// 59,049 states × 6 actions — the per-RSU model every `ensemble` cell and
+/// `aoi-serve` engine solves): the full-tolerance `solve_compiled` against
+/// the certified policy-only `solve_policy`, which stops once the action
+/// gap proves the greedy policy optimal and returns the same policy.
+fn bench_fig1a_size(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fig1a_size");
+    group.sample_size(10);
+    let kernel = spec(5, 9)
+        .mdp()
+        .expect("valid spec")
+        .compile()
+        .expect("compiles");
+    let vi = ValueIteration::new(0.95);
+    group.bench_with_input(
+        BenchmarkId::new("solve_compiled", "59049states"),
+        &kernel,
+        |b, kernel| b.iter(|| vi.solve_compiled(kernel).expect("solves")),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("solve_policy", "59049states"),
+        &kernel,
+        |b, kernel| b.iter(|| vi.solve_policy(kernel).expect("solves")),
+    );
+    group.finish();
+}
+
 /// Pure sweep-kernel throughput (state backups per second): blocked sweeps
 /// over the action-major dense mirror on prebuilt kernels, with the
 /// end-to-end number tracked by `solve_compiled` above. Throughput is
@@ -196,6 +223,7 @@ criterion_group!(
     benches,
     bench_value_iteration,
     bench_compiled_vs_callback,
+    bench_fig1a_size,
     bench_sweep_kernel,
     bench_compile,
     bench_q_learning,

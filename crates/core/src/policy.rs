@@ -6,9 +6,10 @@ use crate::mdp_model::{PopularityModel, RsuCacheMdp};
 use crate::reward::RewardModel;
 use crate::AoiCacheError;
 use mdp::solver::{
-    BackwardInduction, PolicyIteration, QLearning, RelativeValueIteration, Sarsa, ValueIteration,
+    BackwardInduction, PolicyIteration, QLearning, RelativeValueIteration, Sarsa, SolveCounters,
+    ValueIteration,
 };
-use mdp::{CompiledMdp, MdpError, TabularPolicy};
+use mdp::{CompiledMdp, TabularPolicy};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use simkit::TimeSlot;
@@ -125,9 +126,19 @@ pub struct SolvedMdpPolicy {
     name: String,
     mdp: RsuCacheMdp,
     policy: TabularPolicy,
+    counters: Option<SolveCounters>,
 }
 
 impl SolvedMdpPolicy {
+    fn from_table(name: &str, compiled: &CompiledRsuMdp, policy: TabularPolicy) -> Self {
+        SolvedMdpPolicy {
+            name: name.to_string(),
+            mdp: compiled.model.clone(),
+            policy,
+            counters: None,
+        }
+    }
+
     /// Solves the spec's MDP with value iteration.
     ///
     /// # Errors
@@ -137,29 +148,27 @@ impl SolvedMdpPolicy {
         Self::value_iteration_on(&CompiledRsuMdp::from_spec(spec)?, gamma)
     }
 
-    /// Value iteration on an already-compiled per-RSU MDP.
+    /// Value iteration on an already-compiled per-RSU MDP, through the
+    /// policy-only solve ([`ValueIteration::solve_policy`]): it stops as
+    /// soon as the action gap proves the greedy policy optimal, and the
+    /// policy is the one the full-tolerance solve would return. Its
+    /// counters stay readable through
+    /// [`solve_counters`](SolvedMdpPolicy::solve_counters).
     ///
     /// # Errors
     ///
-    /// Propagates solver errors, and returns [`MdpError::NotConverged`]
-    /// when the solve hits its sweep cap before reaching tolerance: a
-    /// truncated iterate never silently becomes a policy.
+    /// Propagates solver errors, and returns
+    /// [`MdpError::NotConverged`](mdp::MdpError::NotConverged) when the
+    /// solve hits its sweep cap before either stop rule holds: a truncated
+    /// iterate never silently becomes a policy.
     pub fn value_iteration_on(
         compiled: &CompiledRsuMdp,
         gamma: f64,
     ) -> Result<Self, AoiCacheError> {
-        let outcome = ValueIteration::new(gamma).solve_compiled(&compiled.kernel)?;
-        if !outcome.converged {
-            return Err(MdpError::NotConverged {
-                iterations: outcome.sweeps,
-                residual: outcome.residual,
-            }
-            .into());
-        }
+        let outcome = ValueIteration::new(gamma).solve_policy(&compiled.kernel)?;
         Ok(SolvedMdpPolicy {
-            name: "mdp-vi".to_string(),
-            mdp: compiled.model.clone(),
-            policy: outcome.policy,
+            counters: Some(outcome.counters),
+            ..Self::from_table("mdp-vi", compiled, outcome.policy)
         })
     }
 
@@ -182,11 +191,7 @@ impl SolvedMdpPolicy {
         gamma: f64,
     ) -> Result<Self, AoiCacheError> {
         let outcome = PolicyIteration::new(gamma).solve_compiled(&compiled.kernel)?;
-        Ok(SolvedMdpPolicy {
-            name: "mdp-pi".to_string(),
-            mdp: compiled.model.clone(),
-            policy: outcome.policy,
-        })
+        Ok(Self::from_table("mdp-pi", compiled, outcome.policy))
     }
 
     /// Learns a policy with tabular Q-learning on the spec's MDP.
@@ -218,11 +223,7 @@ impl SolvedMdpPolicy {
         let q = QLearning::new(gamma)
             .steps(steps)
             .learn(&compiled.kernel, rng)?;
-        Ok(SolvedMdpPolicy {
-            name: "mdp-ql".to_string(),
-            mdp: compiled.model.clone(),
-            policy: q.greedy_policy(),
-        })
+        Ok(Self::from_table("mdp-ql", compiled, q.greedy_policy()))
     }
 
     /// Learns a policy with tabular SARSA (on-policy TD) on the spec's MDP.
@@ -254,11 +255,7 @@ impl SolvedMdpPolicy {
         let q = Sarsa::new(gamma)
             .steps(steps)
             .learn(&compiled.kernel, rng)?;
-        Ok(SolvedMdpPolicy {
-            name: "mdp-sarsa".to_string(),
-            mdp: compiled.model.clone(),
-            policy: q.greedy_policy(),
-        })
+        Ok(Self::from_table("mdp-sarsa", compiled, q.greedy_policy()))
     }
 
     /// Solves the spec's MDP for the **average-reward** criterion with
@@ -281,11 +278,7 @@ impl SolvedMdpPolicy {
         let outcome = RelativeValueIteration::new()
             .tolerance(1e-10)
             .solve_compiled(&compiled.kernel)?;
-        Ok(SolvedMdpPolicy {
-            name: "mdp-avg".to_string(),
-            mdp: compiled.model.clone(),
-            policy: outcome.policy,
-        })
+        Ok(Self::from_table("mdp-avg", compiled, outcome.policy))
     }
 
     /// Receding-horizon control: solves the spec's MDP over a finite
@@ -309,16 +302,23 @@ impl SolvedMdpPolicy {
         horizon: usize,
     ) -> Result<Self, AoiCacheError> {
         let solution = BackwardInduction::new(horizon).solve_compiled(&compiled.kernel)?;
-        Ok(SolvedMdpPolicy {
-            name: "mdp-rh".to_string(),
-            mdp: compiled.model.clone(),
-            policy: solution.first_policy().clone(),
-        })
+        Ok(Self::from_table(
+            "mdp-rh",
+            compiled,
+            solution.first_policy().clone(),
+        ))
     }
 
     /// The underlying tabular policy.
     pub fn tabular(&self) -> &TabularPolicy {
         &self.policy
+    }
+
+    /// Deterministic counters of the solve that produced the policy
+    /// (sweeps, stop rule, final action gap and span); `Some` for value
+    /// iteration only.
+    pub fn solve_counters(&self) -> Option<&SolveCounters> {
+        self.counters.as_ref()
     }
 }
 
@@ -668,6 +668,7 @@ impl CachePolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdp::MdpError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -97,6 +97,11 @@ pub struct CompiledMdp {
     /// Action-major dense expected rewards; invalid rows carry `-∞`, so the
     /// over-actions max skips them without a bitmap test.
     det_expected: Vec<f64>,
+    /// Whether every valid row's probabilities sum to exactly `1.0`. The
+    /// action-gap certificate of
+    /// [`ValueIteration::solve_policy`](crate::solver::ValueIteration::solve_policy)
+    /// relies on `T(V + c) = T V + γc`, which only holds for such kernels.
+    unit_mass: bool,
 }
 
 impl CompiledMdp {
@@ -139,12 +144,14 @@ impl CompiledMdp {
         let mut expected = Vec::with_capacity(n_rows);
         let mut valid = vec![0u64; n_rows.div_ceil(64)];
 
+        let mut unit_mass = true;
         let mut buf = Vec::new();
         for s in 0..n_states {
             let mut any_valid = false;
             for a in 0..n_actions {
                 mdp.transitions(s, a, &mut buf);
                 let mut row_expected = 0.0;
+                let mut row_mass = 0.0;
                 for t in &buf {
                     if !t.probability.is_finite() || !t.reward.is_finite() || t.probability < 0.0 {
                         return Err(MdpError::NonFiniteEntry {
@@ -162,11 +169,13 @@ impl CompiledMdp {
                     probability.push(t.probability);
                     reward.push(t.reward);
                     row_expected += t.probability * t.reward;
+                    row_mass += t.probability;
                 }
                 if !buf.is_empty() {
                     let row = s * n_actions + a;
                     valid[row / 64] |= 1 << (row % 64);
                     any_valid = true;
+                    unit_mass &= row_mass == 1.0;
                 }
                 expected.push(row_expected);
                 row_ptr.push(next.len());
@@ -221,6 +230,7 @@ impl CompiledMdp {
             det_next,
             det_prob,
             det_expected,
+            unit_mass,
         })
     }
 
@@ -244,6 +254,21 @@ impl CompiledMdp {
     /// deterministic fast path.
     pub fn is_deterministic(&self) -> bool {
         !self.det_expected.is_empty()
+    }
+
+    /// Whether every valid row's transition probabilities sum to exactly
+    /// `1.0` (in stored order). Substochastic or rounding-defective rows
+    /// clear this flag, and with it the early stop of
+    /// [`ValueIteration::solve_policy`](crate::solver::ValueIteration::solve_policy),
+    /// which then runs to its tolerance.
+    pub fn has_unit_mass_rows(&self) -> bool {
+        self.unit_mass
+    }
+
+    /// Largest `|E[r]|` over all rows: with unit-mass rows every value
+    /// iterate from `V = 0` stays within this bound times `1 / (1 − γ)`.
+    pub(crate) fn reward_bound(&self) -> f64 {
+        self.expected.iter().fold(0.0, |m: f64, e| m.max(e.abs()))
     }
 
     /// Whether the `(state, action)` row is non-empty.
@@ -303,10 +328,7 @@ impl CompiledMdp {
     }
 
     /// Backup of one state with its argmax action (ties break to the lowest
-    /// action index). The validity word is hoisted out of the action loop:
-    /// a state's rows are consecutive, so one 64-bit bitmap word covers
-    /// them until the row index crosses a word boundary (at most once per
-    /// state for every model with ≤ 64 actions).
+    /// action index).
     #[inline]
     pub(crate) fn backup_state_with_action(
         &self,
@@ -314,10 +336,23 @@ impl CompiledMdp {
         values: &[f64],
         gamma: f64,
     ) -> (f64, usize) {
+        let (best, best_a, _) = self.backup_state_ranked(state, values, gamma);
+        (best, best_a)
+    }
+
+    /// Backup of one state as `(best Q, argmax action, runner-up Q)`; the
+    /// runner-up is `-∞` when only one action is valid and equals the best
+    /// on an exact tie. The validity word is hoisted out of the action
+    /// loop: a state's rows are consecutive, so one 64-bit bitmap word
+    /// covers them until the row index crosses a word boundary (at most
+    /// once per state for every model with ≤ 64 actions).
+    #[inline]
+    fn backup_state_ranked(&self, state: usize, values: &[f64], gamma: f64) -> (f64, usize, f64) {
         let base = state * self.n_actions;
         let mut word_idx = base / 64;
         let mut word = self.valid[word_idx];
         let mut best = f64::NEG_INFINITY;
+        let mut runner_up = f64::NEG_INFINITY;
         let mut best_a = 0;
         for a in 0..self.n_actions {
             let row = base + a;
@@ -331,11 +366,14 @@ impl CompiledMdp {
             }
             let q = self.expected[row] + gamma * self.future(row, values);
             if q > best {
+                runner_up = best;
                 best = q;
                 best_a = a;
+            } else if q > runner_up {
+                runner_up = q;
             }
         }
-        (best, best_a)
+        (best, best_a, runner_up)
     }
 
     /// Bellman-optimality backups of a contiguous state range, written into
@@ -353,46 +391,123 @@ impl CompiledMdp {
         out: &mut [f64],
         gamma: f64,
     ) {
-        debug_assert_eq!(out.len(), states.len(), "output block length mismatch");
-        if !self.det_expected.is_empty() {
-            return self.backup_block_dense(states, values, out, gamma);
-        }
-        for (slot, s) in out.iter_mut().zip(states) {
-            *slot = self.backup_state(s, values, gamma);
-        }
+        self.backup_block_tracked::<false>(states, values, out, gamma, &mut SweepStats::new());
     }
 
-    /// [`backup_block`](Self::backup_block) over the action-major dense
-    /// mirror of a deterministic model: action-outer / state-inner, so the
-    /// inner loop streams `(expected, probability, next)` contiguously
-    /// with exactly one `values` gather per row and folds validity into
-    /// the data (invalid rows are `-∞ + γ·0`, which the strict max skips).
-    /// Per row this performs the same multiply and add set as the CSR
-    /// single-term gather, so the results agree exactly
-    /// (`==`) with [`backup_state`](Self::backup_state); ties in the max
-    /// resolve identically because both iterate actions in ascending order
-    /// with strict improvement.
-    fn backup_block_dense(
+    /// [`backup_block`](Self::backup_block) that also folds each state's
+    /// action gap (best minus runner-up Q, computed from `values`) into
+    /// `stats.margin`. The backed-up values are bit-identical to
+    /// `backup_block`'s.
+    pub(crate) fn backup_block_with_gap(
         &self,
         states: std::ops::Range<usize>,
         values: &[f64],
         out: &mut [f64],
         gamma: f64,
+        stats: &mut SweepStats,
     ) {
+        self.backup_block_tracked::<true>(states, values, out, gamma, stats);
+    }
+
+    #[inline(always)]
+    fn backup_block_tracked<const GAP: bool>(
+        &self,
+        states: std::ops::Range<usize>,
+        values: &[f64],
+        out: &mut [f64],
+        gamma: f64,
+        stats: &mut SweepStats,
+    ) {
+        debug_assert_eq!(out.len(), states.len(), "output block length mismatch");
+        if !self.det_expected.is_empty() {
+            return self.backup_block_dense::<GAP>(states, values, out, gamma, stats);
+        }
+        for (slot, s) in out.iter_mut().zip(states) {
+            let (best, _, runner_up) = self.backup_state_ranked(s, values, gamma);
+            *slot = best;
+            if GAP {
+                stats.record_gap(best - runner_up);
+            }
+        }
+    }
+
+    /// [`backup_block`](Self::backup_block) over the action-major dense
+    /// mirror of a deterministic model. When gaps are tracked it runs in
+    /// pieces of at most [`SWEEP_BLOCK`] states (one piece per sweep
+    /// block), whose runner-up Qs live in a stack buffer, so the sweep
+    /// stays allocation-free.
+    fn backup_block_dense<const GAP: bool>(
+        &self,
+        states: std::ops::Range<usize>,
+        values: &[f64],
+        out: &mut [f64],
+        gamma: f64,
+        stats: &mut SweepStats,
+    ) {
+        if !GAP {
+            return self.dense_pass::<false>(states.start, values, out, gamma, &mut []);
+        }
+        let mut runner_up = [0.0; SWEEP_BLOCK];
+        for (i, run) in out.chunks_mut(SWEEP_BLOCK).enumerate() {
+            let lo = states.start + i * SWEEP_BLOCK;
+            let second = &mut runner_up[..run.len()];
+            self.dense_pass::<true>(lo, values, run, gamma, second);
+            // Reduced in a register, not through `stats`, so the per-state
+            // min is one compare.
+            let run_margin = run
+                .iter()
+                .zip(second.iter())
+                .map(|(&best, &second)| best - second)
+                .fold(
+                    f64::INFINITY,
+                    |margin, gap| if gap < margin { gap } else { margin },
+                );
+            stats.record_gap(run_margin);
+        }
+    }
+
+    /// The dense sweep kernel: action-outer / state-inner over the states
+    /// `lo..lo + out.len()`, so the inner loop streams `(expected,
+    /// probability, next)` contiguously with exactly one `values` gather
+    /// per row and folds validity into the data (invalid rows are
+    /// `-∞ + γ·0`, which the strict max skips). Per row this performs the
+    /// same multiply and add set as the CSR single-term gather, so the
+    /// results agree exactly (`==`) with [`backup_state`](Self::backup_state);
+    /// ties in the max resolve identically because both iterate actions in
+    /// ascending order with strict improvement. With `GAP`, `second[j]`
+    /// also ends up holding state `lo + j`'s runner-up Q (`-∞` when only
+    /// one action is valid); without it `second` is unused.
+    #[inline(always)]
+    fn dense_pass<const GAP: bool>(
+        &self,
+        lo: usize,
+        values: &[f64],
+        out: &mut [f64],
+        gamma: f64,
+        second: &mut [f64],
+    ) {
+        let n = out.len();
+        let second = if GAP { &mut second[..n] } else { second };
         out.fill(f64::NEG_INFINITY);
+        second.fill(f64::NEG_INFINITY);
         for a in 0..self.n_actions {
-            let base = a * self.n_states;
-            let exp = &self.det_expected[base + states.start..base + states.end];
-            let prob = &self.det_prob[base + states.start..base + states.end];
-            let next = &self.det_next[base + states.start..base + states.end];
-            for ((slot, &e), (&p, &nx)) in out.iter_mut().zip(exp).zip(prob.iter().zip(next)) {
+            let base = a * self.n_states + lo;
+            let exp = &self.det_expected[base..base + n];
+            let prob = &self.det_prob[base..base + n];
+            let next = &self.det_next[base..base + n];
+            for j in 0..n {
                 // Same op order as the CSR gather: the row's single-term
                 // gather accumulates from 0.0.
-                let future = 0.0 + p * values[nx as usize];
-                let q = e + gamma * future;
-                if q > *slot {
-                    *slot = q;
+                let future = 0.0 + prob[j] * values[next[j] as usize];
+                let q = exp[j] + gamma * future;
+                let best = out[j];
+                if GAP {
+                    // The new runner-up is the larger of the old runner-up
+                    // and whichever of (old best, q) loses.
+                    let lower = if q > best { best } else { q };
+                    second[j] = if lower > second[j] { lower } else { second[j] };
                 }
+                out[j] = if q > best { q } else { best };
             }
         }
     }
@@ -475,7 +590,9 @@ impl FiniteMdp for CompiledMdp {
 }
 
 /// Per-sweep change statistics shared by all sweep-based solvers: the
-/// sup-norm change and the signed span (used by relative value iteration).
+/// sup-norm change, the signed span (used by relative value iteration and
+/// the action-gap certificate), and — for sweeps run through
+/// [`CompiledMdp::backup_block_with_gap`] — the smallest action gap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SweepStats {
     /// `max_s |new(s) − old(s)|`.
@@ -484,14 +601,29 @@ pub(crate) struct SweepStats {
     pub lo: f64,
     /// `max_s (new(s) − old(s))`.
     pub hi: f64,
+    /// `min_s` of best minus runner-up `Q(s, ·)` over `old` (`+∞` when no
+    /// gap was recorded or every state has a single valid action).
+    pub margin: f64,
 }
 
 impl SweepStats {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SweepStats {
             max_abs: 0.0,
             lo: f64::INFINITY,
             hi: f64::NEG_INFINITY,
+            margin: f64::INFINITY,
+        }
+    }
+
+    /// The stats reported when no sweep ran: every change unbounded and no
+    /// gap proven.
+    fn before_first_sweep() -> Self {
+        SweepStats {
+            max_abs: f64::INFINITY,
+            lo: f64::NEG_INFINITY,
+            hi: f64::INFINITY,
+            margin: 0.0,
         }
     }
 
@@ -501,9 +633,25 @@ impl SweepStats {
         self.lo = self.lo.min(delta);
         self.hi = self.hi.max(delta);
     }
+
+    /// Folds an action gap (best minus runner-up Q of one state, or the
+    /// smallest over a run of states) into the sweep's margin.
+    #[inline]
+    fn record_gap(&mut self, gap: f64) {
+        if gap < self.margin {
+            self.margin = gap;
+        }
+    }
+
+    /// `hi − lo`: the span of one sweep's change.
+    pub(crate) fn span(&self) -> f64 {
+        self.hi - self.lo
+    }
 }
 
 /// Lets the shared executor reduce per-chunk sweep stats across workers.
+/// Every field merges by `min` or `max`, so the reduction is independent of
+/// the worker count and order.
 impl simkit::executor::RoundStat for SweepStats {
     fn identity() -> Self {
         SweepStats::new()
@@ -513,6 +661,7 @@ impl simkit::executor::RoundStat for SweepStats {
         self.max_abs = self.max_abs.max(other.max_abs);
         self.lo = self.lo.min(other.lo);
         self.hi = self.hi.max(other.hi);
+        self.margin = self.margin.min(other.margin);
     }
 }
 
@@ -522,7 +671,8 @@ pub(crate) struct SweepOutcome {
     pub values: Vec<f64>,
     /// Sweeps performed.
     pub sweeps: usize,
-    /// Stats of the final sweep (max_abs is `INFINITY` when no sweep ran).
+    /// Stats of the final sweep
+    /// ([`SweepStats::before_first_sweep`] when no sweep ran).
     pub last: SweepStats,
     /// Whether the epilogue signalled convergence.
     pub converged: bool,
@@ -580,10 +730,7 @@ pub(crate) fn run_sweeps_on(
     SweepOutcome {
         values: outcome.values,
         sweeps: outcome.rounds,
-        last: outcome.last.unwrap_or(SweepStats {
-            max_abs: f64::INFINITY,
-            ..SweepStats::new()
-        }),
+        last: outcome.last.unwrap_or_else(SweepStats::before_first_sweep),
         converged: outcome.converged,
     }
 }
@@ -602,12 +749,14 @@ pub(crate) const SWEEP_BLOCK: usize = 1024;
 /// state. Per-state change stats are recorded here, in state order, after
 /// each block fills — the same order the per-element loop produces — so the
 /// outcome is bit-identical to [`run_sweeps`] with the equivalent per-state
-/// backup.
+/// backup. `backup` also gets the block's stats, for reductions only the
+/// kernel can see (the action gap of
+/// [`CompiledMdp::backup_block_with_gap`]).
 pub(crate) fn run_sweeps_blocked(
     values: Vec<f64>,
     parallel: bool,
     max_sweeps: usize,
-    backup: impl Fn(std::ops::Range<usize>, &[f64], &mut [f64]) + Sync,
+    backup: impl Fn(std::ops::Range<usize>, &[f64], &mut [f64], &mut SweepStats) + Sync,
     epilogue: impl FnMut(&mut [f64], &SweepStats, usize) -> bool,
 ) -> SweepOutcome {
     let workers = simkit::executor::worker_count(values.len(), parallel, MIN_STATES_PER_WORKER);
@@ -620,7 +769,7 @@ pub(crate) fn run_sweeps_blocked_on(
     values: Vec<f64>,
     workers: usize,
     max_sweeps: usize,
-    backup: impl Fn(std::ops::Range<usize>, &[f64], &mut [f64]) + Sync,
+    backup: impl Fn(std::ops::Range<usize>, &[f64], &mut [f64], &mut SweepStats) + Sync,
     epilogue: impl FnMut(&mut [f64], &SweepStats, usize) -> bool,
 ) -> SweepOutcome {
     let outcome = simkit::executor::run_rounds_blocked(
@@ -629,7 +778,7 @@ pub(crate) fn run_sweeps_blocked_on(
         max_sweeps,
         SWEEP_BLOCK,
         |range, old, out, stats: &mut SweepStats| {
-            backup(range.clone(), old, out);
+            backup(range.clone(), old, out, stats);
             for (slot, s) in out.iter().zip(range) {
                 stats.record(slot - old[s]);
             }
@@ -639,10 +788,7 @@ pub(crate) fn run_sweeps_blocked_on(
     SweepOutcome {
         values: outcome.values,
         sweeps: outcome.rounds,
-        last: outcome.last.unwrap_or(SweepStats {
-            max_abs: f64::INFINITY,
-            ..SweepStats::new()
-        }),
+        last: outcome.last.unwrap_or_else(SweepStats::before_first_sweep),
         converged: outcome.converged,
     }
 }
@@ -794,7 +940,7 @@ mod tests {
                 vec![0.0; compiled.n_states()],
                 workers,
                 40,
-                |range, old, out| compiled.backup_block(range, old, out, gamma),
+                |range, old, out, _| compiled.backup_block(range, old, out, gamma),
                 |_, stats, _| stats.max_abs < 1e-9,
             );
             assert_eq!(per_state.sweeps, blocked.sweeps, "{workers} workers");

@@ -1,7 +1,9 @@
 //! Solvers for finite MDPs.
 //!
 //! * [`ValueIteration`] — Bellman-optimality fixed point (the solver used for
-//!   the paper's cache-management stage),
+//!   the paper's cache-management stage); its policy-only
+//!   [`solve_policy`](ValueIteration::solve_policy) stops as soon as the
+//!   action gap certifies the greedy policy,
 //! * [`PolicyIteration`] — Howard's algorithm,
 //! * [`BackwardInduction`] — exact finite-horizon dynamic programming,
 //! * [`RelativeValueIteration`] — average-reward (long-run gain) solving,
@@ -37,7 +39,9 @@ pub use relative_vi::{
     policy_gain, stationary_distribution, AverageRewardOutcome, RelativeValueIteration,
 };
 pub use sarsa::Sarsa;
-pub use value_iteration::{ValueIteration, ValueIterationOutcome};
+pub use value_iteration::{
+    PolicyOutcome, SolveCounters, StopReason, ValueIteration, ValueIterationOutcome,
+};
 
 use crate::compiled::{run_sweeps, CompiledMdp};
 use crate::model::{FiniteMdp, Transition};

@@ -128,7 +128,7 @@ impl RelativeValueIteration {
             vec![0.0; mdp.n_states()],
             self.parallel,
             self.max_sweeps,
-            |states, h, out| {
+            |states, h, out, _| {
                 mdp.backup_block(states.clone(), h, out, 1.0);
                 for (slot, s) in out.iter_mut().zip(states) {
                     *slot = (1.0 - damping) * h[s] + damping * *slot;
@@ -144,8 +144,8 @@ impl RelativeValueIteration {
         );
         if !outcome.converged {
             return Err(MdpError::NotConverged {
-                iterations: self.max_sweeps,
-                residual: f64::NAN,
+                iterations: outcome.sweeps,
+                residual: outcome.last.span(),
             });
         }
         // Gain: the per-sweep drift divided by the damping.
@@ -174,6 +174,7 @@ impl RelativeValueIteration {
         let mut h = vec![0.0; n];
         let mut buf = Vec::new();
         let reference_state = 0usize;
+        let mut last_span = f64::INFINITY;
 
         for sweep in 1..=self.max_sweeps {
             let mut next = vec![0.0; n];
@@ -198,7 +199,8 @@ impl RelativeValueIteration {
                 span_hi = span_hi.max(delta);
                 h[s] = next[s] - offset;
             }
-            if span_hi - span_lo < self.tolerance {
+            last_span = span_hi - span_lo;
+            if last_span < self.tolerance {
                 // Gain: the per-sweep drift divided by the damping.
                 let gain = (span_hi + span_lo) / 2.0 / self.damping;
                 let policy = greedy_policy(mdp, &h, 1.0);
@@ -212,7 +214,7 @@ impl RelativeValueIteration {
         }
         Err(MdpError::NotConverged {
             iterations: self.max_sweeps,
-            residual: f64::NAN,
+            residual: last_span,
         })
     }
 }
@@ -370,6 +372,18 @@ mod tests {
             .max_sweeps(3)
             .solve(&mdp)
             .unwrap_err();
-        assert!(matches!(err, MdpError::NotConverged { .. }));
+        match err {
+            MdpError::NotConverged {
+                iterations,
+                residual,
+            } => {
+                assert_eq!(iterations, 3);
+                assert!(
+                    residual.is_finite() && residual > 1e-15,
+                    "residual {residual}"
+                );
+            }
+            other => panic!("expected NotConverged, got {other:?}"),
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Value iteration (Bellman-optimality fixed point).
 
-use crate::compiled::{run_sweeps_blocked, CompiledMdp};
+use crate::compiled::{run_sweeps_blocked, CompiledMdp, SweepStats};
 use crate::model::FiniteMdp;
 use crate::policy::TabularPolicy;
 use crate::solver::{greedy_policy, q_value, validate_gamma, DEFAULT_PARALLEL};
@@ -104,7 +104,7 @@ impl ValueIteration {
             vec![0.0; mdp.n_states()],
             self.parallel,
             self.max_sweeps,
-            |states, values, out| mdp.backup_block(states, values, out, gamma),
+            |states, values, out, _| mdp.backup_block(states, values, out, gamma),
             |_, stats, _| stats.max_abs < tolerance,
         );
         let policy = mdp.greedy_policy(&outcome.values, gamma)?;
@@ -114,6 +114,79 @@ impl ValueIteration {
             residual: outcome.last.max_abs,
             values: outcome.values,
             policy,
+        })
+    }
+
+    /// Solves for the optimal **policy** only, stopping at the first sweep
+    /// whose action gap proves the greedy policy optimal.
+    ///
+    /// Runs the same blocked sweeps as
+    /// [`solve_compiled`](ValueIteration::solve_compiled) and additionally
+    /// tracks, per sweep `k`, the smallest best-minus-runner-up margin
+    /// `g_k` of `Q(s, ·)` over `V_{k−1}` and the span `[lo_k, hi_k]` of
+    /// `V_k − V_{k−1}`. It stops once
+    ///
+    /// ```text
+    /// g_k > 2γ (hi_k − lo_k) / (1 − γ) + slack
+    /// ```
+    ///
+    /// By MacQueen's bounds (Puterman, *Markov Decision Processes*, 1994,
+    /// §6.6), `V* − V_{k−1}` lies in `[lo_k, hi_k] / (1 − γ)`, so `Q*`
+    /// differs from sweep `k`'s Q by a common shift plus at most
+    /// `γ (hi_k − lo_k) / (1 − γ)`; the Q of every later iterate `V_j`
+    /// differs from `Q*` by at most `γ` times that again. Each state's
+    /// sweep-`k` argmax is therefore its unique optimal action and the
+    /// strict greedy action of every later iterate: the returned policy
+    /// equals `solve_compiled(..).policy` exactly. `slack` (a few ulps of the
+    /// value bound `max |E[r]| / (1 − γ)`, scaled by `1 / (1 − γ)`)
+    /// absorbs float rounding.
+    ///
+    /// The bound needs every valid row to carry probability mass 1
+    /// ([`CompiledMdp::has_unit_mass_rows`]); on other kernels, and when
+    /// the margin never clears the bound (exact action ties), the solve
+    /// stops by the tolerance rule at the same sweep as `solve_compiled`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MdpError::BadParameter`] if `gamma ∉ [0, 1)`, and
+    /// [`MdpError::NotConverged`] if neither rule stops the solve within
+    /// the sweep cap.
+    pub fn solve_policy(&self, mdp: &CompiledMdp) -> Result<PolicyOutcome, MdpError> {
+        validate_gamma(self.gamma)?;
+        let gamma = self.gamma;
+        let tolerance = self.tolerance;
+        let certifiable = mdp.has_unit_mass_rows();
+        let reward_bound = mdp.reward_bound();
+        let certified =
+            |stats: &SweepStats| certifiable && gap_certifies(stats, gamma, reward_bound);
+        let outcome = run_sweeps_blocked(
+            vec![0.0; mdp.n_states()],
+            self.parallel,
+            self.max_sweeps,
+            |states, values, out, stats| {
+                mdp.backup_block_with_gap(states, values, out, gamma, stats)
+            },
+            |_, stats, _| certified(stats) || stats.max_abs < tolerance,
+        );
+        let last = outcome.last;
+        if !outcome.converged {
+            return Err(MdpError::NotConverged {
+                iterations: outcome.sweeps,
+                residual: last.max_abs,
+            });
+        }
+        Ok(PolicyOutcome {
+            policy: mdp.greedy_policy(&outcome.values, gamma)?,
+            counters: SolveCounters {
+                sweeps: outcome.sweeps,
+                stop: if certified(&last) {
+                    StopReason::Certified
+                } else {
+                    StopReason::Tolerance
+                },
+                margin: last.margin,
+                span: last.span(),
+            },
         })
     }
 
@@ -166,6 +239,56 @@ impl ValueIteration {
     }
 }
 
+/// Ulps of the value bound (per `1 − γ`) that the action-gap certificate
+/// sets aside for float rounding: each Q carries a few ulps of error, and
+/// rounding in every sweep compounds over the `1 / (1 − γ)` horizon.
+const CERTIFICATE_ULPS: f64 = 16.0;
+
+/// Whether one sweep's stats prove its argmax actions optimal:
+/// `margin > 2γ·span/(1 − γ) + slack` (see
+/// [`ValueIteration::solve_policy`]). `reward_bound / (1 − γ)` bounds every
+/// value, and so the magnitude rounding scales with.
+fn gap_certifies(stats: &SweepStats, gamma: f64, reward_bound: f64) -> bool {
+    let horizon = 1.0 / (1.0 - gamma);
+    let slack = CERTIFICATE_ULPS * f64::EPSILON * reward_bound * horizon * horizon;
+    stats.margin > 2.0 * gamma * stats.span() * horizon + slack
+}
+
+/// Why a [`ValueIteration::solve_policy`] solve stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// The action-gap certificate proved the greedy policy optimal.
+    Certified,
+    /// The sup-norm sweep change fell below the tolerance (the same stop as
+    /// [`ValueIteration::solve_compiled`]).
+    Tolerance,
+}
+
+/// Deterministic counters of a [`ValueIteration::solve_policy`] solve
+/// (no wall-clock data).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SolveCounters {
+    /// Sweeps performed.
+    pub sweeps: usize,
+    /// Which rule stopped the solve.
+    pub stop: StopReason,
+    /// Smallest best-minus-runner-up Q margin of the final sweep (`+∞`
+    /// when every state has a single valid action, `0` on an exact tie).
+    pub margin: f64,
+    /// Span `hi − lo` of the final sweep's change `V_k − V_{k−1}`.
+    pub span: f64,
+}
+
+/// Result of [`ValueIteration::solve_policy`]: the optimal policy and how
+/// the solve reached it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PolicyOutcome {
+    /// The optimal policy (identical to `solve_compiled(..).policy`).
+    pub policy: TabularPolicy,
+    /// Sweeps, stop rule, final margin and span.
+    pub counters: SolveCounters,
+}
+
 /// Result of a [`ValueIteration`] run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ValueIterationOutcome {
@@ -184,6 +307,7 @@ pub struct ValueIterationOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::FnMdp;
     use crate::reference;
     use crate::solver::bellman_residual;
 
@@ -248,6 +372,91 @@ mod tests {
         let (mdp, _) = reference::two_state();
         assert!(ValueIteration::new(1.0).solve(&mdp).is_err());
         assert!(ValueIteration::new(f64::NAN).solve(&mdp).is_err());
+    }
+
+    /// Compiled solve and certified policy solve of one kernel.
+    fn both_solves(
+        mdp: &impl FiniteMdp,
+        gamma: f64,
+    ) -> (CompiledMdp, ValueIterationOutcome, PolicyOutcome) {
+        let kernel = CompiledMdp::compile(mdp).unwrap();
+        let vi = ValueIteration::new(gamma);
+        let full = vi.solve_compiled(&kernel).unwrap();
+        let certified = vi.solve_policy(&kernel).unwrap();
+        (kernel, full, certified)
+    }
+
+    #[test]
+    fn certified_solve_returns_the_full_solve_policy_sooner() {
+        for (mdp, gamma) in [reference::chain(16, 0.9), reference::chain(8, 1.0)] {
+            let (kernel, full, certified) = both_solves(&mdp, gamma);
+            assert!(kernel.has_unit_mass_rows());
+            assert_eq!(certified.policy, full.policy);
+            assert_eq!(certified.counters.stop, StopReason::Certified);
+            assert!(certified.counters.sweeps < full.sweeps);
+        }
+    }
+
+    /// Action 2 duplicates the optimal forward move in every state: the
+    /// action gap is exactly 0, no certificate can hold, and the solve stops
+    /// by the tolerance rule at the full solve's sweep.
+    #[test]
+    fn exact_tie_falls_back_to_the_tolerance_rule() {
+        let (chain, gamma) = reference::chain(8, 0.9);
+        let tied = FnMdp::new(8, 3, |s, a, out| {
+            let a = if a == 2 { reference::CHAIN_FORWARD } else { a };
+            chain.transitions(s, a, out)
+        });
+        let (kernel, full, certified) = both_solves(&tied, gamma);
+        assert!(kernel.has_unit_mass_rows());
+        assert_eq!(certified.counters.stop, StopReason::Tolerance);
+        assert_eq!(certified.counters.margin, 0.0);
+        assert_eq!(certified.counters.sweeps, full.sweeps);
+        assert_eq!(certified.policy, full.policy);
+    }
+
+    /// Rows that keep only 60% of their mass break the bound the
+    /// certificate rests on, so compilation flags the kernel and the solve
+    /// runs to tolerance even though its final gap clears the bound.
+    #[test]
+    fn substochastic_model_never_certifies() {
+        let (chain, gamma) = reference::chain(8, 1.0);
+        let leaky = FnMdp::new(8, 2, |s, a, out| {
+            chain.transitions(s, a, out);
+            for t in out.iter_mut() {
+                t.probability *= 0.6;
+            }
+        });
+        let (kernel, full, certified) = both_solves(&leaky, gamma);
+        let counters = certified.counters;
+        assert!(!kernel.has_unit_mass_rows());
+        assert_eq!(counters.stop, StopReason::Tolerance);
+        assert!(
+            counters.margin > 2.0 * gamma * counters.span / (1.0 - gamma),
+            "{counters:?}"
+        );
+        assert_eq!(counters.sweeps, full.sweeps);
+        assert_eq!(certified.policy, full.policy);
+    }
+
+    #[test]
+    fn policy_solve_errors_at_the_sweep_cap() {
+        let (mdp, gamma) = reference::chain(16, 0.99);
+        let kernel = CompiledMdp::compile(&mdp).unwrap();
+        let err = ValueIteration::new(gamma)
+            .max_sweeps(2)
+            .solve_policy(&kernel)
+            .unwrap_err();
+        match err {
+            MdpError::NotConverged {
+                iterations,
+                residual,
+            } => {
+                assert_eq!(iterations, 2);
+                assert!(residual > 0.0);
+            }
+            other => panic!("expected NotConverged, got {other:?}"),
+        }
     }
 
     #[test]

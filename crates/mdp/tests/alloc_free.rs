@@ -8,7 +8,7 @@
 //! buffers are set up before the first sweep).
 
 use mdp::solver::{evaluate_policy_compiled, PolicyIteration, ValueIteration};
-use mdp::{reference, CompiledMdp};
+use mdp::{reference, CompiledMdp, FiniteMdp, FnMdp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -89,6 +89,44 @@ fn value_iteration_sweeps_do_not_allocate() {
         short, long,
         "allocation count must not scale with sweeps (short {short}, long {long})"
     );
+}
+
+/// `mdp` with every action listed twice: each state's best action ties
+/// with its copy, so the action-gap certificate never holds and a policy
+/// solve runs its full sweep budget.
+fn doubled_actions(mdp: &impl FiniteMdp) -> CompiledMdp {
+    let m = mdp.n_actions();
+    CompiledMdp::compile(&FnMdp::new(mdp.n_states(), 2 * m, |s, a, out| {
+        mdp.transitions(s, a % m, out)
+    }))
+    .unwrap()
+}
+
+#[test]
+fn certified_policy_sweeps_do_not_allocate() {
+    // The gridworld runs the CSR gap backups, the deterministic chain the
+    // dense ones. Tolerance 0 and exact ties keep both solves sweeping to
+    // the cap, so every budget ends on the same `NotConverged` path.
+    let (grid, _) = reference::gridworld(16, 14, 0.15);
+    let (chain, _) = reference::chain(224, 1.0);
+    for (compiled, dense) in [
+        (doubled_actions(&grid), false),
+        (doubled_actions(&chain), true),
+    ] {
+        assert_eq!(compiled.is_deterministic(), dense);
+        let solver = ValueIteration::new(0.95).tolerance(0.0).parallel(false);
+        let _ = solver.max_sweeps(3).solve_policy(&compiled).unwrap_err();
+        let short = allocations_during(|| {
+            let _ = solver.max_sweeps(5).solve_policy(&compiled).unwrap_err();
+        });
+        let long = allocations_during(|| {
+            let _ = solver.max_sweeps(400).solve_policy(&compiled).unwrap_err();
+        });
+        assert_eq!(
+            short, long,
+            "allocation count must not scale with sweeps (short {short}, long {long})"
+        );
+    }
 }
 
 #[test]
