@@ -14,6 +14,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use vanet::{Request, RequestTrace};
 
+/// Work units (one per shard-slot plus one per request) a window must
+/// carry per executor worker before the `workers: 0` default fans it out.
+/// Spawning and joining the scoped workers costs 65–90 µs per call on a
+/// 2-vCPU host, while serving costs 1–2 µs per slot at 4 requests per
+/// RSU, so pooling breaks even only from windows of a few thousand
+/// slots.
+pub const MIN_WORK_PER_WORKER: usize = 1 << 15;
+
 /// Everything needed to assemble a [`ServeEngine`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -30,9 +38,14 @@ pub struct ServeConfig {
     /// Seed of the serving-side RNG streams (one independent stream per
     /// shard, derived up-front in RSU order).
     pub serve_seed: u64,
-    /// Executor workers for [`ServeEngine::serve`]; `0` picks one worker
-    /// per shard (capped by the pool). Decisions and telemetry are
-    /// bit-identical for any value.
+    /// Executor workers for [`ServeEngine::serve`]. `0` sizes the pool
+    /// from the window's work, `shards × slots + requests` units: a
+    /// window under `2 ×` [`MIN_WORK_PER_WORKER`] units (a one-slot
+    /// window at 4 requests per RSU is 20) runs inline on the calling
+    /// thread, and a larger one gets one worker per
+    /// `MIN_WORK_PER_WORKER` units, capped by the shard count and the
+    /// hardware. `w ≥ 1` uses exactly `w` workers. Decisions and
+    /// telemetry are bit-identical for any value.
     pub workers: usize,
 }
 
@@ -215,8 +228,9 @@ impl RsuShard {
 /// same clock-agnostic cores the simulators drive, advanced here by an
 /// **external** request stream instead of a synthetic arrival process.
 ///
-/// [`serve`](ServeEngine::serve) runs each shard's stream on the shared
-/// `simkit::executor` pool (one job per shard) and merges the stage-1
+/// [`serve`](ServeEngine::serve) runs each shard's stream as one
+/// `simkit::executor` job (inline on the calling thread for windows too
+/// small to split, see [`ServeConfig::workers`]) and merges the stage-1
 /// refresh decisions into a single slot-major, RSU-ordered hand-off log.
 /// Every shard owns its RNG stream and its slice of the request window,
 /// so the decisions, the report and the telemetry bytes are identical for
@@ -348,7 +362,12 @@ impl ServeEngine {
         let regions_per_rsu = self.regions_per_rsu;
         let manifest = &self.manifest;
         let workers = match self.workers {
-            0 => executor::worker_count(n, true, 1),
+            0 => executor::worker_count(
+                n * slots + window.total_requests(),
+                true,
+                MIN_WORK_PER_WORKER,
+            )
+            .min(n),
             w => w,
         };
         let runs: Vec<ShardRun> = executor::parallel_map(workers, &self.shards, |k, shard| {

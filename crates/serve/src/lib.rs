@@ -14,11 +14,13 @@
 //! 3. answers each request from cache — fresh hit, stale hit, or miss,
 //! 4. picks a stage-2 service level and runs the queue dynamics.
 //!
-//! Shards run as one `simkit::executor` job each; stage-1 decisions merge
-//! into a slot-major, RSU-ordered hand-off log, and telemetry streams to
-//! per-shard `simkit::persist` artifacts. Because every shard owns its
-//! RNG stream and its slice of the window, the outcome is bit-identical
-//! for any worker count.
+//! Shards run as one `simkit::executor` job each; small windows (a
+//! one-slot call, say) run them in turn on the calling thread, since
+//! spawning workers would cost far more than the serving. Stage-1
+//! decisions merge into a slot-major, RSU-ordered hand-off log, and
+//! telemetry streams to per-shard `simkit::persist` artifacts. Because
+//! every shard owns its RNG stream and its slice of the window, the
+//! outcome is bit-identical for any worker count.
 //!
 //! ## Quickstart
 //!
@@ -64,6 +66,6 @@ mod engine;
 mod error;
 mod report;
 
-pub use engine::{ServeConfig, ServeEngine, TelemetrySpec};
+pub use engine::{ServeConfig, ServeEngine, TelemetrySpec, MIN_WORK_PER_WORKER};
 pub use error::ServeError;
 pub use report::{MbsRefresh, ServeOutcome, ShardStats};

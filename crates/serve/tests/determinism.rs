@@ -4,7 +4,7 @@
 //! configurations.
 
 use aoi_cache::{CachePolicyKind, CacheScenario, Compression, ServiceLevel, ServicePolicyKind};
-use aoi_serve::{ServeConfig, ServeEngine, TelemetrySpec};
+use aoi_serve::{MbsRefresh, ServeConfig, ServeEngine, TelemetrySpec, MIN_WORK_PER_WORKER};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
@@ -79,13 +79,87 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn outcome_is_identical_for_any_worker_count() {
     let window = trace(40, 5);
     let mut baseline = None;
-    for workers in [1, 2, 3, 8] {
+    for workers in [0, 1, 2, 3, 8] {
         let mut engine = ServeEngine::new(config(workers)).unwrap();
         let outcome = engine.serve(&window).unwrap();
         assert!(outcome.requests > 0 && outcome.misses > 0);
         match &baseline {
             None => baseline = Some(outcome),
             Some(expected) => assert_eq!(&outcome, expected, "workers={workers}"),
+        }
+    }
+}
+
+/// What serving a trace window by window adds up to: the concatenated
+/// refresh log, per-RSU integer counters summed over the windows
+/// (requests, fresh, stale, misses, refreshes) and the final backlog.
+/// `service_cost` is left out: its per-window f64 sums round differently.
+#[derive(Debug, PartialEq)]
+struct Replay {
+    refreshes: Vec<MbsRefresh>,
+    counters: Vec<[u64; 5]>,
+    backlog: Vec<f64>,
+}
+
+fn replay(workers: usize, trace: &RequestTrace, window_slots: usize) -> Replay {
+    let mut engine = ServeEngine::new(config(workers)).unwrap();
+    let slots: Vec<Vec<Request>> = trace.iter().map(<[Request]>::to_vec).collect();
+    let mut replay = Replay {
+        refreshes: Vec::new(),
+        counters: vec![[0; 5]; engine.shard_count()],
+        backlog: Vec::new(),
+    };
+    for chunk in slots.chunks(window_slots) {
+        let outcome = engine
+            .serve(&RequestTrace::from_slots(chunk.to_vec()))
+            .unwrap();
+        replay.refreshes.extend(outcome.refreshes);
+        for (sum, s) in replay.counters.iter_mut().zip(&outcome.per_rsu) {
+            let counts = [
+                s.requests,
+                s.fresh_hits,
+                s.stale_hits,
+                s.misses,
+                s.refreshes,
+            ];
+            for (total, c) in sum.iter_mut().zip(counts) {
+                *total += c;
+            }
+        }
+        replay.backlog = outcome.per_rsu.iter().map(|s| s.backlog).collect();
+    }
+    assert_eq!(engine.next_slot().index(), trace.len() as u64);
+    replay
+}
+
+#[test]
+fn windowing_never_changes_serving() {
+    // Large enough that the whole trace as one window crosses the
+    // `workers: 0` fan-out threshold, while its 1- and 7-slot windows
+    // run inline: both branches of the default get compared.
+    let slots = 2 * MIN_WORK_PER_WORKER / 8;
+    let window = trace(slots, 13);
+    let shards = scenario().n_rsus;
+    assert!(shards * slots + window.total_requests() >= 2 * MIN_WORK_PER_WORKER);
+    // At most 3 requests per RSU per slot.
+    assert!(7 * (shards + 3 * shards) < 2 * MIN_WORK_PER_WORKER);
+    let mut baseline = None;
+    for workers in [0, 1, 3] {
+        for window_slots in [1, 7, slots] {
+            let replayed = replay(workers, &window, window_slots);
+            match &baseline {
+                None => {
+                    assert!(replayed
+                        .counters
+                        .iter()
+                        .all(|c| c[0] > 0 && c[3] > 0 && c[4] > 0));
+                    baseline = Some(replayed);
+                }
+                Some(expected) => assert_eq!(
+                    &replayed, expected,
+                    "workers={workers} window_slots={window_slots}"
+                ),
+            }
         }
     }
 }

@@ -158,6 +158,12 @@ pub fn force_workers(workers: Option<usize>) {
 /// nesting would oversubscribe it). An override installed via
 /// [`force_workers`] takes precedence over the automatic sizing (but never
 /// over `parallel == false` or the nesting guard).
+///
+/// Workloads too small to split (fewer than `2 * min_per_worker` items)
+/// return 1 before the hardware is queried: on Linux
+/// `available_parallelism` re-reads the cgroup CPU quota and the affinity
+/// mask on every call, which would dominate a tiny inline job. The count
+/// is never cached, since both can change at run time.
 pub fn worker_count(n_items: usize, parallel: bool, min_per_worker: usize) -> usize {
     if !parallel || !cfg!(feature = "parallel") || on_pool_worker() {
         return 1;
@@ -166,12 +172,14 @@ pub fn worker_count(n_items: usize, parallel: bool, min_per_worker: usize) -> us
     if forced > 0 {
         return forced;
     }
+    let by_work = n_items / min_per_worker.max(1);
+    if by_work < 2 {
+        return 1;
+    }
     let hardware = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    hardware
-        .min(n_items / min_per_worker.max(1))
-        .clamp(1, MAX_WORKERS)
+    hardware.min(by_work).clamp(1, MAX_WORKERS)
 }
 
 /// Barrier-synchronized Jacobi round loop over a shared iterate.
@@ -826,6 +834,30 @@ mod tests {
         if cfg!(feature = "parallel") {
             // Tiny workloads stay serial regardless of hardware.
             assert_eq!(worker_count(10, true, 1024), 1);
+            // The early return for unsplittable work changes no value:
+            // every size, including both sides of the `n / m < 2`
+            // boundary, matches the plain hardware/work/cap formula.
+            let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+            for m in [0, 1, 2, 3, 7, 1024] {
+                let unit = m.max(1);
+                for n in [
+                    0,
+                    1,
+                    unit - 1,
+                    unit,
+                    2 * unit - 1,
+                    2 * unit,
+                    3 * unit,
+                    17 * unit,
+                    1 << 20,
+                ] {
+                    assert_eq!(
+                        worker_count(n, true, m),
+                        hardware.min(n / unit).clamp(1, MAX_WORKERS),
+                        "n_items={n} min_per_worker={m}"
+                    );
+                }
+            }
             // The forced override wins over automatic sizing...
             force_workers(Some(5));
             assert_eq!(worker_count(10, true, 1024), 5);
