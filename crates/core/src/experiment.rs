@@ -1193,29 +1193,16 @@ pub fn ensemble_manifest_hash(cell_hashes: &[u64]) -> u64 {
     persist::config_hash(&cell_hashes)
 }
 
-/// Writes one service run's report as a trace artifact (the queue and
-/// cost series a service run holds are already `O(horizon)`, so they are
-/// written after the run rather than streamed through a recorder sink).
-/// Used for every service cell of a grid with an artifact directory;
-/// public so standalone Fig. 1b-style runs persist the identical layout.
+/// Writes one service run's report as a trace artifact under the given
+/// encoding (see [`simkit::persist::compress`]). The queue and cost series
+/// a service run holds are already `O(horizon)`, so they are written after
+/// the run rather than streamed through a recorder sink. Used for every
+/// service cell of a grid with an artifact directory; public so standalone
+/// Fig. 1b-style runs persist the identical layout.
 ///
 /// # Errors
 ///
 /// Propagates artifact write failures ([`AoiCacheError::Persist`]).
-pub fn write_service_artifact(
-    scenario: &ServiceScenario,
-    report: &ServiceRunReport,
-    path: &Path,
-) -> Result<(), AoiCacheError> {
-    write_service_artifact_with(scenario, report, path, Compression::None)
-}
-
-/// [`write_service_artifact`] under an explicit artifact encoding (see
-/// [`simkit::persist::compress`]).
-///
-/// # Errors
-///
-/// Same conditions as [`write_service_artifact`].
 pub fn write_service_artifact_with(
     scenario: &ServiceScenario,
     report: &ServiceRunReport,

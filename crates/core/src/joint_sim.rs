@@ -203,31 +203,18 @@ pub fn run_joint_recorded(
 }
 
 /// [`run_joint_recorded`], but **spilling** every retained backlog sample
-/// to the artifact file at `path` slot by slot: the returned report's
+/// to the artifact file at `path` slot by slot, under the given encoding
+/// (see [`simkit::persist::compress`]): the returned report's
 /// [`queues`](JointReport::queues) are empty (the samples live on disk)
 /// while every other field is identical to an in-memory run's. The
 /// artifact also carries the cache-reward and cumulative-reward series;
-/// re-reading it reconstructs each series bit-identically.
+/// re-reading it reconstructs each series bit-identically under either
+/// encoding.
 ///
 /// # Errors
 ///
 /// Same conditions as [`run_joint_recorded`], plus artifact write
 /// failures ([`AoiCacheError::Persist`]).
-pub fn run_joint_artifact(
-    scenario: &JointScenario,
-    recording: RecordingMode,
-    path: &Path,
-) -> Result<JointReport, AoiCacheError> {
-    run_joint_artifact_with(scenario, recording, path, Compression::None)
-}
-
-/// [`run_joint_artifact`] under an explicit artifact encoding (see
-/// [`simkit::persist::compress`]); both encodings re-read transparently
-/// and bit-identically.
-///
-/// # Errors
-///
-/// Same conditions as [`run_joint_artifact`].
 pub fn run_joint_artifact_with(
     scenario: &JointScenario,
     recording: RecordingMode,

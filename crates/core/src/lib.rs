@@ -81,16 +81,14 @@ pub use engine::{RsuCacheEngine, RsuServiceEngine};
 pub use error::AoiCacheError;
 pub use experiment::{
     ensemble_manifest_hash, group_curve_name, headline_channel_for, parse_cell_coords,
-    write_service_artifact, write_service_artifact_with, CellId, CellOutcome, CellReport,
-    EnsembleSummary, ExperimentGrid, ExperimentPlan, ExperimentReport, ResumeReport,
-    DEFAULT_LEASE_TTL_MS, DEFAULT_MAX_ATTEMPTS,
+    write_service_artifact_with, CellId, CellOutcome, CellReport, EnsembleSummary, ExperimentGrid,
+    ExperimentPlan, ExperimentReport, ResumeReport, DEFAULT_LEASE_TTL_MS, DEFAULT_MAX_ATTEMPTS,
 };
 pub use freshness_service::{
     run_freshness_service, FreshnessReport, FreshnessScenario, ServingSource, SourcingMode,
 };
 pub use joint_sim::{
-    run_joint, run_joint_artifact, run_joint_artifact_with, run_joint_recorded, JointReport,
-    JointScenario,
+    run_joint, run_joint_artifact_with, run_joint_recorded, JointReport, JointScenario,
 };
 pub use mdp_model::{PopularityModel, RsuCacheMdp};
 pub use policy::{

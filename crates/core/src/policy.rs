@@ -139,15 +139,6 @@ impl SolvedMdpPolicy {
         }
     }
 
-    /// Solves the spec's MDP with value iteration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model/solver errors.
-    pub fn value_iteration(spec: &RsuSpec, gamma: f64) -> Result<Self, AoiCacheError> {
-        Self::value_iteration_on(&CompiledRsuMdp::from_spec(spec)?, gamma)
-    }
-
     /// Value iteration on an already-compiled per-RSU MDP, through the
     /// policy-only solve ([`ValueIteration::solve_policy`]): it stops as
     /// soon as the action gap proves the greedy policy optimal, and the
@@ -172,15 +163,6 @@ impl SolvedMdpPolicy {
         })
     }
 
-    /// Solves the spec's MDP with policy iteration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model/solver errors.
-    pub fn policy_iteration(spec: &RsuSpec, gamma: f64) -> Result<Self, AoiCacheError> {
-        Self::policy_iteration_on(&CompiledRsuMdp::from_spec(spec)?, gamma)
-    }
-
     /// Policy iteration on an already-compiled per-RSU MDP.
     ///
     /// # Errors
@@ -192,20 +174,6 @@ impl SolvedMdpPolicy {
     ) -> Result<Self, AoiCacheError> {
         let outcome = PolicyIteration::new(gamma).solve_compiled(&compiled.kernel)?;
         Ok(Self::from_table("mdp-pi", compiled, outcome.policy))
-    }
-
-    /// Learns a policy with tabular Q-learning on the spec's MDP.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model/learner errors.
-    pub fn q_learning(
-        spec: &RsuSpec,
-        gamma: f64,
-        steps: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<Self, AoiCacheError> {
-        Self::q_learning_on(&CompiledRsuMdp::from_spec(spec)?, gamma, steps, rng)
     }
 
     /// Q-learning on an already-compiled per-RSU MDP (the learner samples
@@ -226,20 +194,6 @@ impl SolvedMdpPolicy {
         Ok(Self::from_table("mdp-ql", compiled, q.greedy_policy()))
     }
 
-    /// Learns a policy with tabular SARSA (on-policy TD) on the spec's MDP.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model/learner errors.
-    pub fn sarsa(
-        spec: &RsuSpec,
-        gamma: f64,
-        steps: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<Self, AoiCacheError> {
-        Self::sarsa_on(&CompiledRsuMdp::from_spec(spec)?, gamma, steps, rng)
-    }
-
     /// SARSA on an already-compiled per-RSU MDP (allocation-free sampling
     /// from the kernel's CSR rows).
     ///
@@ -258,18 +212,10 @@ impl SolvedMdpPolicy {
         Ok(Self::from_table("mdp-sarsa", compiled, q.greedy_policy()))
     }
 
-    /// Solves the spec's MDP for the **average-reward** criterion with
-    /// relative value iteration — the exact match for the paper's long-run
-    /// objective (the discounted solvers approximate it with γ → 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model/solver errors.
-    pub fn average_reward(spec: &RsuSpec) -> Result<Self, AoiCacheError> {
-        Self::average_reward_on(&CompiledRsuMdp::from_spec(spec)?)
-    }
-
-    /// Relative value iteration on an already-compiled per-RSU MDP.
+    /// Solves an already-compiled per-RSU MDP for the **average-reward**
+    /// criterion with relative value iteration — the exact match for the
+    /// paper's long-run objective (the discounted solvers approximate it
+    /// with γ → 1).
     ///
     /// # Errors
     ///
@@ -281,18 +227,9 @@ impl SolvedMdpPolicy {
         Ok(Self::from_table("mdp-avg", compiled, outcome.policy))
     }
 
-    /// Receding-horizon control: solves the spec's MDP over a finite
-    /// lookahead of `horizon` slots (backward induction, undiscounted) and
-    /// applies the first-stage decision rule every slot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model/solver errors.
-    pub fn receding_horizon(spec: &RsuSpec, horizon: usize) -> Result<Self, AoiCacheError> {
-        Self::receding_horizon_on(&CompiledRsuMdp::from_spec(spec)?, horizon)
-    }
-
-    /// Backward induction on an already-compiled per-RSU MDP.
+    /// Receding-horizon control: solves an already-compiled per-RSU MDP
+    /// over a finite lookahead of `horizon` slots (backward induction,
+    /// undiscounted) and applies the first-stage decision rule every slot.
     ///
     /// # Errors
     ///
@@ -592,30 +529,10 @@ impl CachePolicyKind {
         )
     }
 
-    /// Builds a policy instance for one RSU, compiling the spec's MDP when
-    /// the kind needs it. Callers holding several policy kinds (or running
-    /// repeatedly) should compile once with [`CompiledRsuMdp::from_spec`]
-    /// and use [`build_with`](CachePolicyKind::build_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model/solver construction errors (only the MDP-based
-    /// kinds can fail).
-    pub fn build(
-        &self,
-        spec: &RsuSpec,
-        rng: &mut dyn RngCore,
-    ) -> Result<Box<dyn CacheUpdatePolicy>, AoiCacheError> {
-        let compiled = if self.uses_mdp() {
-            Some(CompiledRsuMdp::from_spec(spec)?)
-        } else {
-            None
-        };
-        self.build_with(compiled.as_ref(), rng)
-    }
-
     /// Builds a policy instance for one RSU against a pre-compiled kernel
-    /// (which embeds the per-RSU model, so no spec is needed here).
+    /// (which embeds the per-RSU model, so no spec is needed here). Compile
+    /// once with [`CompiledRsuMdp::from_spec`] and reuse the kernel for
+    /// every policy kind and run.
     ///
     /// The MDP-based kinds solve on `compiled` (which therefore must be
     /// `Some` for them); the baselines ignore it.
@@ -782,7 +699,8 @@ mod tests {
     fn solved_policy_refreshes_stale_popular_content() {
         let spec = spec();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut policy = SolvedMdpPolicy::value_iteration(&spec, 0.95).unwrap();
+        let compiled = CompiledRsuMdp::from_spec(&spec).unwrap();
+        let mut policy = SolvedMdpPolicy::value_iteration_on(&compiled, 0.95).unwrap();
         assert_eq!(policy.name(), "mdp-vi");
         let stale = AgeVector::from_ages(vec![age(6), age(6)], spec.age_cap).unwrap();
         let decision = policy.decide(&ctx(0, &stale, &spec), &mut rng);
@@ -795,7 +713,8 @@ mod tests {
     fn unconverged_value_iteration_is_an_error() {
         // At gamma = 0.9999 the sweep change still shrinks only by
         // ~e^-1 over the 10,000-sweep cap, far above the 1e-9 tolerance.
-        let err = SolvedMdpPolicy::value_iteration(&spec(), 0.9999).unwrap_err();
+        let compiled = CompiledRsuMdp::from_spec(&spec()).unwrap();
+        let err = SolvedMdpPolicy::value_iteration_on(&compiled, 0.9999).unwrap_err();
         match err {
             AoiCacheError::Solver(MdpError::NotConverged {
                 iterations,
@@ -810,15 +729,15 @@ mod tests {
 
     #[test]
     fn solvers_agree_on_small_spec() {
-        let spec = spec();
-        let vi = SolvedMdpPolicy::value_iteration(&spec, 0.9).unwrap();
-        let pi = SolvedMdpPolicy::policy_iteration(&spec, 0.9).unwrap();
+        let compiled = CompiledRsuMdp::from_spec(&spec()).unwrap();
+        let vi = SolvedMdpPolicy::value_iteration_on(&compiled, 0.9).unwrap();
+        let pi = SolvedMdpPolicy::policy_iteration_on(&compiled, 0.9).unwrap();
         assert_eq!(vi.tabular().actions(), pi.tabular().actions());
     }
 
     #[test]
     fn kind_builds_every_variant() {
-        let spec = spec();
+        let compiled = CompiledRsuMdp::from_spec(&spec()).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let kinds = [
             CachePolicyKind::ValueIteration { gamma: 0.9 },
@@ -841,7 +760,7 @@ mod tests {
             CachePolicyKind::Never,
         ];
         for kind in kinds {
-            let policy = kind.build(&spec, &mut rng).unwrap();
+            let policy = kind.build_with(Some(&compiled), &mut rng).unwrap();
             assert_eq!(policy.name(), kind.label());
         }
     }

@@ -7,8 +7,8 @@
 use aoi_cache::persist::{read_artifact, ArtifactKind, PersistError};
 use aoi_cache::presets::smoke_grid;
 use aoi_cache::{
-    run_joint_artifact, run_joint_recorded, CachePolicyKind, CacheRunReport, CacheScenario,
-    CacheSimulation, ExperimentPlan, JointScenario, RecordingMode,
+    run_joint_artifact_with, run_joint_recorded, CachePolicyKind, CacheRunReport, CacheScenario,
+    CacheSimulation, Compression, ExperimentPlan, JointScenario, RecordingMode,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,7 +115,8 @@ fn joint_run_artifact_roundtrips() {
     let dir = scratch_dir("joint");
     let path = dir.join("joint.trace.jsonl");
     let in_memory = run_joint_recorded(&scenario, RecordingMode::Full).unwrap();
-    let spilled = run_joint_artifact(&scenario, RecordingMode::Full, &path).unwrap();
+    let spilled =
+        run_joint_artifact_with(&scenario, RecordingMode::Full, &path, Compression::None).unwrap();
 
     assert!(spilled.queues.iter().all(|q| q.is_empty()));
     assert_eq!(spilled.queue_summaries, in_memory.queue_summaries);

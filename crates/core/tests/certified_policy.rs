@@ -114,15 +114,11 @@ fn serial_and_pooled_solves_agree_on_sweeps_and_policy() {
     for seed in seeds() {
         for compiled in kernels(scenario(seed, false)) {
             for gamma in GAMMAS {
-                let serial = ValueIteration::new(gamma)
-                    .parallel(false)
-                    .solve_policy(&compiled.kernel)
-                    .unwrap();
+                let vi = ValueIteration::new(gamma);
+                let serial = executor::serialized(|| vi.solve_policy(&compiled.kernel)).unwrap();
                 for workers in [1, 2, 3] {
                     executor::force_workers(Some(workers));
-                    let pooled = ValueIteration::new(gamma)
-                        .parallel(true)
-                        .solve_policy(&compiled.kernel);
+                    let pooled = vi.solve_policy(&compiled.kernel);
                     executor::force_workers(None);
                     assert_eq!(
                         pooled.unwrap(),

@@ -6,6 +6,7 @@ use aoi_cache::{Age, CompiledRsuMdp, PopularityModel, RewardModel, RsuCacheMdp, 
 use mdp::solver::{PolicyIteration, RelativeValueIteration, ValueIteration};
 use mdp::FiniteMdp;
 use proptest::prelude::*;
+use simkit::executor;
 
 fn arb_spec() -> impl Strategy<Value = RsuSpec> {
     (
@@ -63,10 +64,9 @@ proptest! {
     #[test]
     fn parallel_and_serial_sweeps_agree_on_cache_mdp(spec in arb_spec(), gamma in 0.8f64..0.98) {
         let compiled = CompiledRsuMdp::from_spec(&spec).unwrap();
-        let serial = ValueIteration::new(gamma).parallel(false)
-            .solve_compiled(&compiled.kernel).unwrap();
-        let parallel = ValueIteration::new(gamma).parallel(true)
-            .solve_compiled(&compiled.kernel).unwrap();
+        let solver = ValueIteration::new(gamma);
+        let serial = executor::serialized(|| solver.solve_compiled(&compiled.kernel)).unwrap();
+        let parallel = solver.solve_compiled(&compiled.kernel).unwrap();
         prop_assert_eq!(serial.sweeps, parallel.sweeps);
         prop_assert_eq!(&serial.values, &parallel.values);
         prop_assert_eq!(serial.policy.actions(), parallel.policy.actions());
@@ -92,15 +92,15 @@ fn large_cache_mdp_parallel_matches_serial_bitwise() {
     let kernel = model.compile().unwrap();
 
     let solver = ValueIteration::new(0.95).tolerance(1e-10);
-    let serial = solver.parallel(false).solve_compiled(&kernel).unwrap();
-    let parallel = solver.parallel(true).solve_compiled(&kernel).unwrap();
+    let serial = executor::serialized(|| solver.solve_compiled(&kernel)).unwrap();
+    let parallel = solver.solve_compiled(&kernel).unwrap();
     assert_eq!(serial.sweeps, parallel.sweeps);
     assert_eq!(serial.values, parallel.values, "bit-for-bit values");
     assert_eq!(serial.policy.actions(), parallel.policy.actions());
 
     let rvi = RelativeValueIteration::new().tolerance(1e-9);
-    let rvi_serial = rvi.parallel(false).solve_compiled(&kernel).unwrap();
-    let rvi_parallel = rvi.parallel(true).solve_compiled(&kernel).unwrap();
+    let rvi_serial = executor::serialized(|| rvi.solve_compiled(&kernel)).unwrap();
+    let rvi_parallel = rvi.solve_compiled(&kernel).unwrap();
     assert_eq!(rvi_serial.sweeps, rvi_parallel.sweeps);
     assert_eq!(rvi_serial.bias, rvi_parallel.bias, "bit-for-bit bias");
     assert_eq!(rvi_serial.policy.actions(), rvi_parallel.policy.actions());

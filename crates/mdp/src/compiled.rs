@@ -15,19 +15,20 @@
 //!
 //! Solvers then run on the compiled form with **zero heap allocation per
 //! sweep**, and the per-state Bellman backup is embarrassingly parallel:
-//! under the `parallel` feature (default) sweeps fan out across the
-//! workspace's shared executor ([`simkit::executor`]) — one persistent
-//! barrier-synchronized pool per solve. Sweeps are Jacobi-style (each
-//! state's backup reads only the previous iterate), so serial and parallel
-//! runs are bit-for-bit identical.
+//! under the `parallel` feature (default) sweeps over a large enough model
+//! fan out across the workspace's shared executor ([`simkit::executor`]) —
+//! one persistent barrier-synchronized pool per solve — and stay on the
+//! calling thread inside [`simkit::executor::serialized`]. Sweeps are
+//! Jacobi-style (each state's backup reads only the previous iterate), so
+//! serial and parallel runs are bit-for-bit identical.
 //!
 //! # Sweep kernels
 //!
 //! The per-row validity bit test is hoisted out of the action loop (one
 //! bitmap word covers all of a state's rows until the row index crosses a
 //! word boundary), and sweeps walk the state space in cache-blocked
-//! ranges ([`simkit::executor::run_rounds_blocked`]) so a block's output
-//! slice and streamed row data stay cache-resident.
+//! ranges ([`simkit::executor::run_rounds`]) so a block's output slice and
+//! streamed row data stay cache-resident.
 //!
 //! For **deterministic** models (every row at most one transition — the
 //! cache MDP under static popularity) compilation additionally builds an
@@ -377,9 +378,9 @@ impl CompiledMdp {
     }
 
     /// Bellman-optimality backups of a contiguous state range, written into
-    /// `out` (`out[0]` is `states.start`). This is the blocked sweep body
-    /// the solvers run under the crate's blocked sweep driver: row data streams
-    /// linearly through the block while the iterate stays cache-hot.
+    /// `out` (`out[0]` is `states.start`). This is the sweep body of value
+    /// and relative value iteration: row data streams linearly through the
+    /// block while the iterate stays cache-hot.
     ///
     /// # Panics
     ///
@@ -685,94 +686,46 @@ pub(crate) struct SweepOutcome {
 /// policy-iteration evaluate/improve round of that loop reuses it — so
 /// spawn cost is amortized over the whole solve (one pool per solve for
 /// every sweep-based solver; asserted by `tests/pool_per_solve.rs`).
-pub(crate) const MIN_STATES_PER_WORKER: usize = 1024;
+const MIN_STATES_PER_WORKER: usize = 1024;
 
-/// Shared Jacobi sweep loop: repeatedly computes `new[s] = backup(s, old)`
-/// for every state, lets `epilogue` post-process the fresh iterate (e.g.
-/// normalize it) and decide convergence, and stops at `max_sweeps`.
-///
-/// This is a thin domain adapter over [`simkit::executor::run_rounds`],
-/// the workspace's single thread-pool implementation: one persistent
-/// barrier-synchronized pool per solve, no per-sweep allocation, and a
-/// schedule that is bit-for-bit identical to the serial loop (every backup
-/// reads only the previous iterate).
-pub(crate) fn run_sweeps(
-    values: Vec<f64>,
-    parallel: bool,
-    max_sweeps: usize,
-    backup: impl Fn(usize, &[f64]) -> f64 + Sync,
-    epilogue: impl FnMut(&mut [f64], &SweepStats, usize) -> bool,
-) -> SweepOutcome {
-    let workers = simkit::executor::worker_count(values.len(), parallel, MIN_STATES_PER_WORKER);
-    run_sweeps_on(values, workers, max_sweeps, backup, epilogue)
+/// Workers a sweep loop over `n_states` states fans out across: parallel
+/// when the model is large enough, serial inside
+/// [`simkit::executor::serialized`] or without the `parallel` feature.
+pub(crate) fn sweep_workers(n_states: usize) -> usize {
+    simkit::executor::worker_count(n_states, true, MIN_STATES_PER_WORKER)
 }
 
-/// [`run_sweeps`] with an explicit worker count (tests use this to force
-/// the pooled path on hosts whose CPU count would keep it serial).
-pub(crate) fn run_sweeps_on(
+/// States per cache block in [`run_sweeps`]. 1024 states × 8 bytes keeps
+/// one block's output slice (8 KiB) plus the row data streaming through it
+/// comfortably inside a 32 KiB L1d, while the full previous iterate stays
+/// L2-resident for the gather. Block boundaries never move work between
+/// threads (chunking by worker happens above the block loop), so the
+/// result is bitwise independent of this constant.
+const SWEEP_BLOCK: usize = 1024;
+
+/// The Jacobi sweep loop every compiled solver runs: per sweep, `backup`
+/// fills contiguous state ranges of the fresh iterate from the previous one
+/// (e.g. [`CompiledMdp::backup_block`]), `epilogue` post-processes the
+/// fresh iterate (e.g. normalizes it) and decides convergence, and the
+/// loop stops at `max_sweeps`.
+///
+/// Per-state change stats are recorded here, in state order, after each
+/// block fills; `backup` also gets the block's stats, for reductions only
+/// the kernel can see (the action gap of
+/// [`CompiledMdp::backup_block_with_gap`]). This is a thin domain adapter
+/// over [`simkit::executor::run_rounds`], the workspace's single
+/// thread-pool implementation: one persistent barrier-synchronized pool
+/// per solve when `workers >= 2`, no per-sweep allocation, and a schedule
+/// that is bit-for-bit identical to the serial loop (every backup reads
+/// only the previous iterate).
+pub(crate) fn run_sweeps(
     values: Vec<f64>,
     workers: usize,
     max_sweeps: usize,
-    backup: impl Fn(usize, &[f64]) -> f64 + Sync,
+    backup: impl Fn(std::ops::Range<usize>, &[f64], &mut [f64], &mut SweepStats) + Sync,
     epilogue: impl FnMut(&mut [f64], &SweepStats, usize) -> bool,
 ) -> SweepOutcome {
     let outcome = simkit::executor::run_rounds(
-        values,
-        workers,
-        max_sweeps,
-        |s, old, stats: &mut SweepStats| {
-            let backed = backup(s, old);
-            stats.record(backed - old[s]);
-            backed
-        },
-        epilogue,
-    );
-    SweepOutcome {
-        values: outcome.values,
-        sweeps: outcome.rounds,
-        last: outcome.last.unwrap_or_else(SweepStats::before_first_sweep),
-        converged: outcome.converged,
-    }
-}
-
-/// States per cache block in [`run_sweeps_blocked`]. 1024 states × 8 bytes
-/// keeps one block's output slice (8 KiB) plus the row data streaming
-/// through it comfortably inside a 32 KiB L1d, while the full previous
-/// iterate stays L2-resident for the gather. Block boundaries never move
-/// work between threads (chunking by worker happens above the block loop),
-/// so the result is bitwise independent of this constant.
-pub(crate) const SWEEP_BLOCK: usize = 1024;
-
-/// [`run_sweeps`] over block backups: `backup` fills a contiguous range of
-/// the fresh iterate at once (e.g. [`CompiledMdp::backup_block`]), letting
-/// the kernel stream CSR rows linearly instead of re-entering a closure per
-/// state. Per-state change stats are recorded here, in state order, after
-/// each block fills — the same order the per-element loop produces — so the
-/// outcome is bit-identical to [`run_sweeps`] with the equivalent per-state
-/// backup. `backup` also gets the block's stats, for reductions only the
-/// kernel can see (the action gap of
-/// [`CompiledMdp::backup_block_with_gap`]).
-pub(crate) fn run_sweeps_blocked(
-    values: Vec<f64>,
-    parallel: bool,
-    max_sweeps: usize,
-    backup: impl Fn(std::ops::Range<usize>, &[f64], &mut [f64], &mut SweepStats) + Sync,
-    epilogue: impl FnMut(&mut [f64], &SweepStats, usize) -> bool,
-) -> SweepOutcome {
-    let workers = simkit::executor::worker_count(values.len(), parallel, MIN_STATES_PER_WORKER);
-    run_sweeps_blocked_on(values, workers, max_sweeps, backup, epilogue)
-}
-
-/// [`run_sweeps_blocked`] with an explicit worker count (tests use this to
-/// force the pooled path on hosts whose CPU count would keep it serial).
-pub(crate) fn run_sweeps_blocked_on(
-    values: Vec<f64>,
-    workers: usize,
-    max_sweeps: usize,
-    backup: impl Fn(std::ops::Range<usize>, &[f64], &mut [f64], &mut SweepStats) + Sync,
-    epilogue: impl FnMut(&mut [f64], &SweepStats, usize) -> bool,
-) -> SweepOutcome {
-    let outcome = simkit::executor::run_rounds_blocked(
         values,
         workers,
         max_sweeps,
@@ -921,62 +874,68 @@ mod tests {
         ));
     }
 
-    /// The blocked sweep loop must reproduce the per-state loop bitwise for
-    /// any worker count: stats are recorded in the same state order and
-    /// block boundaries never move work between threads.
+    /// The blocked sweep loop must reproduce a plain per-state Jacobi loop
+    /// bitwise — sweeps, final stats and values: stats are recorded in
+    /// state order and block boundaries never change what a backup reads.
     #[test]
     fn blocked_and_per_state_sweeps_agree_bitwise() {
-        let (model, gamma) = reference::gridworld(20, 20, 0.1);
+        let (model, gamma) = reference::gridworld(64, 64, 0.1);
         let compiled = CompiledMdp::compile(&model).unwrap();
-        let per_state = run_sweeps_on(
-            vec![0.0; compiled.n_states()],
-            1,
-            40,
-            |s, v| compiled.backup_state(s, v, gamma),
-            |_, stats, _| stats.max_abs < 1e-9,
-        );
-        for workers in [1, 2, 5] {
-            let blocked = run_sweeps_blocked_on(
-                vec![0.0; compiled.n_states()],
-                workers,
-                40,
-                |range, old, out, _| compiled.backup_block(range, old, out, gamma),
-                |_, stats, _| stats.max_abs < 1e-9,
-            );
-            assert_eq!(per_state.sweeps, blocked.sweeps, "{workers} workers");
-            assert_eq!(per_state.converged, blocked.converged);
-            assert_eq!(
-                per_state.values, blocked.values,
-                "blocked iterate must be identical with {workers} workers"
-            );
+        let n = compiled.n_states();
+        let (max_sweeps, tolerance) = (60, 1e-9);
+
+        let mut values = vec![0.0; n];
+        let mut fresh = vec![0.0; n];
+        let (mut sweeps, mut last) = (0, SweepStats::before_first_sweep());
+        while sweeps < max_sweeps {
+            sweeps += 1;
+            last = SweepStats::new();
+            for s in 0..n {
+                fresh[s] = compiled.backup_state(s, &values, gamma);
+                last.record(fresh[s] - values[s]);
+            }
+            std::mem::swap(&mut values, &mut fresh);
+            if last.max_abs < tolerance {
+                break;
+            }
         }
+
+        let swept = run_sweeps(
+            vec![0.0; n],
+            1,
+            max_sweeps,
+            |range, old, out, _| compiled.backup_block(range, old, out, gamma),
+            |_, stats, _| stats.max_abs < tolerance,
+        );
+        assert_eq!(swept.sweeps, sweeps);
+        assert_eq!(swept.converged, last.max_abs < tolerance);
+        assert_eq!(swept.last, last);
+        assert_eq!(swept.values, values, "blocked iterate must be identical");
     }
 
-    /// Drives the sweep adapter with forced worker counts so the pooled
-    /// code path is exercised even on single-CPU hosts (where the executor's
-    /// automatic sizing correctly refuses to fan out).
+    /// Drives the sweep loop with forced worker counts so the pooled code
+    /// path is exercised even on single-CPU hosts (where the executor's
+    /// automatic sizing correctly refuses to fan out). 7 workers split the
+    /// 4096 states into chunks smaller than one sweep block.
     #[test]
     fn run_sweeps_serial_and_pooled_agree_bitwise() {
         let (model, gamma) = reference::gridworld(64, 64, 0.1);
         let compiled = CompiledMdp::compile(&model).unwrap();
-        let backup = |s: usize, v: &[f64]| compiled.backup_state(s, v, gamma);
-        let serial = run_sweeps_on(
-            vec![0.0; compiled.n_states()],
-            1,
-            60,
-            backup,
-            |_, stats, _| stats.max_abs < 1e-9,
-        );
-        for workers in [2, 3, 7] {
-            let pooled = run_sweeps_on(
+        let sweep = |workers| {
+            run_sweeps(
                 vec![0.0; compiled.n_states()],
                 workers,
                 60,
-                backup,
+                |range, old, out, _| compiled.backup_block(range, old, out, gamma),
                 |_, stats, _| stats.max_abs < 1e-9,
-            );
+            )
+        };
+        let serial = sweep(1);
+        for workers in [2, 3, 7] {
+            let pooled = sweep(workers);
             assert_eq!(serial.sweeps, pooled.sweeps, "{workers} workers");
             assert_eq!(serial.converged, pooled.converged);
+            assert_eq!(serial.last, pooled.last, "{workers} workers");
             assert_eq!(
                 serial.values, pooled.values,
                 "iterates must be identical with {workers} workers"
@@ -990,15 +949,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "pool worker panicked")]
     fn worker_panic_propagates_instead_of_deadlocking() {
-        let _ = run_sweeps_on(
+        let _ = run_sweeps(
             vec![0.0; 4096],
             3,
             5,
-            |s, _| {
-                if s == 1234 {
+            |states, _, out, _| {
+                if states.contains(&1234) {
                     panic!("boom");
                 }
-                0.0
+                out.fill(0.0);
             },
             |_, _, _| false,
         );

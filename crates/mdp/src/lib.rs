@@ -22,10 +22,12 @@
 //! [`CompiledMdp`] — flat compressed-sparse-row transition arrays with
 //! precomputed per-row expected rewards and a validity bitmap — and then
 //! runs its fixed point on the flat arrays with zero heap allocation per
-//! sweep. With the `parallel` feature (default) the per-state Bellman
-//! backup fans out across a pool of scoped worker threads; sweeps are
-//! Jacobi-style, so serial and parallel runs return bit-for-bit identical
-//! values and policies.
+//! sweep. Every such solver runs one blocked Jacobi sweep loop: with the
+//! `parallel` feature (default) it fans the Bellman backups out across a
+//! pool of scoped worker threads once the model is large enough, and
+//! inside [`simkit::executor::serialized`] it stays on the calling thread
+//! (no solver has a switch of its own). Sweeps are Jacobi-style, so serial
+//! and parallel runs return bit-for-bit identical values and policies.
 //!
 //! Solving the same model repeatedly (different discounts, horizons or
 //! solver families) should compile once and call the `solve_compiled`

@@ -1,12 +1,12 @@
 //! Exact finite-horizon dynamic programming (backward induction).
 
-use crate::compiled::{CompiledMdp, MIN_STATES_PER_WORKER};
+use crate::compiled::{run_sweeps, sweep_workers, CompiledMdp};
 use crate::model::FiniteMdp;
 use crate::policy::TabularPolicy;
-use crate::solver::{q_value, DEFAULT_PARALLEL};
+use crate::solver::q_value;
 use crate::MdpError;
 use serde::{Deserialize, Serialize};
-use simkit::executor;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Backward induction over a fixed horizon of `T` decisions.
 ///
@@ -33,9 +33,6 @@ pub struct BackwardInduction {
     pub horizon: usize,
     /// Per-stage discount (may be 1.0 for finite horizons).
     pub gamma: f64,
-    /// Whether stage backups may fan out across worker threads (identical
-    /// results either way; defaults to the `parallel` feature).
-    pub parallel: bool,
 }
 
 impl BackwardInduction {
@@ -44,7 +41,6 @@ impl BackwardInduction {
         BackwardInduction {
             horizon,
             gamma: 1.0,
-            parallel: DEFAULT_PARALLEL,
         }
     }
 
@@ -52,13 +48,6 @@ impl BackwardInduction {
     #[must_use]
     pub fn gamma(mut self, gamma: f64) -> Self {
         self.gamma = gamma;
-        self
-    }
-
-    /// Enables or disables parallel stage backups.
-    #[must_use]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -93,14 +82,14 @@ impl BackwardInduction {
 
     /// Solves the finite-horizon control problem on a pre-compiled kernel.
     ///
-    /// All stages run as rounds of **one persistent worker pool** on the
-    /// shared executor (when [`parallel`](BackwardInduction::parallel) holds
-    /// and the model is large enough): workers back their chunk of the
-    /// packed value iterate up against the previous stage — publishing each
-    /// state's argmax through a side array — and the coordinator harvests
-    /// every stage's values and decision rule between rounds. Thread-spawn
-    /// cost is paid once per solve, not once per stage, and the schedule is
-    /// bit-for-bit identical to the serial loop.
+    /// All stages run as sweeps of **one** sweep loop — one persistent
+    /// worker pool per solve when the model is large enough, the calling
+    /// thread inside [`simkit::executor::serialized`]: workers back their
+    /// chunk of the packed value iterate up against the previous stage —
+    /// publishing each state's argmax through a side array — and the
+    /// coordinator harvests every stage's values and decision rule between
+    /// sweeps. Thread-spawn cost is paid once per solve, not once per
+    /// stage, and the schedule is bit-for-bit identical to the serial loop.
     ///
     /// # Errors
     ///
@@ -108,8 +97,7 @@ impl BackwardInduction {
     /// is not in `(0, 1]`.
     pub fn solve_compiled(&self, mdp: &CompiledMdp) -> Result<FiniteHorizonSolution, MdpError> {
         self.validate()?;
-        let workers = executor::worker_count(mdp.n_states(), self.parallel, MIN_STATES_PER_WORKER);
-        self.solve_compiled_on(mdp, workers)
+        self.solve_compiled_on(mdp, sweep_workers(mdp.n_states()))
     }
 
     /// [`solve_compiled`](BackwardInduction::solve_compiled) with an
@@ -119,10 +107,9 @@ impl BackwardInduction {
         mdp: &CompiledMdp,
         workers: usize,
     ) -> Result<FiniteHorizonSolution, MdpError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
         let horizon = self.horizon;
         let gamma = self.gamma;
+        let n = mdp.n_states();
         let mut stage_values = vec![Vec::new(); horizon];
         let mut stage_policies = Vec::with_capacity(horizon);
 
@@ -131,24 +118,23 @@ impl BackwardInduction {
         // gather on a packed &[f64]. Relaxed is enough: the pool's barrier
         // between the workers' stores and the epilogue's loads already
         // orders them.
-        let actions: Vec<AtomicUsize> = (0..mdp.n_states()).map(|_| AtomicUsize::new(0)).collect();
+        let actions: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
 
-        // Terminal value is zero; round r backs stage `horizon − r` up
-        // against the round-(r−1) iterate.
-        let _ = executor::run_rounds_blocked(
-            vec![0.0f64; mdp.n_states()],
+        // Terminal value is zero; sweep r backs stage `horizon − r` up
+        // against the sweep-(r−1) iterate.
+        let _ = run_sweeps(
+            vec![0.0; n],
             workers,
             horizon,
-            crate::compiled::SWEEP_BLOCK,
-            |states, prev, out, _: &mut ()| {
+            |states, prev, out, _| {
                 for (slot, s) in out.iter_mut().zip(states) {
                     let (value, action) = mdp.backup_state_with_action(s, prev, gamma);
                     actions[s].store(action, Ordering::Relaxed);
                     *slot = value;
                 }
             },
-            |iterate, _, round| {
-                let stage = horizon - round;
+            |iterate, _, sweep| {
+                let stage = horizon - sweep;
                 stage_values[stage] = iterate.to_vec();
                 stage_policies.push(TabularPolicy::new(
                     actions.iter().map(|a| a.load(Ordering::Relaxed)).collect(),

@@ -18,10 +18,13 @@
 //! [`crate::CompiledMdp`] CSR kernel: the generic
 //! `solve(&impl FiniteMdp)` entry points compile the model once and forward
 //! to the corresponding `solve_compiled(&CompiledMdp)` method, which
-//! performs zero heap allocation per sweep and (with the `parallel`
-//! feature) fans the per-state Bellman backup out across worker threads.
-//! Callers who solve the same model repeatedly should compile it themselves
-//! and call `solve_compiled` directly. The `solve_callback` methods retain
+//! performs zero heap allocation per sweep. Every compiled solver runs the
+//! same blocked Jacobi sweep loop: with the `parallel` feature it fans the
+//! Bellman backups out across worker threads once the model is large
+//! enough, and inside [`simkit::executor::serialized`] it stays on the
+//! calling thread (there is no per-solver switch; results are bit-for-bit
+//! identical either way). Callers who solve the same model repeatedly
+//! should compile it themselves and call `solve_compiled` directly. The `solve_callback` methods retain
 //! the original trait-callback implementations as a slow reference path for
 //! differential tests and benchmarks.
 
@@ -43,15 +46,10 @@ pub use value_iteration::{
     PolicyOutcome, SolveCounters, StopReason, ValueIteration, ValueIterationOutcome,
 };
 
-use crate::compiled::{run_sweeps, CompiledMdp};
+use crate::compiled::{run_sweeps, sweep_workers, CompiledMdp};
 use crate::model::{FiniteMdp, Transition};
 use crate::policy::TabularPolicy;
 use crate::MdpError;
-
-/// Default parallelism of the sweep kernels: on when the `parallel` feature
-/// is enabled (serial and parallel sweeps are bit-for-bit identical, so this
-/// only affects speed).
-pub(crate) const DEFAULT_PARALLEL: bool = cfg!(feature = "parallel");
 
 /// Checks that `gamma` is a usable discount factor in `[0, 1)`.
 pub(crate) fn validate_gamma(gamma: f64) -> Result<(), MdpError> {
@@ -157,19 +155,12 @@ pub fn evaluate_policy<M: FiniteMdp>(
 ) -> Result<Vec<f64>, MdpError> {
     validate_gamma(gamma)?;
     let compiled = CompiledMdp::compile(mdp)?;
-    evaluate_policy_compiled(
-        &compiled,
-        policy,
-        gamma,
-        tolerance,
-        max_sweeps,
-        DEFAULT_PARALLEL,
-    )
+    evaluate_policy_compiled(&compiled, policy, gamma, tolerance, max_sweeps)
 }
 
 /// [`evaluate_policy`] on a pre-compiled kernel: zero heap allocation per
-/// sweep, parallel across states when `parallel` holds and the model is
-/// large enough.
+/// sweep, parallel across states when the model is large enough, serial
+/// inside [`simkit::executor::serialized`].
 ///
 /// # Errors
 ///
@@ -186,7 +177,6 @@ pub fn evaluate_policy_compiled(
     gamma: f64,
     tolerance: f64,
     max_sweeps: usize,
-    parallel: bool,
 ) -> Result<Vec<f64>, MdpError> {
     validate_gamma(gamma)?;
     assert_eq!(
@@ -194,27 +184,7 @@ pub fn evaluate_policy_compiled(
         mdp.n_states(),
         "policy/model state-count mismatch"
     );
-    evaluate_actions_compiled(
-        mdp,
-        policy.actions(),
-        gamma,
-        tolerance,
-        max_sweeps,
-        parallel,
-    )
-}
-
-/// Sweep kernel behind [`evaluate_policy_compiled`], operating on a bare
-/// action table. (Policy iteration no longer calls this — it runs its
-/// evaluations inside its own single solve-wide sweep loop.)
-pub(crate) fn evaluate_actions_compiled(
-    mdp: &CompiledMdp,
-    actions: &[usize],
-    gamma: f64,
-    tolerance: f64,
-    max_sweeps: usize,
-    parallel: bool,
-) -> Result<Vec<f64>, MdpError> {
+    let actions = policy.actions();
     // Validate up front (on this thread, with a precise message) so the
     // sweep backup closure below cannot panic inside a pool worker.
     for (s, &a) in actions.iter().enumerate() {
@@ -223,15 +193,19 @@ pub(crate) fn evaluate_actions_compiled(
             "policy picks invalid action {a} in state {s}"
         );
     }
+    let n = mdp.n_states();
     let outcome = run_sweeps(
-        vec![0.0; mdp.n_states()],
-        parallel,
+        vec![0.0; n],
+        sweep_workers(n),
         max_sweeps,
-        |s, values| {
-            mdp.q_value(s, actions[s], values, gamma)
-                // lint:allow(panic-hygiene): the policy was produced by this
-                // solver over the same model, so its actions are valid.
-                .expect("policy must choose valid actions")
+        |states, values, out, _| {
+            for (slot, s) in out.iter_mut().zip(states) {
+                *slot = mdp
+                    .q_value(s, actions[s], values, gamma)
+                    // lint:allow(panic-hygiene): every action was checked
+                    // valid above.
+                    .expect("policy must choose valid actions");
+            }
         },
         |_, stats, _| stats.max_abs < tolerance,
     );

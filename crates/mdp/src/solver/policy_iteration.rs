@@ -1,9 +1,9 @@
 //! Howard policy iteration.
 
-use crate::compiled::{run_sweeps, CompiledMdp};
+use crate::compiled::{run_sweeps, sweep_workers, CompiledMdp};
 use crate::model::FiniteMdp;
 use crate::policy::TabularPolicy;
-use crate::solver::{evaluate_policy_callback, q_value, validate_gamma, DEFAULT_PARALLEL};
+use crate::solver::{evaluate_policy_callback, q_value, validate_gamma};
 use crate::MdpError;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,9 +33,6 @@ pub struct PolicyIteration {
     pub max_eval_sweeps: usize,
     /// Cap on improvement rounds.
     pub max_improvements: usize,
-    /// Whether evaluation sweeps may fan out across worker threads
-    /// (identical results either way; defaults to the `parallel` feature).
-    pub parallel: bool,
 }
 
 impl PolicyIteration {
@@ -47,7 +44,6 @@ impl PolicyIteration {
             eval_tolerance: 1e-10,
             max_eval_sweeps: 10_000,
             max_improvements: 1_000,
-            parallel: DEFAULT_PARALLEL,
         }
     }
 
@@ -65,13 +61,6 @@ impl PolicyIteration {
         self
     }
 
-    /// Enables or disables parallel evaluation sweeps.
-    #[must_use]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// Runs policy iteration from the all-first-valid-action policy.
     ///
     /// # Errors
@@ -86,11 +75,13 @@ impl PolicyIteration {
         self.solve_compiled(&compiled)
     }
 
-    /// Runs policy iteration on a pre-compiled kernel.
+    /// Runs policy iteration on a pre-compiled kernel, parallel across
+    /// states when the model is large enough and serial inside
+    /// [`simkit::executor::serialized`] (bit-for-bit identical either way).
     ///
     /// The whole solve — every evaluation sweep of every improvement round
-    /// — runs inside **one** `run_sweeps` loop (one persistent worker
-    /// pool per solve, like value iteration and backward induction): the
+    /// — runs inside **one** sweep loop (one persistent worker pool per
+    /// solve, like every other compiled solver): the
     /// sweep backup evaluates the current policy's actions, and the
     /// coordinator epilogue detects evaluation convergence, improves the
     /// policy greedily in place, and restarts the evaluation from zero —
@@ -139,15 +130,18 @@ impl PolicyIteration {
         // fires after it), matching the historical loop structure.
         let outcome = run_sweeps(
             vec![0.0; n],
-            self.parallel,
+            sweep_workers(n),
             self.max_improvements
                 .max(1)
                 .saturating_mul(self.max_eval_sweeps),
-            |s, values| {
-                mdp.q_value(s, actions[s].load(Ordering::Relaxed), values, self.gamma)
-                    // lint:allow(panic-hygiene): actions only ever hold values
-                    // the validity bitmap approved.
-                    .expect("policy actions stay valid")
+            |states, values, out, _| {
+                for (slot, s) in out.iter_mut().zip(states) {
+                    *slot = mdp
+                        .q_value(s, actions[s].load(Ordering::Relaxed), values, self.gamma)
+                        // lint:allow(panic-hygiene): actions only ever hold
+                        // values the validity bitmap approved.
+                        .expect("policy actions stay valid");
+                }
             },
             |values, stats, _| {
                 eval_sweeps += 1;

@@ -6,10 +6,10 @@
 //! `ρ* = max_π lim (1/T) Σ r_t` and a bias vector `h` satisfying the
 //! optimality equation `h(s) + ρ* = max_a Σ p (r + h(s'))`.
 
-use crate::compiled::{run_sweeps_blocked, CompiledMdp};
+use crate::compiled::{run_sweeps, sweep_workers, CompiledMdp};
 use crate::model::FiniteMdp;
 use crate::policy::TabularPolicy;
-use crate::solver::{greedy_policy, q_value, DEFAULT_PARALLEL};
+use crate::solver::{greedy_policy, q_value};
 use crate::MdpError;
 use serde::{Deserialize, Serialize};
 
@@ -42,9 +42,6 @@ pub struct RelativeValueIteration {
     /// Aperiodicity damping `τ ∈ (0, 1]`: each backup mixes `τ` of the
     /// Bellman operator with `1 − τ` of the identity.
     pub damping: f64,
-    /// Whether sweeps may fan out across worker threads (identical results
-    /// either way; defaults to the `parallel` feature).
-    pub parallel: bool,
 }
 
 impl Default for RelativeValueIteration {
@@ -53,7 +50,6 @@ impl Default for RelativeValueIteration {
             tolerance: 1e-9,
             max_sweeps: 100_000,
             damping: 0.5,
-            parallel: DEFAULT_PARALLEL,
         }
     }
 }
@@ -75,13 +71,6 @@ impl RelativeValueIteration {
     #[must_use]
     pub fn max_sweeps(mut self, max_sweeps: usize) -> Self {
         self.max_sweeps = max_sweeps;
-        self
-    }
-
-    /// Enables or disables parallel sweeps.
-    #[must_use]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -110,9 +99,9 @@ impl RelativeValueIteration {
     }
 
     /// Runs RVI on a pre-compiled kernel: zero heap allocation per sweep,
-    /// parallel across states when
-    /// [`parallel`](RelativeValueIteration::parallel) holds and the model
-    /// is large enough.
+    /// parallel across states when the model is large enough, and serial
+    /// inside [`simkit::executor::serialized`] (bit-for-bit identical
+    /// either way).
     ///
     /// # Errors
     ///
@@ -124,9 +113,10 @@ impl RelativeValueIteration {
         let tolerance = self.tolerance;
         // Damped Bellman backup (gamma = 1) with the iterate re-anchored at
         // the reference state 0 after every sweep so the bias stays bounded.
-        let outcome = run_sweeps_blocked(
-            vec![0.0; mdp.n_states()],
-            self.parallel,
+        let n = mdp.n_states();
+        let outcome = run_sweeps(
+            vec![0.0; n],
+            sweep_workers(n),
             self.max_sweeps,
             |states, h, out, _| {
                 mdp.backup_block(states.clone(), h, out, 1.0);

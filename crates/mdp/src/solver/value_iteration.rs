@@ -1,9 +1,9 @@
 //! Value iteration (Bellman-optimality fixed point).
 
-use crate::compiled::{run_sweeps_blocked, CompiledMdp, SweepStats};
+use crate::compiled::{run_sweeps, sweep_workers, CompiledMdp, SweepStats};
 use crate::model::FiniteMdp;
 use crate::policy::TabularPolicy;
-use crate::solver::{greedy_policy, q_value, validate_gamma, DEFAULT_PARALLEL};
+use crate::solver::{greedy_policy, q_value, validate_gamma};
 use crate::MdpError;
 use serde::{Deserialize, Serialize};
 
@@ -33,9 +33,6 @@ pub struct ValueIteration {
     pub tolerance: f64,
     /// Hard cap on sweeps.
     pub max_sweeps: usize,
-    /// Whether sweeps may fan out across worker threads (identical results
-    /// either way; defaults to the `parallel` feature).
-    pub parallel: bool,
 }
 
 impl ValueIteration {
@@ -46,7 +43,6 @@ impl ValueIteration {
             gamma,
             tolerance: 1e-9,
             max_sweeps: 10_000,
-            parallel: DEFAULT_PARALLEL,
         }
     }
 
@@ -61,13 +57,6 @@ impl ValueIteration {
     #[must_use]
     pub fn max_sweeps(mut self, max_sweeps: usize) -> Self {
         self.max_sweeps = max_sweeps;
-        self
-    }
-
-    /// Enables or disables parallel sweeps.
-    #[must_use]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -89,9 +78,9 @@ impl ValueIteration {
     }
 
     /// Runs value iteration on a pre-compiled kernel: zero heap allocation
-    /// per sweep, per-state backups parallelized across worker threads when
-    /// [`parallel`](ValueIteration::parallel) holds and the model is large
-    /// enough.
+    /// per sweep, backups parallelized across worker threads when the model
+    /// is large enough, and serial inside
+    /// [`simkit::executor::serialized`] (bit-for-bit identical either way).
     ///
     /// # Errors
     ///
@@ -100,9 +89,10 @@ impl ValueIteration {
         validate_gamma(self.gamma)?;
         let gamma = self.gamma;
         let tolerance = self.tolerance;
-        let outcome = run_sweeps_blocked(
-            vec![0.0; mdp.n_states()],
-            self.parallel,
+        let n = mdp.n_states();
+        let outcome = run_sweeps(
+            vec![0.0; n],
+            sweep_workers(n),
             self.max_sweeps,
             |states, values, out, _| mdp.backup_block(states, values, out, gamma),
             |_, stats, _| stats.max_abs < tolerance,
@@ -159,9 +149,10 @@ impl ValueIteration {
         let reward_bound = mdp.reward_bound();
         let certified =
             |stats: &SweepStats| certifiable && gap_certifies(stats, gamma, reward_bound);
-        let outcome = run_sweeps_blocked(
-            vec![0.0; mdp.n_states()],
-            self.parallel,
+        let n = mdp.n_states();
+        let outcome = run_sweeps(
+            vec![0.0; n],
+            sweep_workers(n),
             self.max_sweeps,
             |states, values, out, stats| {
                 mdp.backup_block_with_gap(states, values, out, gamma, stats)

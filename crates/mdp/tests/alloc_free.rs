@@ -9,6 +9,7 @@
 
 use mdp::solver::{evaluate_policy_compiled, PolicyIteration, ValueIteration};
 use mdp::{reference, CompiledMdp, FiniteMdp, FnMdp};
+use simkit::executor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -57,10 +58,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations the calling thread makes while running `f`.
+/// Allocations the calling thread makes while running `f` serially
+/// (inside `executor::serialized`, so every sweep runs on this thread and
+/// is counted).
 fn allocations_during(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
-    f();
+    executor::serialized(f);
     ALLOCATIONS.with(Cell::get) - before
 }
 
@@ -76,7 +79,7 @@ fn value_iteration_sweeps_do_not_allocate() {
     let compiled = compiled_model();
     // Serial path: the sweep loop itself must be allocation-free, so the
     // total allocation count is independent of the sweep budget.
-    let solver = ValueIteration::new(0.95).tolerance(0.0).parallel(false);
+    let solver = ValueIteration::new(0.95).tolerance(0.0);
     // Warm up (thread-locals, lazy runtime state).
     let _ = solver.max_sweeps(3).solve_compiled(&compiled).unwrap();
     let short = allocations_during(|| {
@@ -114,7 +117,7 @@ fn certified_policy_sweeps_do_not_allocate() {
         (doubled_actions(&chain), true),
     ] {
         assert_eq!(compiled.is_deterministic(), dense);
-        let solver = ValueIteration::new(0.95).tolerance(0.0).parallel(false);
+        let solver = ValueIteration::new(0.95).tolerance(0.0);
         let _ = solver.max_sweeps(3).solve_policy(&compiled).unwrap_err();
         let short = allocations_during(|| {
             let _ = solver.max_sweeps(5).solve_policy(&compiled).unwrap_err();
@@ -133,16 +136,15 @@ fn certified_policy_sweeps_do_not_allocate() {
 fn policy_evaluation_sweeps_do_not_allocate() {
     let compiled = compiled_model();
     let policy = ValueIteration::new(0.9)
-        .parallel(false)
         .solve_compiled(&compiled)
         .unwrap()
         .policy;
-    let _ = evaluate_policy_compiled(&compiled, &policy, 0.9, 0.0, 3, false);
+    let _ = evaluate_policy_compiled(&compiled, &policy, 0.9, 0.0, 3);
     let short = allocations_during(|| {
-        let _ = evaluate_policy_compiled(&compiled, &policy, 0.9, 0.0, 5, false);
+        let _ = evaluate_policy_compiled(&compiled, &policy, 0.9, 0.0, 5);
     });
     let long = allocations_during(|| {
-        let _ = evaluate_policy_compiled(&compiled, &policy, 0.9, 0.0, 400, false);
+        let _ = evaluate_policy_compiled(&compiled, &policy, 0.9, 0.0, 400);
     });
     assert_eq!(
         short, long,
@@ -159,7 +161,6 @@ fn policy_iteration_inner_sweeps_do_not_allocate() {
     let solve = |tol: f64| {
         PolicyIteration::new(0.95)
             .eval_tolerance(tol)
-            .parallel(false)
             .solve_compiled(&compiled)
             .unwrap()
     };

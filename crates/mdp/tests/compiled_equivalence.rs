@@ -13,6 +13,7 @@
 use mdp::solver::{BackwardInduction, PolicyIteration, RelativeValueIteration, ValueIteration};
 use mdp::{reference, CompiledMdp, TabularMdp};
 use proptest::prelude::*;
+use simkit::executor;
 
 /// Strategy: a random dense-ish MDP with normalized rows and rewards in
 /// [-1, 1] (same construction as the solver proptests).
@@ -79,8 +80,9 @@ proptest! {
     #[test]
     fn parallel_and_serial_policies_agree_bitwise(mdp in arb_mdp(8, 4)) {
         let gamma = 0.92;
-        let serial = ValueIteration::new(gamma).parallel(false).solve(&mdp).unwrap();
-        let parallel = ValueIteration::new(gamma).parallel(true).solve(&mdp).unwrap();
+        let solver = ValueIteration::new(gamma);
+        let serial = executor::serialized(|| solver.solve(&mdp)).unwrap();
+        let parallel = solver.solve(&mdp).unwrap();
         prop_assert_eq!(serial.sweeps, parallel.sweeps);
         prop_assert_eq!(&serial.values, &parallel.values);
         prop_assert_eq!(serial.policy.actions(), parallel.policy.actions());
@@ -99,15 +101,15 @@ fn large_model_parallel_sweeps_are_bitwise_identical() {
     );
 
     let solver = ValueIteration::new(gamma).tolerance(1e-10);
-    let serial = solver.parallel(false).solve_compiled(&compiled).unwrap();
-    let parallel = solver.parallel(true).solve_compiled(&compiled).unwrap();
+    let serial = executor::serialized(|| solver.solve_compiled(&compiled)).unwrap();
+    let parallel = solver.solve_compiled(&compiled).unwrap();
     assert_eq!(serial.sweeps, parallel.sweeps);
     assert_eq!(serial.values, parallel.values, "bit-for-bit values");
     assert_eq!(serial.policy.actions(), parallel.policy.actions());
 
     let pi = PolicyIteration::new(gamma);
-    let pi_serial = pi.parallel(false).solve_compiled(&compiled).unwrap();
-    let pi_parallel = pi.parallel(true).solve_compiled(&compiled).unwrap();
+    let pi_serial = executor::serialized(|| pi.solve_compiled(&compiled)).unwrap();
+    let pi_parallel = pi.solve_compiled(&compiled).unwrap();
     assert_eq!(pi_serial.rounds, pi_parallel.rounds);
     assert_eq!(pi_serial.values, pi_parallel.values, "bit-for-bit values");
     assert_eq!(pi_serial.policy.actions(), pi_parallel.policy.actions());

@@ -7,6 +7,7 @@
 use mdp::solver::{BackwardInduction, PolicyIteration, RelativeValueIteration, ValueIteration};
 use mdp::{CompiledMdp, TabularMdp};
 use proptest::prelude::*;
+use simkit::executor;
 
 /// Strategy: a random **deterministic** MDP — every row is either empty
 /// (invalid action) or a single probability-1.0 transition; action 0 stays
@@ -129,8 +130,8 @@ proptest! {
         let kernel = CompiledMdp::compile(&mdp).unwrap();
         prop_assert!(kernel.is_deterministic());
         let solver = ValueIteration::new(0.92);
-        let serial = solver.parallel(false).solve_compiled(&kernel).unwrap();
-        let parallel = solver.parallel(true).solve_compiled(&kernel).unwrap();
+        let serial = executor::serialized(|| solver.solve_compiled(&kernel)).unwrap();
+        let parallel = solver.solve_compiled(&kernel).unwrap();
         prop_assert_eq!(serial.sweeps, parallel.sweeps);
         prop_assert_eq!(&serial.values, &parallel.values);
         prop_assert_eq!(serial.policy.actions(), parallel.policy.actions());

@@ -6,14 +6,11 @@
 //! * [`run_rounds`] — a **persistent**, barrier-synchronized pool of scoped
 //!   workers for Jacobi-style fixed-point iteration: each round every worker
 //!   recomputes its chunk of a shared iterate from the *previous* iterate,
-//!   the chunks are published, and a coordinator epilogue decides
-//!   termination. One pool serves every round of a solve (value iteration
-//!   sweeps, backward-induction stages, policy evaluation), so thread-spawn
-//!   cost is paid once per solve, not once per round.
-//!   [`run_rounds_blocked`] is the same loop with a block task: contiguous
-//!   element ranges instead of single elements, for kernels that keep a
-//!   range's working set cache-resident (the compiled MDP's blocked
-//!   Bellman sweeps).
+//!   in contiguous blocks a kernel can keep cache-resident, the chunks are
+//!   published, and a coordinator epilogue decides termination. One pool
+//!   serves every round of a solve (value iteration sweeps,
+//!   backward-induction stages, policy evaluation), so thread-spawn cost is
+//!   paid once per solve, not once per round.
 //! * [`parallel_map`] — one-shot fan-out of independent coarse jobs
 //!   (per-RSU MDP compiles and solves, experiment-grid cells) over an
 //!   atomically-shared work queue, with results returned in input order.
@@ -27,9 +24,11 @@
 //! inside a worker poison the pool and re-raise on the calling thread
 //! instead of deadlocking the barrier protocol.
 //!
-//! The `parallel` feature gates all thread creation; without it both entry
-//! points degrade to their serial loops and [`worker_count`] always
-//! returns 1.
+//! Callers size both shapes with [`worker_count`]. The `parallel` feature
+//! gates all thread creation; without it both entry points degrade to
+//! their serial loops and [`worker_count`] always returns 1. With it,
+//! [`serialized`] is the one way to keep a call tree on the calling
+//! thread: every [`worker_count`] inside it returns 1.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -152,20 +151,21 @@ pub fn force_workers(workers: Option<usize>) {
 /// across: at most one per hardware thread, at most one per `min_per_worker`
 /// items (so synchronization never dominates the work), capped at 16.
 ///
-/// Returns 1 — run on the calling thread, no pool — when `parallel` is
-/// false, the `parallel` feature is disabled, or the caller is already
-/// running *on* a pool worker (the outer fan-out owns the hardware;
+/// Returns 1 — run on the calling thread, no pool — when `fan_out` is
+/// false (the workload has nothing worth splitting), the `parallel`
+/// feature is disabled, or the caller is already running *on* a pool
+/// worker or inside [`serialized`] (the outer fan-out owns the hardware;
 /// nesting would oversubscribe it). An override installed via
 /// [`force_workers`] takes precedence over the automatic sizing (but never
-/// over `parallel == false` or the nesting guard).
+/// over `fan_out == false` or the nesting guard).
 ///
 /// Workloads too small to split (fewer than `2 * min_per_worker` items)
 /// return 1 before the hardware is queried: on Linux
 /// `available_parallelism` re-reads the cgroup CPU quota and the affinity
 /// mask on every call, which would dominate a tiny inline job. The count
 /// is never cached, since both can change at run time.
-pub fn worker_count(n_items: usize, parallel: bool, min_per_worker: usize) -> usize {
-    if !parallel || !cfg!(feature = "parallel") || on_pool_worker() {
+pub fn worker_count(n_items: usize, fan_out: bool, min_per_worker: usize) -> usize {
+    if !fan_out || !cfg!(feature = "parallel") || on_pool_worker() {
         return 1;
     }
     let forced = FORCED_WORKERS.load(Ordering::SeqCst);
@@ -184,12 +184,18 @@ pub fn worker_count(n_items: usize, parallel: bool, min_per_worker: usize) -> us
 
 /// Barrier-synchronized Jacobi round loop over a shared iterate.
 ///
-/// Repeatedly computes `new[i] = task(i, &old, &mut stat)` for every
-/// element, then lets `epilogue(&mut new, &round_stat, round)` post-process
-/// the fresh iterate (e.g. normalize it, harvest a stage) and decide
-/// convergence; stops after `max_rounds` rounds otherwise. Because every
-/// element is computed from the *previous* iterate only, the parallel
-/// schedule is bit-for-bit identical to the serial one.
+/// Each round hands `task` the iterate in contiguous element ranges of at
+/// most `block` elements (`task(range, &old, &mut new[range], &mut stat)`),
+/// so a kernel can keep a range's working set cache-resident and expose
+/// loops the autovectorizer can batch; `block = 1` is the per-element form.
+/// Then `epilogue(&mut new, &round_stat, round)` post-processes the fresh
+/// iterate (e.g. normalizes it, harvests a stage) and decides convergence;
+/// the loop stops after `max_rounds` rounds otherwise. Because every range
+/// is computed from the *previous* iterate only, the parallel schedule is
+/// bit-for-bit identical to the serial one. Ranges are visited in
+/// ascending order within each worker chunk, and worker chunk boundaries
+/// do not depend on `block`, so results — including the fold order of
+/// `stat` — are also identical for any `block`.
 ///
 /// With `workers >= 2` (and the `parallel` feature) a **persistent** pool
 /// of scoped workers is spawned once and reused for every round: per round
@@ -199,48 +205,7 @@ pub fn worker_count(n_items: usize, parallel: bool, min_per_worker: usize) -> us
 /// per-round allocation anywhere. A panic inside `task` poisons the pool
 /// (workers keep honouring the barrier protocol) and re-raises on the
 /// calling thread once every worker has exited.
-///
-/// This is the per-element adapter over [`run_rounds_blocked`]; kernels
-/// that can amortize work across a contiguous range of elements (e.g. the
-/// compiled MDP's cache-blocked Bellman sweeps) call the blocked form
-/// directly.
 pub fn run_rounds<T, R, B, E>(
-    values: Vec<T>,
-    workers: usize,
-    max_rounds: usize,
-    task: B,
-    epilogue: E,
-) -> RoundOutcome<T, R>
-where
-    T: Copy + Default + Send + Sync,
-    R: RoundStat,
-    B: Fn(usize, &[T], &mut R) -> T + Sync,
-    E: FnMut(&mut [T], &R, usize) -> bool,
-{
-    run_rounds_blocked(
-        values,
-        workers,
-        max_rounds,
-        usize::MAX,
-        move |range, old, out, stat| {
-            for (slot, i) in out.iter_mut().zip(range) {
-                *slot = task(i, old, stat);
-            }
-        },
-        epilogue,
-    )
-}
-
-/// [`run_rounds`] with a **block** task: per round the task is handed
-/// contiguous element ranges of at most `block` elements (`task(range,
-/// &old, &mut new[range], &mut stat)`) instead of one element at a time,
-/// so a kernel can keep a range's working set cache-resident and expose
-/// loops the autovectorizer can batch. Ranges are visited in ascending
-/// order within each worker chunk and every block still reads only the
-/// previous iterate, so results — including the fold order of `stat` —
-/// are bit-for-bit identical to the per-element form for any `block` and
-/// worker count (worker chunk boundaries are unaffected by `block`).
-pub fn run_rounds_blocked<T, R, B, E>(
     values: Vec<T>,
     workers: usize,
     max_rounds: usize,
@@ -322,9 +287,7 @@ where
     }
 }
 
-/// The persistent pool behind [`run_rounds`] / [`run_rounds_blocked`].
-/// Factored out (with an explicit worker count) so tests can force fan-out
-/// on any host.
+/// The persistent pool behind [`run_rounds`].
 #[cfg(feature = "parallel")]
 fn run_rounds_pooled<T, R, B, E>(
     values: Vec<T>,
@@ -629,16 +592,28 @@ mod tests {
         new
     }
 
+    /// Lifts a per-element task to the block task [`run_rounds`] takes.
+    fn each<T, R>(
+        task: impl Fn(usize, &[T], &mut R) -> T + Sync,
+    ) -> impl Fn(std::ops::Range<usize>, &[T], &mut [T], &mut R) + Sync {
+        move |range, old, out, stat| {
+            for (slot, i) in out.iter_mut().zip(range) {
+                *slot = task(i, old, stat);
+            }
+        }
+    }
+
     #[test]
     fn serial_and_pooled_rounds_agree_bitwise() {
         let init: Vec<f64> = (0..512).map(|i| (i as f64 * 0.37).cos()).collect();
-        let serial = run_rounds(init.clone(), 1, 80, relax, |_, stat: &MaxAbs, _| {
-            stat.0 < 1e-7
-        });
-        for workers in [2, 3, 5, 9] {
-            let pooled = run_rounds(init.clone(), workers, 80, relax, |_, stat: &MaxAbs, _| {
+        let run = |workers| {
+            run_rounds(init.clone(), workers, 80, 1, each(relax), |_, stat, _| {
                 stat.0 < 1e-7
-            });
+            })
+        };
+        let serial = run(1);
+        for workers in [2, 3, 5, 9] {
+            let pooled = run(workers);
             assert_eq!(serial.rounds, pooled.rounds, "{workers} workers");
             assert_eq!(serial.converged, pooled.converged);
             assert_eq!(
@@ -654,23 +629,20 @@ mod tests {
     #[test]
     fn blocked_rounds_agree_bitwise_for_any_block_size() {
         let init: Vec<f64> = (0..300).map(|i| (i as f64 * 0.53).sin()).collect();
-        let reference = run_rounds(init.clone(), 1, 40, relax, |_, stat: &MaxAbs, _| {
-            stat.0 < 1e-7
-        });
+        let run = |workers, block| {
+            run_rounds(
+                init.clone(),
+                workers,
+                40,
+                block,
+                each(relax),
+                |_, stat, _| stat.0 < 1e-7,
+            )
+        };
+        let reference = run(1, 1);
         for workers in [1, 3] {
             for block in [1, 7, 64, usize::MAX] {
-                let blocked = run_rounds_blocked(
-                    init.clone(),
-                    workers,
-                    40,
-                    block,
-                    |range, old, out, stat: &mut MaxAbs| {
-                        for (slot, i) in out.iter_mut().zip(range) {
-                            *slot = relax(i, old, stat);
-                        }
-                    },
-                    |_, stat, _| stat.0 < 1e-7,
-                );
+                let blocked = run(workers, block);
                 assert_eq!(reference.rounds, blocked.rounds, "{workers}w block {block}");
                 assert_eq!(
                     reference.values, blocked.values,
@@ -688,7 +660,8 @@ mod tests {
             vec![0.0f64; 16],
             3,
             4,
-            |i, v, _: &mut ()| v[i] + i as f64,
+            1,
+            each(|i, v: &[f64], _: &mut ()| v[i] + i as f64),
             |iterate, _, round| {
                 harvested.push(iterate.to_vec());
                 // Normalize so the next round starts shifted.
@@ -707,8 +680,14 @@ mod tests {
 
     #[test]
     fn zero_rounds_is_identity() {
-        let out: RoundOutcome<f64, ()> =
-            run_rounds(vec![7.0; 8], 3, 0, |i, v, _| v[i], |_, _, _| false);
+        let out: RoundOutcome<f64, ()> = run_rounds(
+            vec![7.0; 8],
+            3,
+            0,
+            1,
+            each(|i, v: &[f64], _| v[i]),
+            |_, _, _| false,
+        );
         assert_eq!(out.values, vec![7.0; 8]);
         assert_eq!(out.rounds, 0);
         assert!(out.last.is_none());
@@ -723,12 +702,13 @@ mod tests {
             vec![0.0f64; 4096],
             3,
             5,
-            |i, v, _: &mut ()| {
+            1,
+            each(|i, v: &[f64], _: &mut ()| {
                 if i == 1234 {
                     panic!("boom");
                 }
                 v[i]
-            },
+            }),
             |_, _, _| false,
         );
     }
@@ -744,7 +724,8 @@ mod tests {
             vec![0.0f64; 512],
             3,
             5,
-            |i, v, _: &mut ()| v[i] + 1.0,
+            1,
+            each(|i, v: &[f64], _: &mut ()| v[i] + 1.0),
             |_, _, round| {
                 if round == 2 {
                     panic!("epilogue boom");

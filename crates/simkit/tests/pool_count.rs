@@ -9,28 +9,31 @@ use simkit::executor::{parallel_map, pools_created, run_rounds};
 
 #[test]
 fn one_pool_per_round_loop() {
-    if !cfg!(feature = "parallel") {
-        // Serial builds never spawn pools at all.
-        let before = pools_created();
-        let _ = run_rounds(
+    let fifty_rounds = || {
+        run_rounds(
             vec![0.0f64; 256],
             4,
             50,
-            |i, v, _: &mut ()| v[i] + i as f64,
+            1,
+            |range, old: &[f64], out: &mut [f64], _: &mut ()| {
+                for (slot, i) in out.iter_mut().zip(range) {
+                    *slot = old[i] + i as f64;
+                }
+            },
             |_, _, _| false,
-        );
+        )
+    };
+
+    if !cfg!(feature = "parallel") {
+        // Serial builds never spawn pools at all.
+        let before = pools_created();
+        let _ = fifty_rounds();
         assert_eq!(pools_created(), before);
         return;
     }
 
     let before = pools_created();
-    let _ = run_rounds(
-        vec![0.0f64; 256],
-        4,
-        50,
-        |i, v, _: &mut ()| v[i] + i as f64,
-        |_, _, _| false,
-    );
+    let _ = fifty_rounds();
     assert_eq!(
         pools_created() - before,
         1,

@@ -100,12 +100,12 @@ pub mod prelude {
         fig1b_scenario, joint_scenario, smoke_grid,
     };
     pub use aoi_cache::{
-        compare_service, run_joint, run_joint_artifact, run_service, Age, AgeVector, AoiCacheError,
-        CachePolicyKind, CacheRunReport, CacheScenario, CacheSimulation, CacheUpdatePolicy,
-        Catalog, CellOutcome, CellReport, CompiledRsuMdp, EnsembleSummary, ExperimentGrid,
-        ExperimentPlan, ExperimentReport, JointReport, JointScenario, PopularityModel, RewardModel,
-        RsuCacheMdp, RsuSpec, ServiceLevel, ServicePolicy, ServicePolicyKind, ServiceRunReport,
-        ServiceScenario,
+        compare_service, run_joint, run_joint_artifact_with, run_service, Age, AgeVector,
+        AoiCacheError, CachePolicyKind, CacheRunReport, CacheScenario, CacheSimulation,
+        CacheUpdatePolicy, Catalog, CellOutcome, CellReport, CompiledRsuMdp, EnsembleSummary,
+        ExperimentGrid, ExperimentPlan, ExperimentReport, JointReport, JointScenario,
+        PopularityModel, RewardModel, RsuCacheMdp, RsuSpec, ServiceLevel, ServicePolicy,
+        ServicePolicyKind, ServiceRunReport, ServiceScenario,
     };
     pub use lyapunov::{DecisionOption, DriftPlusPenalty, Queue, ServiceController};
     pub use mdp::solver::{PolicyIteration, QLearning, ValueIteration};
