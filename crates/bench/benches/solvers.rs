@@ -87,8 +87,11 @@ fn bench_compiled_vs_callback(c: &mut Criterion) {
 /// Value iteration at the true fig1a solver size (5 contents, age cap 9:
 /// 59,049 states × 6 actions — the per-RSU model every `ensemble` cell and
 /// `aoi-serve` engine solves): the full-tolerance `solve_compiled` against
-/// the certified policy-only `solve_policy`, which stops once the action
-/// gap proves the greedy policy optimal and returns the same policy.
+/// the certified policy-only `solve_policy`, which runs modified policy
+/// iteration (full sweeps, each followed by 10 one-row-per-state
+/// evaluation sweeps of its greedy policy), stops once a full sweep's
+/// action gap proves the greedy policy optimal, and returns the same
+/// policy.
 fn bench_fig1a_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig1a_size");
     group.sample_size(10);

@@ -140,8 +140,9 @@ impl SolvedMdpPolicy {
     }
 
     /// Value iteration on an already-compiled per-RSU MDP, through the
-    /// policy-only solve ([`ValueIteration::solve_policy`]): it stops as
-    /// soon as the action gap proves the greedy policy optimal, and the
+    /// policy-only solve ([`ValueIteration::solve_policy`], modified policy
+    /// iteration): it stops as soon as the action gap proves the greedy
+    /// policy optimal, and the
     /// policy is the one the full-tolerance solve would return. Its
     /// counters stay readable through
     /// [`solve_counters`](SolvedMdpPolicy::solve_counters).
@@ -252,8 +253,8 @@ impl SolvedMdpPolicy {
     }
 
     /// Deterministic counters of the solve that produced the policy
-    /// (sweeps, stop rule, final action gap and span); `Some` for value
-    /// iteration only.
+    /// (full and evaluation sweeps, stop rule, final action gap and span);
+    /// `Some` for value iteration only.
     pub fn solve_counters(&self) -> Option<&SolveCounters> {
         self.counters.as_ref()
     }

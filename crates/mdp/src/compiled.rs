@@ -41,6 +41,13 @@
 //! (`==`) with the per-state backup. Every other path gathers
 //! `Σ p·V(s')` through the CSR row left to right.
 //!
+//! Policy-evaluation sweeps (`V ← r_π + γ·P_π·V`: policy evaluation,
+//! policy iteration, and the evaluation phase of the certified
+//! value-iteration policy solve) read one row per state. On deterministic
+//! models they stream per-state copies of the chosen rows, taken from the
+//! dense mirror whenever the policy changes; per row the arithmetic is the
+//! CSR gather's, so both agree exactly.
+//!
 //! ```
 //! use mdp::{reference, CompiledMdp, FiniteMdp};
 //! use mdp::solver::ValueIteration;
@@ -61,6 +68,7 @@ use crate::policy::TabularPolicy;
 use crate::MdpError;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// A finite MDP compiled into compressed-sparse-row arrays.
 ///
@@ -392,13 +400,15 @@ impl CompiledMdp {
         out: &mut [f64],
         gamma: f64,
     ) {
-        self.backup_block_tracked::<false>(states, values, out, gamma, &mut SweepStats::new());
+        let (stats, greedy) = (&mut SweepStats::new(), &PolicyRows::default());
+        self.backup_block_tracked::<false>(states, values, out, gamma, stats, greedy);
     }
 
     /// [`backup_block`](Self::backup_block) that also folds each state's
     /// action gap (best minus runner-up Q, computed from `values`) into
-    /// `stats.margin`. The backed-up values are bit-identical to
-    /// `backup_block`'s.
+    /// `stats.margin` and points each state's entry of `greedy` at its
+    /// argmax action (ties break to the lowest index). The backed-up values
+    /// are bit-identical to `backup_block`'s.
     pub(crate) fn backup_block_with_gap(
         &self,
         states: std::ops::Range<usize>,
@@ -406,8 +416,9 @@ impl CompiledMdp {
         out: &mut [f64],
         gamma: f64,
         stats: &mut SweepStats,
+        greedy: &PolicyRows,
     ) {
-        self.backup_block_tracked::<true>(states, values, out, gamma, stats);
+        self.backup_block_tracked::<true>(states, values, out, gamma, stats, greedy);
     }
 
     #[inline(always)]
@@ -418,16 +429,18 @@ impl CompiledMdp {
         out: &mut [f64],
         gamma: f64,
         stats: &mut SweepStats,
+        greedy: &PolicyRows,
     ) {
         debug_assert_eq!(out.len(), states.len(), "output block length mismatch");
         if !self.det_expected.is_empty() {
-            return self.backup_block_dense::<GAP>(states, values, out, gamma, stats);
+            return self.backup_block_dense::<GAP>(states, values, out, gamma, stats, greedy);
         }
         for (slot, s) in out.iter_mut().zip(states) {
-            let (best, _, runner_up) = self.backup_state_ranked(s, values, gamma);
+            let (best, best_a, runner_up) = self.backup_state_ranked(s, values, gamma);
             *slot = best;
             if GAP {
                 stats.record_gap(best - runner_up);
+                self.set_policy_row(greedy, s, best_a);
             }
         }
     }
@@ -435,8 +448,8 @@ impl CompiledMdp {
     /// [`backup_block`](Self::backup_block) over the action-major dense
     /// mirror of a deterministic model. When gaps are tracked it runs in
     /// pieces of at most [`SWEEP_BLOCK`] states (one piece per sweep
-    /// block), whose runner-up Qs live in a stack buffer, so the sweep
-    /// stays allocation-free.
+    /// block), whose runner-up Qs and argmax actions live in stack buffers,
+    /// so the sweep stays allocation-free.
     fn backup_block_dense<const GAP: bool>(
         &self,
         states: std::ops::Range<usize>,
@@ -444,15 +457,21 @@ impl CompiledMdp {
         out: &mut [f64],
         gamma: f64,
         stats: &mut SweepStats,
+        greedy: &PolicyRows,
     ) {
         if !GAP {
-            return self.dense_pass::<false>(states.start, values, out, gamma, &mut []);
+            return self.dense_pass::<false>(states.start, values, out, gamma, &mut [], &mut []);
         }
         let mut runner_up = [0.0; SWEEP_BLOCK];
+        let mut argmax = [0usize; SWEEP_BLOCK];
         for (i, run) in out.chunks_mut(SWEEP_BLOCK).enumerate() {
             let lo = states.start + i * SWEEP_BLOCK;
             let second = &mut runner_up[..run.len()];
-            self.dense_pass::<true>(lo, values, run, gamma, second);
+            let arg = &mut argmax[..run.len()];
+            self.dense_pass::<true>(lo, values, run, gamma, second, arg);
+            for (j, &a) in arg.iter().enumerate() {
+                self.set_policy_row(greedy, lo + j, a);
+            }
             // Reduced in a register, not through `stats`, so the per-state
             // min is one compare.
             let run_margin = run
@@ -476,8 +495,9 @@ impl CompiledMdp {
     /// results agree exactly (`==`) with [`backup_state`](Self::backup_state);
     /// ties in the max resolve identically because both iterate actions in
     /// ascending order with strict improvement. With `GAP`, `second[j]`
-    /// also ends up holding state `lo + j`'s runner-up Q (`-∞` when only
-    /// one action is valid); without it `second` is unused.
+    /// and `arg[j]` also end up holding state `lo + j`'s runner-up Q (`-∞`
+    /// when only one action is valid) and argmax action; without it both
+    /// are unused.
     #[inline(always)]
     fn dense_pass<const GAP: bool>(
         &self,
@@ -486,11 +506,14 @@ impl CompiledMdp {
         out: &mut [f64],
         gamma: f64,
         second: &mut [f64],
+        arg: &mut [usize],
     ) {
         let n = out.len();
         let second = if GAP { &mut second[..n] } else { second };
+        let arg = if GAP { &mut arg[..n] } else { arg };
         out.fill(f64::NEG_INFINITY);
         second.fill(f64::NEG_INFINITY);
+        arg.fill(0);
         for a in 0..self.n_actions {
             let base = a * self.n_states + lo;
             let exp = &self.det_expected[base..base + n];
@@ -507,9 +530,75 @@ impl CompiledMdp {
                     // and whichever of (old best, q) loses.
                     let lower = if q > best { best } else { q };
                     second[j] = if lower > second[j] { lower } else { second[j] };
+                    arg[j] = if q > best { a } else { arg[j] };
                 }
                 out[j] = if q > best { q } else { best };
             }
+        }
+    }
+
+    /// The [`PolicyRows`] of the policy `action`. An invalid action
+    /// evaluates to a meaningless value, never a panic, so callers validate
+    /// the policy or overwrite its entries before evaluating.
+    pub(crate) fn policy_rows(&self, action: impl Fn(usize) -> usize) -> PolicyRows {
+        let dense = if self.is_deterministic() {
+            self.n_states
+        } else {
+            0
+        };
+        let rows = PolicyRows {
+            action: (0..self.n_states).map(|_| AtomicUsize::new(0)).collect(),
+            expected: (0..dense).map(|_| AtomicU64::new(0)).collect(),
+            probability: (0..dense).map(|_| AtomicU64::new(0)).collect(),
+            next: (0..dense).map(|_| AtomicU32::new(0)).collect(),
+        };
+        for s in 0..self.n_states {
+            self.set_policy_row(&rows, s, action(s));
+        }
+        rows
+    }
+
+    /// Points `state`'s entry of `rows` at `action`.
+    #[inline]
+    pub(crate) fn set_policy_row(&self, rows: &PolicyRows, state: usize, action: usize) {
+        rows.action[state].store(action, Ordering::Relaxed);
+        if !rows.expected.is_empty() {
+            let i = action * self.n_states + state;
+            rows.expected[state].store(self.det_expected[i].to_bits(), Ordering::Relaxed);
+            rows.probability[state].store(self.det_prob[i].to_bits(), Ordering::Relaxed);
+            rows.next[state].store(self.det_next[i], Ordering::Relaxed);
+        }
+    }
+
+    /// Policy-evaluation backups `Q(s, π(s))` of a contiguous state range,
+    /// written into `out` (`out[0]` is `states.start`): one row per state
+    /// instead of every action's. Deterministic models stream the rows'
+    /// copies in `rows`, all others gather the CSR row of `π(s)`; both
+    /// perform the arithmetic of [`q_value`](Self::q_value) in the same
+    /// order, so the result equals it bit for bit.
+    pub(crate) fn evaluate_block(
+        &self,
+        states: std::ops::Range<usize>,
+        values: &[f64],
+        out: &mut [f64],
+        gamma: f64,
+        rows: &PolicyRows,
+    ) {
+        debug_assert_eq!(out.len(), states.len(), "output block length mismatch");
+        if !rows.expected.is_empty() {
+            let expected = &rows.expected[states.clone()];
+            let probability = &rows.probability[states.clone()];
+            let next = &rows.next[states];
+            for (j, slot) in out.iter_mut().enumerate() {
+                let p = f64::from_bits(probability[j].load(Ordering::Relaxed));
+                let future = 0.0 + p * values[next[j].load(Ordering::Relaxed) as usize];
+                *slot = f64::from_bits(expected[j].load(Ordering::Relaxed)) + gamma * future;
+            }
+            return;
+        }
+        for (slot, s) in out.iter_mut().zip(states) {
+            let row = s * self.n_actions + rows.action(s);
+            *slot = self.expected[row] + gamma * self.future(row, values);
         }
     }
 
@@ -587,6 +676,49 @@ impl FiniteMdp for CompiledMdp {
             }
         }
         (next[next.len() - 1], reward[reward.len() - 1])
+    }
+}
+
+/// A policy laid out for evaluation sweeps: each state's action and, on
+/// kernels with the dense mirror, a copy of the row that action picks
+/// (expected reward, probability, destination) in state order, so
+/// [`CompiledMdp::evaluate_block`] streams one contiguous row per state
+/// instead of hopping between action planes.
+///
+/// Entries are atomics because sweep workers store their own states'
+/// entries (the full sweeps of
+/// [`ValueIteration::solve_policy`](crate::solver::ValueIteration::solve_policy))
+/// and epilogues rewrite them between rounds (policy improvement); the
+/// round barrier orders every store before the next sweep's loads, so
+/// `Relaxed` suffices. Entries change only through
+/// [`CompiledMdp::set_policy_row`], which keeps each row copy in step with
+/// its action.
+#[derive(Debug, Default)]
+pub(crate) struct PolicyRows {
+    action: Vec<AtomicUsize>,
+    /// `f64` bits of the expected rewards (dense kernels only).
+    expected: Vec<AtomicU64>,
+    /// `f64` bits of the probabilities (dense kernels only).
+    probability: Vec<AtomicU64>,
+    /// Destinations (dense kernels only).
+    next: Vec<AtomicU32>,
+}
+
+impl PolicyRows {
+    /// The action of `state`.
+    #[inline]
+    pub(crate) fn action(&self, state: usize) -> usize {
+        self.action[state].load(Ordering::Relaxed)
+    }
+
+    /// The policy the rows hold.
+    pub(crate) fn into_policy(self) -> TabularPolicy {
+        TabularPolicy::new(
+            self.action
+                .into_iter()
+                .map(AtomicUsize::into_inner)
+                .collect(),
+        )
     }
 }
 

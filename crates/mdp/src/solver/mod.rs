@@ -2,8 +2,9 @@
 //!
 //! * [`ValueIteration`] — Bellman-optimality fixed point (the solver used for
 //!   the paper's cache-management stage); its policy-only
-//!   [`solve_policy`](ValueIteration::solve_policy) stops as soon as the
-//!   action gap certifies the greedy policy,
+//!   [`solve_policy`](ValueIteration::solve_policy) runs modified policy
+//!   iteration and stops as soon as the action gap certifies the greedy
+//!   policy,
 //! * [`PolicyIteration`] — Howard's algorithm,
 //! * [`BackwardInduction`] — exact finite-horizon dynamic programming,
 //! * [`RelativeValueIteration`] — average-reward (long-run gain) solving,
@@ -185,36 +186,31 @@ pub fn evaluate_policy_compiled(
         "policy/model state-count mismatch"
     );
     let actions = policy.actions();
-    // Validate up front (on this thread, with a precise message) so the
-    // sweep backup closure below cannot panic inside a pool worker.
+    // Validate up front (on this thread, with a precise message): an
+    // invalid action would otherwise evaluate to a meaningless value.
     for (s, &a) in actions.iter().enumerate() {
         assert!(
             a < mdp.n_actions() && mdp.is_valid(s, a),
             "policy picks invalid action {a} in state {s}"
         );
     }
+    let rows = mdp.policy_rows(|s| actions[s]);
     let n = mdp.n_states();
     let outcome = run_sweeps(
         vec![0.0; n],
         sweep_workers(n),
         max_sweeps,
-        |states, values, out, _| {
-            for (slot, s) in out.iter_mut().zip(states) {
-                *slot = mdp
-                    .q_value(s, actions[s], values, gamma)
-                    // lint:allow(panic-hygiene): every action was checked
-                    // valid above.
-                    .expect("policy must choose valid actions");
-            }
-        },
+        |states, values, out, _| mdp.evaluate_block(states, values, out, gamma, &rows),
         |_, stats, _| stats.max_abs < tolerance,
     );
     if outcome.converged {
         Ok(outcome.values)
     } else {
+        // The sweep change the tolerance tests, not the optimality
+        // residual (which stays large for any suboptimal policy).
         Err(MdpError::NotConverged {
             iterations: max_sweeps,
-            residual: mdp.bellman_residual(&outcome.values, gamma),
+            residual: outcome.last.max_abs,
         })
     }
 }
@@ -307,6 +303,31 @@ mod tests {
         let (mdp, gamma) = reference::two_state();
         let policy = TabularPolicy::new(vec![1, 0]);
         let err = evaluate_policy(&mdp, &policy, gamma, 1e-12, 1).unwrap_err();
-        assert!(matches!(err, MdpError::NotConverged { iterations: 1, .. }));
+        // One sweep from V = 0: state 1 collects reward 1, state 0 nothing,
+        // so the last sweep's change is exactly 1 (the optimality residual
+        // of that iterate would be γ = 0.9).
+        assert!(matches!(
+            err,
+            MdpError::NotConverged {
+                iterations: 1,
+                residual
+            } if residual == 1.0
+        ));
+        // Three sweeps, replayed by hand with the kernel's arithmetic.
+        let (mut v0, mut v1, mut last_change) = (0.0f64, 0.0f64, 0.0f64);
+        for _ in 0..3 {
+            let next0 = 0.0 + gamma * (0.0 + 1.0 * v1);
+            let next1 = 1.0 + gamma * (0.0 + 1.0 * v1);
+            last_change = (next0 - v0).abs().max((next1 - v1).abs());
+            (v0, v1) = (next0, next1);
+        }
+        let err = evaluate_policy(&mdp, &policy, gamma, 1e-12, 3).unwrap_err();
+        assert!(matches!(
+            err,
+            MdpError::NotConverged {
+                iterations: 3,
+                residual
+            } if residual == last_change
+        ));
     }
 }

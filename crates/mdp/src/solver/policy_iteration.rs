@@ -6,7 +6,6 @@ use crate::policy::TabularPolicy;
 use crate::solver::{evaluate_policy_callback, q_value, validate_gamma};
 use crate::MdpError;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration for policy iteration (policy evaluation + greedy
 /// improvement until the policy is stable).
@@ -100,17 +99,13 @@ impl PolicyIteration {
         // stores it while the workers wait at the round barrier). Initial
         // policy: lowest valid action per state (compilation guarantees
         // one exists).
-        let actions: Vec<AtomicUsize> = (0..n)
-            .map(|s| {
-                AtomicUsize::new(
-                    (0..mdp.n_actions())
-                        .find(|&a| mdp.is_valid(s, a))
-                        // lint:allow(panic-hygiene): compile() rejects states
-                        // with no valid action.
-                        .expect("compiled models have a valid action per state"),
-                )
-            })
-            .collect();
+        let actions = mdp.policy_rows(|s| {
+            (0..mdp.n_actions())
+                .find(|&a| mdp.is_valid(s, a))
+                // lint:allow(panic-hygiene): compile() rejects states with
+                // no valid action.
+                .expect("compiled models have a valid action per state")
+        });
         // Degenerate cap: with no evaluation budget at all, no policy can
         // ever be evaluated (the historical per-round evaluation returned
         // exactly this error after zero sweeps).
@@ -134,15 +129,7 @@ impl PolicyIteration {
             self.max_improvements
                 .max(1)
                 .saturating_mul(self.max_eval_sweeps),
-            |states, values, out, _| {
-                for (slot, s) in out.iter_mut().zip(states) {
-                    *slot = mdp
-                        .q_value(s, actions[s].load(Ordering::Relaxed), values, self.gamma)
-                        // lint:allow(panic-hygiene): actions only ever hold
-                        // values the validity bitmap approved.
-                        .expect("policy actions stay valid");
-                }
-            },
+            |states, values, out, _| mdp.evaluate_block(states, values, out, self.gamma, &actions),
             |values, stats, _| {
                 eval_sweeps += 1;
                 if stats.max_abs >= self.eval_tolerance {
@@ -156,8 +143,8 @@ impl PolicyIteration {
                 // values (strict margin avoids oscillating on ties).
                 rounds += 1;
                 stable = true;
-                for (s, action) in actions.iter().enumerate() {
-                    let current = action.load(Ordering::Relaxed);
+                for s in 0..n {
+                    let current = actions.action(s);
                     let mut best_a = current;
                     let mut best_q = mdp
                         .q_value(s, current, values, self.gamma)
@@ -177,7 +164,7 @@ impl PolicyIteration {
                     }
                     if best_a != current {
                         stable = false;
-                        action.store(best_a, Ordering::Relaxed);
+                        mdp.set_policy_row(&actions, s, best_a);
                     }
                 }
                 if stable || rounds >= self.max_improvements {
@@ -193,14 +180,14 @@ impl PolicyIteration {
         if eval_failed {
             return Err(MdpError::NotConverged {
                 iterations: self.max_eval_sweeps,
-                residual: mdp.bellman_residual(&outcome.values, self.gamma),
+                residual: outcome.last.max_abs,
             });
         }
         Ok(PolicyIterationOutcome {
             converged: stable,
             rounds,
             values: outcome.values,
-            policy: TabularPolicy::new(actions.iter().map(|a| a.load(Ordering::Relaxed)).collect()),
+            policy: actions.into_policy(),
         })
     }
 

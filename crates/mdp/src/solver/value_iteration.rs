@@ -6,6 +6,7 @@ use crate::policy::TabularPolicy;
 use crate::solver::{greedy_policy, q_value, validate_gamma};
 use crate::MdpError;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Configuration for value iteration.
 ///
@@ -107,74 +108,141 @@ impl ValueIteration {
         })
     }
 
-    /// Solves for the optimal **policy** only, stopping at the first sweep
-    /// whose action gap proves the greedy policy optimal.
+    /// Solves for the optimal **policy** only, stopping at the first full
+    /// sweep whose action gap proves the greedy policy optimal.
     ///
-    /// Runs the same blocked sweeps as
+    /// A full (greedy) sweep `V' = T V` runs the blocked Bellman backups of
     /// [`solve_compiled`](ValueIteration::solve_compiled) and additionally
-    /// tracks, per sweep `k`, the smallest best-minus-runner-up margin
-    /// `g_k` of `Q(s, ·)` over `V_{k−1}` and the span `[lo_k, hi_k]` of
-    /// `V_k − V_{k−1}`. It stops once
+    /// tracks each state's argmax, the smallest best-minus-runner-up margin
+    /// `g` of `Q(s, ·)` over `V`, and the span `[lo, hi]` of `V' − V`. The
+    /// solve stops at the first full sweep with
     ///
     /// ```text
-    /// g_k > 2γ (hi_k − lo_k) / (1 − γ) + slack
+    /// g > 2γ (hi − lo) / (1 − γ) + slack
     /// ```
     ///
     /// By MacQueen's bounds (Puterman, *Markov Decision Processes*, 1994,
-    /// §6.6), `V* − V_{k−1}` lies in `[lo_k, hi_k] / (1 − γ)`, so `Q*`
-    /// differs from sweep `k`'s Q by a common shift plus at most
-    /// `γ (hi_k − lo_k) / (1 − γ)`; the Q of every later iterate `V_j`
-    /// differs from `Q*` by at most `γ` times that again. Each state's
-    /// sweep-`k` argmax is therefore its unique optimal action and the
-    /// strict greedy action of every later iterate: the returned policy
-    /// equals `solve_compiled(..).policy` exactly. `slack` (a few ulps of the
-    /// value bound `max |E[r]| / (1 − γ)`, scaled by `1 / (1 − γ)`)
-    /// absorbs float rounding.
+    /// §6.6), which hold for **any** `V`, `V* − V` lies in
+    /// `[lo, hi] / (1 − γ)`, so `Q*` differs from the sweep's Q by a common
+    /// shift plus at most `γ (hi − lo) / (1 − γ)`; the Q of every later
+    /// value-iteration iterate differs from `Q*` by at most `γ` times that
+    /// again. Each state's sweep argmax is therefore its unique optimal
+    /// action and the strict greedy action of every later iterate: the
+    /// returned policy equals `solve_compiled(..).policy` exactly. `slack`
+    /// (a few ulps of the value bound `max |E[r]| / (1 − γ)`, scaled by
+    /// `1 / (1 − γ)`) absorbs float rounding.
+    ///
+    /// Because the certificate does not care how `V` was reached, the
+    /// solve runs modified policy iteration (Puterman §6.5): each
+    /// uncertified full sweep is followed by `EVAL_SWEEPS` (10) evaluation
+    /// sweeps `V ← r_π + γ P_π V` of its greedy policy `π`, which read one
+    /// row per state instead of every action's. A certificate from this
+    /// phase must also clear the tolerance rule's error band (so the table
+    /// is the one a tolerance stop would return too), and the returned
+    /// policy is the certifying sweep's argmax.
     ///
     /// The bound needs every valid row to carry probability mass 1
-    /// ([`CompiledMdp::has_unit_mass_rows`]); on other kernels, and when
-    /// the margin never clears the bound (exact action ties), the solve
-    /// stops by the tolerance rule at the same sweep as `solve_compiled`.
+    /// ([`CompiledMdp::has_unit_mass_rows`]); other kernels run plain value
+    /// iteration and stop by the tolerance rule at the same sweep as
+    /// `solve_compiled`. The modified phase also gives way to plain value
+    /// iteration restarted from `V = 0` (certified or tolerance stop, the
+    /// rules and counts of a plain solve) when its gap is exactly 0 on two
+    /// consecutive full sweeps (exact action ties), when its full-sweep
+    /// change falls below the tolerance without a certificate, or when it
+    /// reaches the sweep cap. The whole solve, restart included, is one
+    /// sweep loop with one worker pool.
     ///
     /// # Errors
     ///
     /// Returns [`MdpError::BadParameter`] if `gamma ∉ [0, 1)`, and
-    /// [`MdpError::NotConverged`] if neither rule stops the solve within
-    /// the sweep cap.
+    /// [`MdpError::NotConverged`] if the plain value iteration reaches the
+    /// sweep cap before either rule stops it.
     pub fn solve_policy(&self, mdp: &CompiledMdp) -> Result<PolicyOutcome, MdpError> {
         validate_gamma(self.gamma)?;
-        let gamma = self.gamma;
-        let tolerance = self.tolerance;
+        let (gamma, tolerance, max_sweeps) = (self.gamma, self.tolerance, self.max_sweeps);
         let certifiable = mdp.has_unit_mass_rows();
         let reward_bound = mdp.reward_bound();
         let certified =
             |stats: &SweepStats| certifiable && gap_certifies(stats, gamma, reward_bound);
+        let outlasts_tolerance =
+            |stats: &SweepStats| gap_outlasts_tolerance(stats, gamma, tolerance, reward_bound);
         let n = mdp.n_states();
+        // Argmax of the latest full sweep (stored by the sweep workers,
+        // which overwrite every placeholder action 0 before an evaluation
+        // reads it) and the phase flag the epilogue flips between rounds;
+        // the round barrier orders both.
+        let greedy = mdp.policy_rows(|_| 0);
+        let evaluating = AtomicBool::new(false);
+        let mut modified = certifiable;
+        let (mut sweeps, mut eval_sweeps, mut pending_evals) = (0usize, 0usize, 0usize);
+        let mut last_gap_zero = false;
+        let mut stop = None;
         let outcome = run_sweeps(
             vec![0.0; n],
             sweep_workers(n),
-            self.max_sweeps,
+            // The modified phase runs at most `max_sweeps` full sweeps with
+            // their evaluations, the plain phase `max_sweeps` more.
+            max_sweeps.saturating_mul(EVAL_SWEEPS + 2),
             |states, values, out, stats| {
-                mdp.backup_block_with_gap(states, values, out, gamma, stats)
+                if evaluating.load(Ordering::Relaxed) {
+                    mdp.evaluate_block(states, values, out, gamma, &greedy)
+                } else {
+                    mdp.backup_block_with_gap(states, values, out, gamma, stats, &greedy)
+                }
             },
-            |_, stats, _| certified(stats) || stats.max_abs < tolerance,
+            |values, stats, _| {
+                if pending_evals > 0 {
+                    eval_sweeps += 1;
+                    pending_evals -= 1;
+                    evaluating.store(pending_evals > 0, Ordering::Relaxed);
+                    return false;
+                }
+                sweeps += 1;
+                if !modified {
+                    if certified(stats) {
+                        stop = Some(StopReason::Certified);
+                    } else if stats.max_abs < tolerance {
+                        stop = Some(StopReason::Tolerance);
+                    }
+                    return stop.is_some() || sweeps >= max_sweeps;
+                }
+                if certified(stats) && outlasts_tolerance(stats) {
+                    stop = Some(StopReason::Certified);
+                    return true;
+                }
+                let tied = stats.margin == 0.0 && last_gap_zero;
+                last_gap_zero = stats.margin == 0.0;
+                if tied || stats.max_abs < tolerance || sweeps >= max_sweeps {
+                    // Restart as plain value iteration from zero, counted
+                    // afresh.
+                    modified = false;
+                    (sweeps, eval_sweeps) = (0, 0);
+                    values.fill(0.0);
+                    return false;
+                }
+                pending_evals = EVAL_SWEEPS;
+                evaluating.store(true, Ordering::Relaxed);
+                false
+            },
         );
         let last = outcome.last;
-        if !outcome.converged {
+        let Some(stop) = stop else {
             return Err(MdpError::NotConverged {
-                iterations: outcome.sweeps,
+                iterations: sweeps,
                 residual: last.max_abs,
             });
-        }
+        };
+        let policy = match stop {
+            // The certifying sweep's argmax is the unique optimal table.
+            StopReason::Certified => greedy.into_policy(),
+            StopReason::Tolerance => mdp.greedy_policy(&outcome.values, gamma)?,
+        };
         Ok(PolicyOutcome {
-            policy: mdp.greedy_policy(&outcome.values, gamma)?,
+            policy,
             counters: SolveCounters {
-                sweeps: outcome.sweeps,
-                stop: if certified(&last) {
-                    StopReason::Certified
-                } else {
-                    StopReason::Tolerance
-                },
+                sweeps,
+                eval_sweeps,
+                stop,
                 margin: last.margin,
                 span: last.span(),
             },
@@ -235,14 +303,42 @@ impl ValueIteration {
 /// rounding in every sweep compounds over the `1 / (1 − γ)` horizon.
 const CERTIFICATE_ULPS: f64 = 16.0;
 
+/// Evaluation sweeps of the greedy policy after each uncertified full sweep
+/// of [`ValueIteration::solve_policy`]'s modified phase. On the fig1a cache
+/// models 10 took fewer row reads than 5, 20 or 40.
+const EVAL_SWEEPS: usize = 10;
+
+/// The rounding allowance of the certificate tests: `reward_bound / (1 − γ)`
+/// bounds every iterate from `V = 0` (value and evaluation sweeps alike),
+/// and so the magnitude rounding scales with.
+fn certificate_slack(gamma: f64, reward_bound: f64) -> f64 {
+    let horizon = 1.0 / (1.0 - gamma);
+    CERTIFICATE_ULPS * f64::EPSILON * reward_bound * horizon * horizon
+}
+
 /// Whether one sweep's stats prove its argmax actions optimal:
 /// `margin > 2γ·span/(1 − γ) + slack` (see
-/// [`ValueIteration::solve_policy`]). `reward_bound / (1 − γ)` bounds every
-/// value, and so the magnitude rounding scales with.
+/// [`ValueIteration::solve_policy`]).
 fn gap_certifies(stats: &SweepStats, gamma: f64, reward_bound: f64) -> bool {
     let horizon = 1.0 / (1.0 - gamma);
-    let slack = CERTIFICATE_ULPS * f64::EPSILON * reward_bound * horizon * horizon;
-    stats.margin > 2.0 * gamma * stats.span() * horizon + slack
+    stats.margin > 2.0 * gamma * stats.span() * horizon + certificate_slack(gamma, reward_bound)
+}
+
+/// Whether a certified table is also the one a tolerance stop returns.
+/// Every optimal-action margin of `Q*` exceeds `margin − γ·span/(1 − γ)`,
+/// and a value iterate whose sweep change is below `tolerance` has Q
+/// values within `γ²·tolerance/(1 − γ)` of `Q*`, so its greedy policy is
+/// the optimal one once the margin clears both.
+fn gap_outlasts_tolerance(
+    stats: &SweepStats,
+    gamma: f64,
+    tolerance: f64,
+    reward_bound: f64,
+) -> bool {
+    let horizon = 1.0 / (1.0 - gamma);
+    stats.margin
+        > gamma * horizon * (stats.span() + 2.0 * gamma * tolerance)
+            + certificate_slack(gamma, reward_bound)
 }
 
 /// Why a [`ValueIteration::solve_policy`] solve stopped.
@@ -256,17 +352,23 @@ pub enum StopReason {
 }
 
 /// Deterministic counters of a [`ValueIteration::solve_policy`] solve
-/// (no wall-clock data).
+/// (no wall-clock data). A solve that fell back to plain value iteration
+/// reports that run's counts only.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveCounters {
-    /// Sweeps performed.
+    /// Full Bellman sweeps (every action of every state) performed.
     pub sweeps: usize,
+    /// Policy-evaluation sweeps (one row per state) between the full
+    /// sweeps; 0 when the solve ran, or fell back to, plain value
+    /// iteration.
+    pub eval_sweeps: usize,
     /// Which rule stopped the solve.
     pub stop: StopReason,
-    /// Smallest best-minus-runner-up Q margin of the final sweep (`+∞`
-    /// when every state has a single valid action, `0` on an exact tie).
+    /// Smallest best-minus-runner-up Q margin of the final full sweep
+    /// (`+∞` when every state has a single valid action, `0` on an exact
+    /// tie).
     pub margin: f64,
-    /// Span `hi − lo` of the final sweep's change `V_k − V_{k−1}`.
+    /// Span `hi − lo` of the final full sweep's change `T V − V`.
     pub span: f64,
 }
 

@@ -7,8 +7,8 @@
 //! large sweep budget must allocate exactly the same number of times (all
 //! buffers are set up before the first sweep).
 
-use mdp::solver::{evaluate_policy_compiled, PolicyIteration, ValueIteration};
-use mdp::{reference, CompiledMdp, FiniteMdp, FnMdp};
+use mdp::solver::{evaluate_policy_compiled, PolicyIteration, StopReason, ValueIteration};
+use mdp::{reference, CompiledMdp, FiniteMdp, FnMdp, Transition};
 use simkit::executor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -130,6 +130,48 @@ fn certified_policy_sweeps_do_not_allocate() {
             "allocation count must not scale with sweeps (short {short}, long {long})"
         );
     }
+}
+
+/// A deterministic 224-state, 3-action model with scattered destinations
+/// and distinct rewards: no exact ties, so a policy solve certifies in its
+/// modified-policy-iteration phase on the dense sweep path.
+fn scattered_model() -> CompiledMdp {
+    let n = 224;
+    CompiledMdp::compile(&FnMdp::new(n, 3, |s, a, out| {
+        let next = (s * 7 + a * 13 + 1) % n;
+        let reward = ((s * 31 + a * 17) % 101) as f64 / 100.0 - 0.5;
+        out.push(Transition::new(next, 1.0, reward));
+    }))
+    .unwrap()
+}
+
+#[test]
+fn certified_modified_policy_solve_does_not_allocate_per_sweep() {
+    let compiled = scattered_model();
+    assert!(compiled.is_deterministic());
+    let solve = |gamma: f64| ValueIteration::new(gamma).solve_policy(&compiled).unwrap();
+    let (fast, slow) = (solve(0.9), solve(0.99));
+    for outcome in [&fast, &slow] {
+        assert_eq!(outcome.counters.stop, StopReason::Certified);
+        assert!(outcome.counters.eval_sweeps > 0, "{:?}", outcome.counters);
+    }
+    assert!(
+        slow.counters.sweeps + slow.counters.eval_sweeps
+            > fast.counters.sweeps + fast.counters.eval_sweeps,
+        "γ = 0.99 must sweep more: {:?} vs {:?}",
+        slow.counters,
+        fast.counters
+    );
+    let fast = allocations_during(|| {
+        let _ = solve(0.9);
+    });
+    let slow = allocations_during(|| {
+        let _ = solve(0.99);
+    });
+    assert_eq!(
+        fast, slow,
+        "allocation count must not scale with sweeps (γ 0.9: {fast}, γ 0.99: {slow})"
+    );
 }
 
 #[test]

@@ -14,9 +14,9 @@
 
 use mdp::solver::{
     evaluate_policy_compiled, BackwardInduction, PolicyIteration, RelativeValueIteration,
-    ValueIteration,
+    StopReason, ValueIteration,
 };
-use mdp::{reference, CompiledMdp};
+use mdp::{reference, CompiledMdp, FnMdp, Transition};
 use simkit::executor::{force_workers, pools_created, serialized};
 
 /// Runs `solve` pooled (with the forced worker count) and then inside
@@ -38,6 +38,17 @@ fn pooled_and_serial<T>(what: &str, solve: impl Fn() -> T) -> (T, T) {
         "serial {what} must not spawn pools"
     );
     (pooled, serial)
+}
+
+/// A deterministic `n`-state, 3-action model with scattered destinations
+/// and distinct rewards (no exact action ties).
+fn scattered_model(n: usize) -> CompiledMdp {
+    CompiledMdp::compile(&FnMdp::new(n, 3, |s, a, out| {
+        let next = (s * 7 + a * 13 + 1) % n;
+        let reward = ((s * 31 + a * 17) % 101) as f64 / 100.0 - 0.5;
+        out.push(Transition::new(next, 1.0, reward));
+    }))
+    .unwrap()
 }
 
 #[test]
@@ -64,16 +75,40 @@ fn each_solve_creates_exactly_one_pool() {
     assert!(vi.sweeps > 5, "expected a multi-sweep solve");
     assert_eq!(vi, vi_serial, "pool must not change results");
 
-    // The certified policy-only solve.
-    let (certified, certified_serial) = pooled_and_serial("a certified policy solve", || {
+    // The policy-only solve on the gridworld, whose optimal policy has
+    // exact action ties: the modified phase gives way to plain value
+    // iteration restarted inside the same sweep loop, so still one pool.
+    let (tied, tied_serial) = pooled_and_serial("a restarted policy solve", || {
         ValueIteration::new(0.95).solve_policy(&compiled).unwrap()
     });
+    assert!(tied.counters.sweeps > 5, "expected a multi-sweep solve");
+    assert_eq!(tied.counters.stop, StopReason::Tolerance);
+    assert_eq!(tied.counters.eval_sweeps, 0, "expected a restart");
+    assert_eq!(tied, tied_serial);
+    assert_eq!(tied.policy, vi.policy);
+
+    // A policy solve certified in its modified phase: full and evaluation
+    // sweeps alternate in one loop, one pool.
+    let scattered = scattered_model(4096);
+    let (certified, certified_serial) = pooled_and_serial("a certified policy solve", || {
+        ValueIteration::new(0.95).solve_policy(&scattered).unwrap()
+    });
+    assert_eq!(certified.counters.stop, StopReason::Certified);
     assert!(
-        certified.counters.sweeps > 5,
-        "expected a multi-sweep solve"
+        certified.counters.sweeps > 1,
+        "expected several full sweeps"
+    );
+    assert!(
+        certified.counters.eval_sweeps > 0,
+        "expected evaluation sweeps"
     );
     assert_eq!(certified, certified_serial);
-    assert_eq!(certified.policy, vi.policy);
+    let full = serialized(|| {
+        ValueIteration::new(0.95)
+            .solve_compiled(&scattered)
+            .unwrap()
+    });
+    assert_eq!(certified.policy, full.policy);
 
     // Policy iteration: several improvement rounds, each with its own
     // evaluation sweeps — still exactly one pool.
