@@ -1,10 +1,10 @@
 //! Criterion benches: MDP solver scaling on the per-RSU cache MDP, and the
-//! compiled-CSR-kernel vs trait-callback comparison tracked by the BENCH
+//! compiled-kernel vs trait-callback comparison tracked by the BENCH
 //! trajectory.
 
 use aoi_cache::{Age, RsuSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mdp::solver::{PolicyIteration, QLearning, ValueIteration};
+use mdp::solver::{PolicyIteration, QLearning, RelativeValueIteration, ValueIteration};
 use mdp::{CompiledMdp, FiniteMdp, ProductSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,7 +46,7 @@ fn bench_value_iteration(c: &mut Criterion) {
 }
 
 /// The headline comparison: value iteration through the trait callback
-/// (re-deriving every transition row per sweep) against the compiled CSR
+/// (re-deriving every transition row per sweep) against the compiled
 /// kernel, at a small and a large per-RSU state space. `compile+solve`
 /// includes the one-off compilation; `solve_compiled` measures pure sweep
 /// throughput on a prebuilt kernel (the steady state for simulators, which
@@ -84,9 +84,12 @@ fn bench_compiled_vs_callback(c: &mut Criterion) {
     group.finish();
 }
 
-/// Value iteration at the true fig1a solver size (5 contents, age cap 9:
-/// 59,049 states × 6 actions — the per-RSU model every `ensemble` cell and
-/// `aoi-serve` engine solves): the full-tolerance `solve_compiled` against
+/// The per-RSU model at the true fig1a solver size (5 contents, age cap 9:
+/// 59,049 states × 6 actions — the model every `ensemble` cell and
+/// `aoi-serve` engine compiles and solves): `compile` (callback rows into
+/// the dense kernel), `solve_rvi` (relative value iteration at the
+/// tolerance of the `mdp-avg` policy every fig1a grid solves), and value iteration's
+/// full-tolerance `solve_compiled` against
 /// the certified policy-only `solve_policy`, which runs modified policy
 /// iteration (full sweeps, each followed by 10 one-row-per-state
 /// evaluation sweeps of its greedy policy), stops once a full sweep's
@@ -95,11 +98,19 @@ fn bench_compiled_vs_callback(c: &mut Criterion) {
 fn bench_fig1a_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig1a_size");
     group.sample_size(10);
-    let kernel = spec(5, 9)
-        .mdp()
-        .expect("valid spec")
-        .compile()
-        .expect("compiles");
+    let mdp = spec(5, 9).mdp().expect("valid spec");
+    group.bench_with_input(
+        BenchmarkId::new("compile", "59049states"),
+        &mdp,
+        |b, mdp| b.iter(|| mdp.compile().expect("compiles")),
+    );
+    let kernel = mdp.compile().expect("compiles");
+    let rvi = RelativeValueIteration::new().tolerance(1e-10);
+    group.bench_with_input(
+        BenchmarkId::new("solve_rvi", "59049states"),
+        &kernel,
+        |b, kernel| b.iter(|| rvi.solve_compiled(kernel).expect("solves")),
+    );
     let vi = ValueIteration::new(0.95);
     group.bench_with_input(
         BenchmarkId::new("solve_compiled", "59049states"),
@@ -147,7 +158,7 @@ fn bench_sweep_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// One-off cost of compiling a model into the CSR kernel (the price paid to
+/// One-off cost of compiling a model into its kernel (the price paid to
 /// unlock the fast sweeps above).
 fn bench_compile(c: &mut Criterion) {
     let mut group = c.benchmark_group("compile_mdp");

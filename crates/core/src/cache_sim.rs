@@ -115,7 +115,7 @@ impl CacheScenario {
 /// initial ages, all derived deterministically from the scenario seed so
 /// that every policy faces the identical problem.
 ///
-/// Each RSU's exact MDP is compiled into its CSR solver kernel at most
+/// Each RSU's exact MDP is compiled into its solver kernel at most
 /// once — lazily, on the first run of an MDP-based policy kind — and then
 /// shared by every subsequent [`run`](CacheSimulation::run): comparing five
 /// MDP policy kinds against one simulation enumerates each model a single

@@ -294,7 +294,7 @@ fn run_joint_sunk(
     let built: Vec<BuiltRsu> = executor::parallel_map(workers, &build_seeds, |k, seed| {
         let spec = &specs[k];
         // Compile the RSU's MDP once (when the policy kind solves one) so
-        // the solver sweeps the CSR kernel rather than the trait callback.
+        // the solver sweeps the compiled kernel rather than the trait callback.
         let compiled = if scenario.cache_policy.uses_mdp() {
             Some(CompiledRsuMdp::from_spec(spec)?)
         } else {

@@ -173,7 +173,8 @@ impl RsuCacheMdp {
         })
     }
 
-    /// Compiles the model into the flat CSR solver kernel.
+    /// Compiles the model into its solver kernel (the dense layout under
+    /// static popularity, CSR rows under two-phase popularity).
     ///
     /// Solvers sweep the compiled form without re-deriving the
     /// age/popularity arithmetic per `(state, action)` row, so anything
@@ -275,6 +276,12 @@ impl RsuCacheMdp {
     }
 }
 
+/// Contents whose age coordinates [`RsuCacheMdp::transitions`] decodes
+/// into a stack buffer; larger catalogs fall back to the heap. With an age
+/// cap of at least 2, more contents than this make more than `u32::MAX`
+/// states, which [`CompiledMdp::compile`] rejects anyway.
+const STACK_CONTENTS: usize = 32;
+
 impl FiniteMdp for RsuCacheMdp {
     fn n_states(&self) -> usize {
         self.popularity.n_phases() * self.age_space.len()
@@ -284,19 +291,30 @@ impl FiniteMdp for RsuCacheMdp {
         self.n_contents() + 1
     }
 
+    /// Allocation-free up to 32 contents (`STACK_CONTENTS`): compilation
+    /// calls this once per `(state, action)` row.
     fn transitions(&self, state: usize, action: usize, out: &mut Vec<Transition>) {
         out.clear();
         let phase = state / self.age_space.len();
-        let mut coords = self.age_space.decode(state % self.age_space.len());
-        let reward = self.apply(&mut coords, phase, action);
+        let mut stack = [0usize; STACK_CONTENTS];
+        let mut heap = Vec::new();
+        let coords = if self.n_contents() <= STACK_CONTENTS {
+            &mut stack[..self.n_contents()]
+        } else {
+            heap.resize(self.n_contents(), 0);
+            &mut heap[..]
+        };
+        self.age_space
+            .decode_into(state % self.age_space.len(), coords);
+        let reward = self.apply(coords, phase, action);
         // Everyone ages by one slot, capped.
         let cap_coord = self.age_cap.get() as usize - 1;
-        for c in &mut coords {
+        for c in coords.iter_mut() {
             *c = (*c + 1).min(cap_coord);
         }
         let age_next = self
             .age_space
-            .encode(&coords)
+            .encode(coords)
             // lint:allow(panic-hygiene): Age::aged saturates at the cap, so the
             // aged coordinates always encode.
             .expect("aged coordinates stay in range");

@@ -92,7 +92,7 @@ impl RsuSpec {
     }
 }
 
-/// A per-RSU cache MDP paired with its compiled CSR solver kernel.
+/// A per-RSU cache MDP paired with its compiled solver kernel.
 ///
 /// Simulators build one of these per RSU up front and hand it to every
 /// policy construction ([`CachePolicyKind::build_with`]), so the model is
@@ -102,7 +102,7 @@ impl RsuSpec {
 pub struct CompiledRsuMdp {
     /// The exact per-RSU model (state encoding/decoding lives here).
     pub model: RsuCacheMdp,
-    /// The flat CSR kernel the solvers sweep on.
+    /// The compiled kernel the solvers sweep on.
     pub kernel: CompiledMdp,
 }
 
@@ -178,7 +178,7 @@ impl SolvedMdpPolicy {
     }
 
     /// Q-learning on an already-compiled per-RSU MDP (the learner samples
-    /// allocation-free from the kernel's CSR rows).
+    /// allocation-free from the kernel's rows).
     ///
     /// # Errors
     ///
@@ -196,7 +196,7 @@ impl SolvedMdpPolicy {
     }
 
     /// SARSA on an already-compiled per-RSU MDP (allocation-free sampling
-    /// from the kernel's CSR rows).
+    /// from the kernel's rows).
     ///
     /// # Errors
     ///

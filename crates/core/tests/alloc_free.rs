@@ -7,12 +7,16 @@
 //! state encoding, decision contexts, reward accumulators, trace recorders
 //! — is set up before the first slot).
 //!
+//! Compiling the cache MDP into its solver kernel must not allocate per
+//! `(state, action)` row either: two model sizes make the same number of
+//! allocations.
+//!
 //! Runs are wrapped in `executor::serialized` so allocation counts stay
 //! deterministic on any host (no pool threads), which also covers the
 //! `--no-default-features` build where that is the only path.
 
 use aoi_cache::persist::Compression;
-use aoi_cache::{CachePolicyKind, CacheScenario, CacheSimulation, RecordingMode};
+use aoi_cache::{Age, CachePolicyKind, CacheScenario, CacheSimulation, RecordingMode, RsuSpec};
 use simkit::executor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -150,7 +154,7 @@ fn assert_horizon_free_spilled(
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// One test function for the whole binary: every scenario shares the
+/// One test function for every simulation scenario: they share the
 /// same warm-up discipline and runs on the calling thread, whose
 /// allocations alone the counter tallies.
 #[test]
@@ -192,5 +196,36 @@ fn simulation_hot_loop_is_allocation_free() {
         CachePolicyKind::Myopic,
         RecordingMode::Full,
         Compression::Deflate,
+    );
+}
+
+/// Allocations made compiling the cache MDP of `n_contents` contents at
+/// age cap `cap` (`cap^n_contents` states, `n_contents + 1` actions).
+fn compile_allocations(n_contents: usize, cap: u32) -> usize {
+    let spec = RsuSpec {
+        max_ages: vec![Age::new(cap - 1).unwrap(); n_contents],
+        popularity: vec![1.0 / n_contents as f64; n_contents],
+        age_cap: Age::new(cap).unwrap(),
+        weight: 1.0,
+        update_cost: 0.3,
+    };
+    let mdp = spec.mdp().unwrap();
+    allocations_during(|| {
+        let kernel = mdp.compile().unwrap();
+        assert!(kernel.has_dense_layout());
+        assert_eq!(kernel.n_states(), (cap as usize).pow(n_contents as u32));
+    })
+}
+
+/// Compilation allocates the kernel's arrays up front and enumerates rows
+/// without touching the heap: 256 states and 59,049 states (the fig1a
+/// solver size) cost the same number of allocations.
+#[test]
+fn compile_does_not_allocate_per_row() {
+    let small = compile_allocations(4, 4);
+    let large = compile_allocations(5, 9);
+    assert_eq!(
+        small, large,
+        "compile allocations must not scale with rows (small {small}, large {large})"
     );
 }

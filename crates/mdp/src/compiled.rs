@@ -1,17 +1,25 @@
-//! Compile-once CSR kernel for finite MDPs.
+//! Compile-once solver kernel for finite MDPs.
 //!
 //! Trait-backed models ([`FiniteMdp`]) describe their dynamics through the
 //! `transitions` callback, which is convenient to write but expensive to
 //! solve against: every Bellman sweep re-derives every `(state, action)` row
 //! (for the cache MDP that means redoing the age/popularity arithmetic
 //! thousands of times per solve). [`CompiledMdp`] enumerates the model once
-//! into flat compressed-sparse-row arrays:
+//! into flat arrays, in exactly **one** of two layouts:
 //!
-//! * `row_ptr[state * n_actions + action] .. row_ptr[row + 1]` indexes the
-//!   row's transitions inside the flat `next` / `probability` / `reward`
-//!   arrays,
-//! * per-row expected immediate rewards are precomputed,
-//! * a validity bitmap marks rows of invalid actions.
+//! * **dense** — for unit-mass deterministic models, whose every valid row
+//!   is a single transition of probability exactly `1.0` (the cache MDP
+//!   under static popularity): two action-major planes, the destinations
+//!   and the expected rewards, with `-∞` expected rewards on invalid rows;
+//! * **CSR** (compressed sparse rows) — for every other model:
+//!   `row_ptr[state * n_actions + action] .. row_ptr[row + 1]` indexes the
+//!   row's transitions inside flat `next` / `probability` / `reward`
+//!   arrays, next to precomputed per-row expected rewards.
+//!
+//! Both layouts share a validity bitmap marking the rows of valid actions,
+//! and every row-level accessor ([`q_value`](CompiledMdp::q_value),
+//! [`expected_reward`](CompiledMdp::expected_reward), the [`FiniteMdp`]
+//! impl, …) reads whichever layout the kernel has.
 //!
 //! Solvers then run on the compiled form with **zero heap allocation per
 //! sweep**, and the per-state Bellman backup is embarrassingly parallel:
@@ -24,29 +32,28 @@
 //!
 //! # Sweep kernels
 //!
-//! The per-row validity bit test is hoisted out of the action loop (one
-//! bitmap word covers all of a state's rows until the row index crosses a
-//! word boundary), and sweeps walk the state space in cache-blocked
-//! ranges ([`simkit::executor::run_rounds`]) so a block's output slice and
+//! Sweeps walk the state space in cache-blocked ranges
+//! ([`simkit::executor::run_rounds`]) so a block's output slice and
 //! streamed row data stay cache-resident.
 //!
-//! For **deterministic** models (every row at most one transition — the
-//! cache MDP under static popularity) compilation additionally builds an
-//! action-major dense mirror, and blocked sweeps batch across *states*
-//! instead: the inner loop streams `(expected, probability, next)`
-//! contiguously with one `values` gather per row and no per-row validity
-//! test (invalid rows are folded into the data as `-∞` expected rewards
-//! that the over-actions max skips). Per row this is the same multiply
-//! and add set as the CSR gather, so deterministic sweeps agree exactly
-//! (`==`) with the per-state backup. Every other path gathers
-//! `Σ p·V(s')` through the CSR row left to right.
+//! On dense kernels blocked sweeps batch across *states*: action-outer /
+//! state-inner, the inner loop streams `(expected, next)` contiguously with
+//! one `values` gather per row and no per-row validity test (invalid rows
+//! are `-∞`, which the over-actions max skips). A row's Q is
+//! `expected + γ·(0.0 + V[next])`: the CSR gather of a single-transition
+//! row accumulates `0.0 + p·V[next]`, and with `p == 1.0` the product
+//! `1.0·x` is exactly `x`, so both layouts give a row the same Q to the
+//! bit. Every other path gathers `Σ p·V(s')` through the CSR
+//! row left to right, with the per-row validity bit test hoisted out of the
+//! action loop (one bitmap word covers all of a state's rows until the row
+//! index crosses a word boundary).
 //!
 //! Policy-evaluation sweeps (`V ← r_π + γ·P_π·V`: policy evaluation,
 //! policy iteration, and the evaluation phase of the certified
-//! value-iteration policy solve) read one row per state. On deterministic
-//! models they stream per-state copies of the chosen rows, taken from the
-//! dense mirror whenever the policy changes; per row the arithmetic is the
-//! CSR gather's, so both agree exactly.
+//! value-iteration policy solve) read one row per state. On dense kernels
+//! they stream per-state copies of the chosen rows, taken from the planes
+//! whenever the policy changes; per row the arithmetic is the full sweep's,
+//! so both agree exactly.
 //!
 //! ```
 //! use mdp::{reference, CompiledMdp, FiniteMdp};
@@ -70,18 +77,53 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-/// A finite MDP compiled into compressed-sparse-row arrays.
+/// A finite MDP compiled into flat row arrays: the action-major dense
+/// planes for unit-mass deterministic models, compressed sparse rows for
+/// all others.
 ///
 /// Implements [`FiniteMdp`] itself (with allocation-free `sample` /
 /// `expected_reward`), so a compiled model can be handed to any consumer of
 /// the trait — including the tabular learners, which gain allocation-free
-/// generative sampling from the CSR rows.
+/// generative sampling from the compiled rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledMdp {
     n_states: usize,
     n_actions: usize,
-    /// `row_ptr[row] .. row_ptr[row + 1]` bounds row `state * n_actions +
-    /// action` in the flat arrays; length `n_states · n_actions + 1`.
+    /// Validity bitmap: bit `row % 64` of word `row / 64` marks a non-empty
+    /// row `state * n_actions + action`.
+    valid: Vec<u64>,
+    /// The rows, in the kernel's one layout.
+    rows: Rows,
+}
+
+/// The row storage of a [`CompiledMdp`]: exactly one layout per kernel.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Rows {
+    /// Every valid row is one transition with probability exactly `1.0`.
+    Dense(DenseRows),
+    /// Any other model.
+    Sparse(SparseRows),
+}
+
+/// Action-major planes of a unit-mass deterministic model: slot
+/// `action * n_states + state`. Neither a probability (always `1.0`) nor a
+/// raw reward is stored.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct DenseRows {
+    /// Destinations, stored as `u32` to halve the gather bandwidth;
+    /// compilation rejects models with more than `u32::MAX` states.
+    next: Vec<u32>,
+    /// `0.0 + 1.0·r` per valid row — the CSR expected reward bit for bit
+    /// (so a `-0.0` reward reads back as `+0.0`); `-∞` on invalid rows, so
+    /// the over-actions max skips them without a bitmap test.
+    expected: Vec<f64>,
+}
+
+/// Compressed sparse rows, row `state * n_actions + action`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct SparseRows {
+    /// `row_ptr[row] .. row_ptr[row + 1]` bounds a row in the flat arrays;
+    /// length `n_states · n_actions + 1`.
     row_ptr: Vec<usize>,
     /// Flat destination states.
     next: Vec<usize>,
@@ -91,21 +133,6 @@ pub struct CompiledMdp {
     reward: Vec<f64>,
     /// Precomputed `Σ p · r` per row (0 for invalid rows).
     expected: Vec<f64>,
-    /// Validity bitmap: bit `row % 64` of word `row / 64` marks a non-empty
-    /// row.
-    valid: Vec<u64>,
-    /// Action-major dense destinations, built only for **deterministic**
-    /// models (every row has at most one transition — the cache MDP under
-    /// static popularity): slot `action * n_states + state`. Empty for
-    /// stochastic models. Stored as `u32` to halve the gather bandwidth;
-    /// compilation rejects models with more than `u32::MAX` states.
-    det_next: Vec<u32>,
-    /// Action-major dense probabilities (`0.0` for invalid rows, so their
-    /// gather term is an exact no-op).
-    det_prob: Vec<f64>,
-    /// Action-major dense expected rewards; invalid rows carry `-∞`, so the
-    /// over-actions max skips them without a bitmap test.
-    det_expected: Vec<f64>,
     /// Whether every valid row's probabilities sum to exactly `1.0`. The
     /// action-gap certificate of
     /// [`ValueIteration::solve_policy`](crate::solver::ValueIteration::solve_policy)
@@ -113,8 +140,26 @@ pub struct CompiledMdp {
     unit_mass: bool,
 }
 
+impl SparseRows {
+    /// The expected next-state value `Σ p · V(s')` of one row, gathered
+    /// left to right.
+    #[inline]
+    fn future(&self, row: usize, values: &[f64]) -> f64 {
+        let (lo, hi) = (self.row_ptr[row], self.row_ptr[row + 1]);
+        let mut future = 0.0;
+        for (p, nx) in self.probability[lo..hi].iter().zip(&self.next[lo..hi]) {
+            future += p * values[*nx];
+        }
+        future
+    }
+}
+
 impl CompiledMdp {
-    /// Enumerates every `(state, action)` row of `mdp` into CSR form.
+    /// Enumerates every `(state, action)` row of `mdp` into the kernel's
+    /// layout: dense while every non-empty row is a single transition of
+    /// probability exactly `1.0`; the first row that is not switches
+    /// compilation to CSR, which enumerates the model again from its first
+    /// row (so no callback row is read more than twice).
     ///
     /// # Errors
     ///
@@ -123,14 +168,15 @@ impl CompiledMdp {
     ///   or non-finite probabilities,
     /// * [`MdpError::StateOutOfRange`] for out-of-range destinations,
     /// * [`MdpError::BadDistribution`] when a state has no valid action
-    ///   (solvers need at least one).
+    ///   (solvers need at least one),
+    /// * [`MdpError::BadParameter`] for more than `u32::MAX` states.
     pub fn compile<M: FiniteMdp + ?Sized>(mdp: &M) -> Result<CompiledMdp, MdpError> {
         let n_states = mdp.n_states();
         let n_actions = mdp.n_actions();
         if n_states == 0 || n_actions == 0 {
             return Err(MdpError::EmptyModel);
         }
-        // The dense mirror stores destinations as u32 to halve its gather
+        // The dense planes store destinations as u32 to halve their gather
         // bandwidth; every practical model is orders of magnitude smaller.
         if u32::try_from(n_states).is_err() {
             return Err(MdpError::BadParameter {
@@ -145,101 +191,22 @@ impl CompiledMdp {
                 valid: "n_states * n_actions must fit in usize",
             })?;
 
-        let mut row_ptr = Vec::with_capacity(n_rows + 1);
-        row_ptr.push(0);
-        let mut next = Vec::new();
-        let mut probability = Vec::new();
-        let mut reward = Vec::new();
-        let mut expected = Vec::with_capacity(n_rows);
         let mut valid = vec![0u64; n_rows.div_ceil(64)];
-
-        let mut unit_mass = true;
         let mut buf = Vec::new();
-        for s in 0..n_states {
-            let mut any_valid = false;
-            for a in 0..n_actions {
-                mdp.transitions(s, a, &mut buf);
-                let mut row_expected = 0.0;
-                let mut row_mass = 0.0;
-                for t in &buf {
-                    if !t.probability.is_finite() || !t.reward.is_finite() || t.probability < 0.0 {
-                        return Err(MdpError::NonFiniteEntry {
-                            state: s,
-                            action: a,
-                        });
-                    }
-                    if t.next >= n_states {
-                        return Err(MdpError::StateOutOfRange {
-                            state: t.next,
-                            n_states,
-                        });
-                    }
-                    next.push(t.next);
-                    probability.push(t.probability);
-                    reward.push(t.reward);
-                    row_expected += t.probability * t.reward;
-                    row_mass += t.probability;
-                }
-                if !buf.is_empty() {
-                    let row = s * n_actions + a;
-                    valid[row / 64] |= 1 << (row % 64);
-                    any_valid = true;
-                    unit_mass &= row_mass == 1.0;
-                }
-                expected.push(row_expected);
-                row_ptr.push(next.len());
+        let rows = match compile_dense(mdp, n_states, n_actions, &mut valid, &mut buf)? {
+            Some(dense) => Rows::Dense(dense),
+            None => {
+                valid.fill(0);
+                Rows::Sparse(compile_sparse(
+                    mdp, n_states, n_actions, &mut valid, &mut buf,
+                )?)
             }
-            if !any_valid {
-                return Err(MdpError::BadDistribution {
-                    state: s,
-                    action: 0,
-                    mass: 0.0,
-                });
-            }
-        }
-
-        // Action-major dense mirror for deterministic models: the blocked
-        // sweep then runs action-outer / state-inner over contiguous
-        // streams (one value gather per row) with validity folded into the
-        // data — invalid rows carry expected = -∞ and probability = 0.0,
-        // so the over-states loop has no branch and no bitmap test.
-        let deterministic = (0..n_rows).all(|row| row_ptr[row + 1] - row_ptr[row] <= 1);
-        let (det_next, det_prob, det_expected) = if deterministic {
-            let mut det_next = vec![0u32; n_rows];
-            let mut det_prob = vec![0.0f64; n_rows];
-            let mut det_expected = vec![f64::NEG_INFINITY; n_rows];
-            for s in 0..n_states {
-                for a in 0..n_actions {
-                    let row = s * n_actions + a;
-                    if valid[row / 64] & (1 << (row % 64)) == 0 {
-                        continue;
-                    }
-                    // A valid row of a deterministic model has exactly one
-                    // transition.
-                    let slot = a * n_states + s;
-                    det_next[slot] = next[row_ptr[row]] as u32;
-                    det_prob[slot] = probability[row_ptr[row]];
-                    det_expected[slot] = expected[row];
-                }
-            }
-            (det_next, det_prob, det_expected)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
         };
-
         Ok(CompiledMdp {
             n_states,
             n_actions,
-            row_ptr,
-            next,
-            probability,
-            reward,
-            expected,
             valid,
-            det_next,
-            det_prob,
-            det_expected,
-            unit_mass,
+            rows,
         })
     }
 
@@ -253,31 +220,53 @@ impl CompiledMdp {
         self.n_actions
     }
 
-    /// Total transitions stored across all rows.
+    /// Total transitions stored across all rows (one per valid row on a
+    /// dense kernel).
     pub fn n_transitions(&self) -> usize {
-        self.next.len()
+        match &self.rows {
+            Rows::Dense(_) => self.valid.iter().map(|w| w.count_ones() as usize).sum(),
+            Rows::Sparse(csr) => csr.next.len(),
+        }
     }
 
-    /// Whether the action-major dense mirror was built (every row has at
-    /// most one transition), i.e. whether blocked sweeps take the
-    /// deterministic fast path.
-    pub fn is_deterministic(&self) -> bool {
-        !self.det_expected.is_empty()
+    /// Whether the kernel has the dense layout, i.e. the model is
+    /// **unit-mass deterministic**: every valid row is a single transition
+    /// of probability exactly `1.0`. Blocked sweeps then take the
+    /// action-major fast path; deterministic rows of any other probability
+    /// keep the CSR layout.
+    pub fn has_dense_layout(&self) -> bool {
+        matches!(self.rows, Rows::Dense(_))
     }
 
     /// Whether every valid row's transition probabilities sum to exactly
-    /// `1.0` (in stored order). Substochastic or rounding-defective rows
-    /// clear this flag, and with it the early stop of
+    /// `1.0` (in stored order; always true on a dense kernel).
+    /// Substochastic or rounding-defective rows clear this flag, and with
+    /// it the early stop of
     /// [`ValueIteration::solve_policy`](crate::solver::ValueIteration::solve_policy),
     /// which then runs to its tolerance.
     pub fn has_unit_mass_rows(&self) -> bool {
-        self.unit_mass
+        match &self.rows {
+            Rows::Dense(_) => true,
+            Rows::Sparse(csr) => csr.unit_mass,
+        }
     }
 
-    /// Largest `|E[r]|` over all rows: with unit-mass rows every value
-    /// iterate from `V = 0` stays within this bound times `1 / (1 − γ)`.
+    /// Largest `|E[r]|` over the valid rows: with unit-mass rows every
+    /// value iterate from `V = 0` stays within this bound times
+    /// `1 / (1 − γ)`.
     pub(crate) fn reward_bound(&self) -> f64 {
-        self.expected.iter().fold(0.0, |m: f64, e| m.max(e.abs()))
+        let fold = |m: f64, e: &f64| m.max(e.abs());
+        match &self.rows {
+            // Invalid dense rows hold -∞ (valid ones are finite by
+            // validation), so only the valid rows enter the fold.
+            Rows::Dense(dense) => dense
+                .expected
+                .iter()
+                .filter(|e| e.is_finite())
+                .fold(0.0, fold),
+            // Invalid CSR rows hold 0, which cannot raise the bound.
+            Rows::Sparse(csr) => csr.expected.iter().fold(0.0, fold),
+        }
     }
 
     /// Whether the `(state, action)` row is non-empty.
@@ -287,35 +276,33 @@ impl CompiledMdp {
         self.valid[row / 64] & (1 << (row % 64)) != 0
     }
 
-    /// The CSR row of `(state, action)` as `(next, probability, reward)`
-    /// slices (all empty for invalid actions).
-    #[inline]
-    pub fn row(&self, state: usize, action: usize) -> (&[usize], &[f64], &[f64]) {
-        let row = state * self.n_actions + action;
-        let (lo, hi) = (self.row_ptr[row], self.row_ptr[row + 1]);
-        (
-            &self.next[lo..hi],
-            &self.probability[lo..hi],
-            &self.reward[lo..hi],
-        )
-    }
-
-    /// Precomputed expected immediate reward `Σ p · r` of `(state, action)`.
+    /// Precomputed expected immediate reward `Σ p · r` of `(state, action)`
+    /// (0 for invalid actions).
     #[inline]
     pub fn expected_reward(&self, state: usize, action: usize) -> f64 {
-        self.expected[state * self.n_actions + action]
+        match &self.rows {
+            Rows::Dense(dense) if self.is_valid(state, action) => {
+                dense.expected[action * self.n_states + state]
+            }
+            Rows::Dense(_) => 0.0,
+            Rows::Sparse(csr) => csr.expected[state * self.n_actions + action],
+        }
     }
 
-    /// The expected next-state value `Σ p · V(s')` of one row, gathered
-    /// through the CSR row left to right.
+    /// `Q(s, a) = E[r] + γ Σ p · V(s')` of a row, without the validity
+    /// test (an invalid dense row gives `-∞`, an invalid CSR row `0`).
     #[inline]
-    fn future(&self, row: usize, values: &[f64]) -> f64 {
-        let (lo, hi) = (self.row_ptr[row], self.row_ptr[row + 1]);
-        let mut future = 0.0;
-        for (p, nx) in self.probability[lo..hi].iter().zip(&self.next[lo..hi]) {
-            future += p * values[*nx];
+    fn q_row(&self, state: usize, action: usize, values: &[f64], gamma: f64) -> f64 {
+        match &self.rows {
+            Rows::Dense(dense) => {
+                let i = action * self.n_states + state;
+                dense.expected[i] + gamma * (0.0 + values[dense.next[i] as usize])
+            }
+            Rows::Sparse(csr) => {
+                let row = state * self.n_actions + action;
+                csr.expected[row] + gamma * csr.future(row, values)
+            }
         }
-        future
     }
 
     /// One-step lookahead `Q(s, a) = E[r] + γ Σ p · V(s')`, or `None` for an
@@ -325,8 +312,7 @@ impl CompiledMdp {
         if !self.is_valid(state, action) {
             return None;
         }
-        let row = state * self.n_actions + action;
-        Some(self.expected[row] + gamma * self.future(row, values))
+        Some(self.q_row(state, action, values, gamma))
     }
 
     /// Bellman-optimality backup of one state: `max_a Q(s, a)` over valid
@@ -373,7 +359,7 @@ impl CompiledMdp {
             if word & (1 << (row % 64)) == 0 {
                 continue;
             }
-            let q = self.expected[row] + gamma * self.future(row, values);
+            let q = self.q_row(state, a, values, gamma);
             if q > best {
                 runner_up = best;
                 best = q;
@@ -432,8 +418,9 @@ impl CompiledMdp {
         greedy: &PolicyRows,
     ) {
         debug_assert_eq!(out.len(), states.len(), "output block length mismatch");
-        if !self.det_expected.is_empty() {
-            return self.backup_block_dense::<GAP>(states, values, out, gamma, stats, greedy);
+        if let Rows::Dense(dense) = &self.rows {
+            return self
+                .backup_block_dense::<GAP>(dense, states, values, out, gamma, stats, greedy);
         }
         for (slot, s) in out.iter_mut().zip(states) {
             let (best, best_a, runner_up) = self.backup_state_ranked(s, values, gamma);
@@ -445,13 +432,14 @@ impl CompiledMdp {
         }
     }
 
-    /// [`backup_block`](Self::backup_block) over the action-major dense
-    /// mirror of a deterministic model. When gaps are tracked it runs in
-    /// pieces of at most [`SWEEP_BLOCK`] states (one piece per sweep
-    /// block), whose runner-up Qs and argmax actions live in stack buffers,
-    /// so the sweep stays allocation-free.
+    /// [`backup_block`](Self::backup_block) over the dense planes. When
+    /// gaps are tracked it runs in pieces of at most [`SWEEP_BLOCK`] states
+    /// (one piece per sweep block), whose runner-up Qs and argmax actions
+    /// live in stack buffers, so the sweep stays allocation-free.
+    #[allow(clippy::too_many_arguments)]
     fn backup_block_dense<const GAP: bool>(
         &self,
+        dense: &DenseRows,
         states: std::ops::Range<usize>,
         values: &[f64],
         out: &mut [f64],
@@ -460,7 +448,15 @@ impl CompiledMdp {
         greedy: &PolicyRows,
     ) {
         if !GAP {
-            return self.dense_pass::<false>(states.start, values, out, gamma, &mut [], &mut []);
+            return self.dense_pass::<false>(
+                dense,
+                states.start,
+                values,
+                out,
+                gamma,
+                &mut [],
+                &mut [],
+            );
         }
         let mut runner_up = [0.0; SWEEP_BLOCK];
         let mut argmax = [0usize; SWEEP_BLOCK];
@@ -468,7 +464,7 @@ impl CompiledMdp {
             let lo = states.start + i * SWEEP_BLOCK;
             let second = &mut runner_up[..run.len()];
             let arg = &mut argmax[..run.len()];
-            self.dense_pass::<true>(lo, values, run, gamma, second, arg);
+            self.dense_pass::<true>(dense, lo, values, run, gamma, second, arg);
             for (j, &a) in arg.iter().enumerate() {
                 self.set_policy_row(greedy, lo + j, a);
             }
@@ -487,20 +483,21 @@ impl CompiledMdp {
     }
 
     /// The dense sweep kernel: action-outer / state-inner over the states
-    /// `lo..lo + out.len()`, so the inner loop streams `(expected,
-    /// probability, next)` contiguously with exactly one `values` gather
-    /// per row and folds validity into the data (invalid rows are
-    /// `-∞ + γ·0`, which the strict max skips). Per row this performs the
-    /// same multiply and add set as the CSR single-term gather, so the
-    /// results agree exactly (`==`) with [`backup_state`](Self::backup_state);
-    /// ties in the max resolve identically because both iterate actions in
-    /// ascending order with strict improvement. With `GAP`, `second[j]`
-    /// and `arg[j]` also end up holding state `lo + j`'s runner-up Q (`-∞`
-    /// when only one action is valid) and argmax action; without it both
-    /// are unused.
+    /// `lo..lo + out.len()`, so the inner loop streams `(expected, next)`
+    /// contiguously with exactly one `values` gather per row and folds
+    /// validity into the data (invalid rows are `-∞ + γ·future`, which the
+    /// strict max skips). Per row this is [`q_value`](Self::q_value)'s
+    /// arithmetic, so the results agree exactly (`==`) with
+    /// [`backup_state`](Self::backup_state); ties in the max resolve
+    /// identically because both iterate actions in ascending order with
+    /// strict improvement. With `GAP`, `second[j]` and `arg[j]` also end up
+    /// holding state `lo + j`'s runner-up Q (`-∞` when only one action is
+    /// valid) and argmax action; without it both are unused.
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     fn dense_pass<const GAP: bool>(
         &self,
+        dense: &DenseRows,
         lo: usize,
         values: &[f64],
         out: &mut [f64],
@@ -516,13 +513,12 @@ impl CompiledMdp {
         arg.fill(0);
         for a in 0..self.n_actions {
             let base = a * self.n_states + lo;
-            let exp = &self.det_expected[base..base + n];
-            let prob = &self.det_prob[base..base + n];
-            let next = &self.det_next[base..base + n];
+            let exp = &dense.expected[base..base + n];
+            let next = &dense.next[base..base + n];
             for j in 0..n {
-                // Same op order as the CSR gather: the row's single-term
-                // gather accumulates from 0.0.
-                let future = 0.0 + prob[j] * values[next[j] as usize];
+                // The CSR gather's single-term sum `0.0 + 1.0·V[next]`
+                // (`1.0·x == x` exactly).
+                let future = 0.0 + values[next[j] as usize];
                 let q = exp[j] + gamma * future;
                 let best = out[j];
                 if GAP {
@@ -541,7 +537,7 @@ impl CompiledMdp {
     /// evaluates to a meaningless value, never a panic, so callers validate
     /// the policy or overwrite its entries before evaluating.
     pub(crate) fn policy_rows(&self, action: impl Fn(usize) -> usize) -> PolicyRows {
-        let dense = if self.is_deterministic() {
+        let dense = if self.has_dense_layout() {
             self.n_states
         } else {
             0
@@ -549,7 +545,6 @@ impl CompiledMdp {
         let rows = PolicyRows {
             action: (0..self.n_states).map(|_| AtomicUsize::new(0)).collect(),
             expected: (0..dense).map(|_| AtomicU64::new(0)).collect(),
-            probability: (0..dense).map(|_| AtomicU64::new(0)).collect(),
             next: (0..dense).map(|_| AtomicU32::new(0)).collect(),
         };
         for s in 0..self.n_states {
@@ -558,24 +553,24 @@ impl CompiledMdp {
         rows
     }
 
-    /// Points `state`'s entry of `rows` at `action`.
+    /// Points `state`'s entry of `rows` (built by
+    /// [`policy_rows`](Self::policy_rows)) at `action`.
     #[inline]
     pub(crate) fn set_policy_row(&self, rows: &PolicyRows, state: usize, action: usize) {
         rows.action[state].store(action, Ordering::Relaxed);
-        if !rows.expected.is_empty() {
+        if let Rows::Dense(dense) = &self.rows {
             let i = action * self.n_states + state;
-            rows.expected[state].store(self.det_expected[i].to_bits(), Ordering::Relaxed);
-            rows.probability[state].store(self.det_prob[i].to_bits(), Ordering::Relaxed);
-            rows.next[state].store(self.det_next[i], Ordering::Relaxed);
+            rows.expected[state].store(dense.expected[i].to_bits(), Ordering::Relaxed);
+            rows.next[state].store(dense.next[i], Ordering::Relaxed);
         }
     }
 
     /// Policy-evaluation backups `Q(s, π(s))` of a contiguous state range,
     /// written into `out` (`out[0]` is `states.start`): one row per state
-    /// instead of every action's. Deterministic models stream the rows'
-    /// copies in `rows`, all others gather the CSR row of `π(s)`; both
-    /// perform the arithmetic of [`q_value`](Self::q_value) in the same
-    /// order, so the result equals it bit for bit.
+    /// instead of every action's. Dense kernels stream the rows' copies in
+    /// `rows`, CSR kernels gather the row of `π(s)`; both perform the
+    /// arithmetic of [`q_value`](Self::q_value) in the same order, so the
+    /// result equals it bit for bit.
     pub(crate) fn evaluate_block(
         &self,
         states: std::ops::Range<usize>,
@@ -585,24 +580,21 @@ impl CompiledMdp {
         rows: &PolicyRows,
     ) {
         debug_assert_eq!(out.len(), states.len(), "output block length mismatch");
-        if !rows.expected.is_empty() {
+        if self.has_dense_layout() {
             let expected = &rows.expected[states.clone()];
-            let probability = &rows.probability[states.clone()];
             let next = &rows.next[states];
             for (j, slot) in out.iter_mut().enumerate() {
-                let p = f64::from_bits(probability[j].load(Ordering::Relaxed));
-                let future = 0.0 + p * values[next[j].load(Ordering::Relaxed) as usize];
+                let future = 0.0 + values[next[j].load(Ordering::Relaxed) as usize];
                 *slot = f64::from_bits(expected[j].load(Ordering::Relaxed)) + gamma * future;
             }
             return;
         }
         for (slot, s) in out.iter_mut().zip(states) {
-            let row = s * self.n_actions + rows.action(s);
-            *slot = self.expected[row] + gamma * self.future(row, values);
+            *slot = self.q_row(s, rows.action(s), values, gamma);
         }
     }
 
-    /// Greedy policy with respect to `values` (CSR counterpart of
+    /// Greedy policy with respect to `values` (compiled counterpart of
     /// [`solver::greedy_policy`](crate::solver::greedy_policy)).
     ///
     /// # Errors
@@ -622,7 +614,7 @@ impl CompiledMdp {
     }
 
     /// Sup-norm Bellman-optimality residual `‖T V − V‖_∞` on the compiled
-    /// form (CSR counterpart of
+    /// form (compiled counterpart of
     /// [`solver::bellman_residual`](crate::solver::bellman_residual)).
     pub fn bellman_residual(&self, values: &[f64], gamma: f64) -> f64 {
         let mut residual: f64 = 0.0;
@@ -631,6 +623,130 @@ impl CompiledMdp {
         }
         residual
     }
+}
+
+/// Validates one transition of row `(state, action)`: finite entries, a
+/// non-negative probability and an in-range destination.
+fn check_transition(
+    t: &Transition,
+    state: usize,
+    action: usize,
+    n_states: usize,
+) -> Result<(), MdpError> {
+    if !t.probability.is_finite() || !t.reward.is_finite() || t.probability < 0.0 {
+        return Err(MdpError::NonFiniteEntry { state, action });
+    }
+    if t.next >= n_states {
+        return Err(MdpError::StateOutOfRange {
+            state: t.next,
+            n_states,
+        });
+    }
+    Ok(())
+}
+
+/// The error for a state whose every action is invalid (solvers need at
+/// least one valid action per state).
+fn no_valid_action(state: usize) -> MdpError {
+    MdpError::BadDistribution {
+        state,
+        action: 0,
+        mass: 0.0,
+    }
+}
+
+/// The dense pass of [`CompiledMdp::compile`]: fills `valid` and the
+/// action-major planes, or returns `None` at the first non-empty row that
+/// is not a single transition of probability exactly `1.0`. Its allocations
+/// are the two planes plus `buf`'s growth, whatever the model's size.
+fn compile_dense<M: FiniteMdp + ?Sized>(
+    mdp: &M,
+    n_states: usize,
+    n_actions: usize,
+    valid: &mut [u64],
+    buf: &mut Vec<Transition>,
+) -> Result<Option<DenseRows>, MdpError> {
+    let n_rows = n_states * n_actions;
+    let mut next = vec![0u32; n_rows];
+    let mut expected = vec![f64::NEG_INFINITY; n_rows];
+    for s in 0..n_states {
+        let mut any_valid = false;
+        for a in 0..n_actions {
+            mdp.transitions(s, a, buf);
+            let t = match buf.as_slice() {
+                [] => continue,
+                [t] if t.probability == 1.0 => t,
+                _ => return Ok(None),
+            };
+            check_transition(t, s, a, n_states)?;
+            let row = s * n_actions + a;
+            valid[row / 64] |= 1 << (row % 64);
+            any_valid = true;
+            let slot = a * n_states + s;
+            // `compile` checked that every state index fits in u32.
+            next[slot] = t.next as u32;
+            // The CSR row's accumulation `0.0 + p·r`, kept bit for bit.
+            expected[slot] = 0.0 + t.probability * t.reward;
+        }
+        if !any_valid {
+            return Err(no_valid_action(s));
+        }
+    }
+    Ok(Some(DenseRows { next, expected }))
+}
+
+/// The CSR pass of [`CompiledMdp::compile`]: validates every transition
+/// and fills `valid` and the compressed sparse rows.
+fn compile_sparse<M: FiniteMdp + ?Sized>(
+    mdp: &M,
+    n_states: usize,
+    n_actions: usize,
+    valid: &mut [u64],
+    buf: &mut Vec<Transition>,
+) -> Result<SparseRows, MdpError> {
+    let n_rows = n_states * n_actions;
+    let mut row_ptr = Vec::with_capacity(n_rows + 1);
+    row_ptr.push(0);
+    let mut next = Vec::new();
+    let mut probability = Vec::new();
+    let mut reward = Vec::new();
+    let mut expected = Vec::with_capacity(n_rows);
+    let mut unit_mass = true;
+    for s in 0..n_states {
+        let mut any_valid = false;
+        for a in 0..n_actions {
+            mdp.transitions(s, a, buf);
+            let mut row_expected = 0.0;
+            let mut row_mass = 0.0;
+            for t in buf.iter() {
+                check_transition(t, s, a, n_states)?;
+                next.push(t.next);
+                probability.push(t.probability);
+                reward.push(t.reward);
+                row_expected += t.probability * t.reward;
+                row_mass += t.probability;
+            }
+            if !buf.is_empty() {
+                let row = s * n_actions + a;
+                valid[row / 64] |= 1 << (row % 64);
+                any_valid = true;
+                unit_mass &= row_mass == 1.0;
+            }
+            expected.push(row_expected);
+            row_ptr.push(next.len());
+        }
+        if !any_valid {
+            return Err(no_valid_action(s));
+        }
+    }
+    Ok(SparseRows {
+        row_ptr,
+        next,
+        probability,
+        reward,
+        expected,
+        unit_mass,
+    })
 }
 
 impl FiniteMdp for CompiledMdp {
@@ -642,12 +758,30 @@ impl FiniteMdp for CompiledMdp {
         self.n_actions
     }
 
+    /// The stored row; on a dense kernel its one transition has
+    /// probability `1.0` and reward `0.0 + r` (equal to the callback's `r`
+    /// under `==`).
     fn transitions(&self, state: usize, action: usize, out: &mut Vec<Transition>) {
         out.clear();
-        let (next, probability, reward) = self.row(state, action);
-        out.reserve(next.len());
-        for i in 0..next.len() {
-            out.push(Transition::new(next[i], probability[i], reward[i]));
+        match &self.rows {
+            Rows::Dense(dense) => {
+                if self.is_valid(state, action) {
+                    let i = action * self.n_states + state;
+                    out.push(Transition::new(
+                        dense.next[i] as usize,
+                        1.0,
+                        dense.expected[i],
+                    ));
+                }
+            }
+            Rows::Sparse(csr) => {
+                let row = state * self.n_actions + action;
+                let (lo, hi) = (csr.row_ptr[row], csr.row_ptr[row + 1]);
+                out.extend(
+                    (lo..hi)
+                        .map(|i| Transition::new(csr.next[i], csr.probability[i], csr.reward[i])),
+                );
+            }
         }
     }
 
@@ -659,31 +793,40 @@ impl FiniteMdp for CompiledMdp {
         CompiledMdp::expected_reward(self, state, action)
     }
 
-    /// Samples from the CSR row directly — no allocation, unlike the trait's
-    /// default buffer-based implementation.
+    /// Samples from the compiled row directly — no allocation, unlike the
+    /// trait's default buffer-based implementation. Draws one uniform per
+    /// call on both layouts, like the callback's row sampler.
     fn sample(&self, state: usize, action: usize, rng: &mut dyn RngCore) -> (usize, f64) {
-        let (next, probability, reward) = self.row(state, action);
         assert!(
-            !next.is_empty(),
+            self.is_valid(state, action),
             "cannot sample from an empty transition row"
         );
         let u: f64 = rand::Rng::gen::<f64>(rng);
+        let csr = match &self.rows {
+            // `u < 1.0` always picks a probability-1.0 row's transition.
+            Rows::Dense(dense) => {
+                let i = action * self.n_states + state;
+                return (dense.next[i] as usize, dense.expected[i]);
+            }
+            Rows::Sparse(csr) => csr,
+        };
+        let row = state * self.n_actions + action;
+        let (lo, hi) = (csr.row_ptr[row], csr.row_ptr[row + 1]);
         let mut acc = 0.0;
-        for i in 0..next.len() {
-            acc += probability[i];
+        for i in lo..hi {
+            acc += csr.probability[i];
             if u < acc {
-                return (next[i], reward[i]);
+                return (csr.next[i], csr.reward[i]);
             }
         }
-        (next[next.len() - 1], reward[reward.len() - 1])
+        (csr.next[hi - 1], csr.reward[hi - 1])
     }
 }
 
 /// A policy laid out for evaluation sweeps: each state's action and, on
-/// kernels with the dense mirror, a copy of the row that action picks
-/// (expected reward, probability, destination) in state order, so
-/// [`CompiledMdp::evaluate_block`] streams one contiguous row per state
-/// instead of hopping between action planes.
+/// dense kernels, a copy of the row that action picks (expected reward and
+/// destination) in state order, so [`CompiledMdp::evaluate_block`] streams
+/// one contiguous row per state instead of hopping between action planes.
 ///
 /// Entries are atomics because sweep workers store their own states'
 /// entries (the full sweeps of
@@ -698,8 +841,6 @@ pub(crate) struct PolicyRows {
     action: Vec<AtomicUsize>,
     /// `f64` bits of the expected rewards (dense kernels only).
     expected: Vec<AtomicU64>,
-    /// `f64` bits of the probabilities (dense kernels only).
-    probability: Vec<AtomicU64>,
     /// Destinations (dense kernels only).
     next: Vec<AtomicU32>,
 }
@@ -994,6 +1135,22 @@ mod tests {
         let r1 = crate::solver::bellman_residual(&model, &values, gamma);
         let r2 = compiled.bellman_residual(&values, gamma);
         assert!((r1 - r2).abs() < 1e-10, "{r1} vs {r2}");
+    }
+
+    /// Invalid dense rows hold `-∞`; the certificate's reward bound must
+    /// fold over the valid rows only and stay finite.
+    #[test]
+    fn reward_bound_skips_invalid_dense_rows() {
+        use crate::model::FnMdp;
+        let model = FnMdp::new(3, 2, |s, a, out| {
+            if a == 0 || s == 1 {
+                out.push(Transition::new((s + 1) % 3, 1.0, -2.5 + s as f64));
+            }
+        });
+        let compiled = CompiledMdp::compile(&model).unwrap();
+        assert!(compiled.has_dense_layout());
+        assert!(!compiled.is_valid(0, 1));
+        assert_eq!(compiled.reward_bound(), 2.5);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub trait FiniteMdp {
     ///
     /// The default routes through a thread-local row buffer (no per-call
     /// allocation); [`CompiledMdp`](crate::CompiledMdp) samples straight
-    /// from its CSR rows.
+    /// from its compiled rows.
     ///
     /// # Panics
     ///

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// optimal value-to-go at each stage. Undiscounted by default (`gamma = 1`
 /// is allowed here because the horizon is finite).
 /// [`solve`](BackwardInduction::solve) compiles the model into a
-/// [`CompiledMdp`] once and runs every stage backup on the flat CSR arrays.
+/// [`CompiledMdp`] once and runs every stage backup on its flat arrays.
 ///
 /// ```
 /// use mdp::solver::BackwardInduction;

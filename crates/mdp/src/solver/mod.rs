@@ -16,7 +16,7 @@
 //! ## Compile-then-solve
 //!
 //! Every sweep-based solver runs its fixed-point iteration on a
-//! [`crate::CompiledMdp`] CSR kernel: the generic
+//! [`crate::CompiledMdp`] kernel: the generic
 //! `solve(&impl FiniteMdp)` entry points compile the model once and forward
 //! to the corresponding `solve_compiled(&CompiledMdp)` method, which
 //! performs zero heap allocation per sweep. Every compiled solver runs the

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// [`solve`](PolicyIteration::solve) compiles the model into a
 /// [`CompiledMdp`] once; every inner evaluation sweep and improvement pass
-/// then runs on the flat CSR arrays.
+/// then runs on its flat arrays.
 ///
 /// ```
 /// use mdp::solver::PolicyIteration;

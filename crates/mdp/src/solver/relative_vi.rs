@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// cycle. An aperiodicity transform (damping) is applied internally so the
 /// iteration converges even on periodic chains.
 /// [`solve`](RelativeValueIteration::solve) compiles the model into a
-/// [`CompiledMdp`] once and sweeps on the flat CSR arrays.
+/// [`CompiledMdp`] once and sweeps on its flat arrays.
 ///
 /// ```
 /// use mdp::solver::RelativeValueIteration;

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Configuration for value iteration.
 ///
 /// [`solve`](ValueIteration::solve) compiles the model into a
-/// [`CompiledMdp`] CSR kernel and iterates on the flat arrays; use
+/// [`CompiledMdp`] kernel and iterates on the flat arrays; use
 /// [`solve_compiled`](ValueIteration::solve_compiled) to reuse an existing
 /// kernel across solves.
 ///
@@ -63,7 +63,7 @@ impl ValueIteration {
 
     /// Runs value iteration to the Bellman-optimality fixed point.
     ///
-    /// Compiles the model once, then iterates on the CSR kernel. Returns the
+    /// Compiles the model once, then iterates on the compiled kernel. Returns the
     /// final iterate even when the sweep cap was reached
     /// (`converged == false`), so callers can inspect partial progress.
     ///

@@ -116,7 +116,7 @@ fn certified_policy_sweeps_do_not_allocate() {
         (doubled_actions(&grid), false),
         (doubled_actions(&chain), true),
     ] {
-        assert_eq!(compiled.is_deterministic(), dense);
+        assert_eq!(compiled.has_dense_layout(), dense);
         let solver = ValueIteration::new(0.95).tolerance(0.0);
         let _ = solver.max_sweeps(3).solve_policy(&compiled).unwrap_err();
         let short = allocations_during(|| {
@@ -148,7 +148,7 @@ fn scattered_model() -> CompiledMdp {
 #[test]
 fn certified_modified_policy_solve_does_not_allocate_per_sweep() {
     let compiled = scattered_model();
-    assert!(compiled.is_deterministic());
+    assert!(compiled.has_dense_layout());
     let solve = |gamma: f64| ValueIteration::new(gamma).solve_policy(&compiled).unwrap();
     let (fast, slow) = (solve(0.9), solve(0.99));
     for outcome in [&fast, &slow] {

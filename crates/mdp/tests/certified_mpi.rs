@@ -80,7 +80,7 @@ fn models() -> Vec<(String, CompiledMdp, Expect)> {
             deterministic,
         );
         let kernel = compile(&mdp);
-        assert_eq!(kernel.is_deterministic(), deterministic, "seed {seed}");
+        assert_eq!(kernel.has_dense_layout(), deterministic, "seed {seed}");
         models.push((format!("dyadic seed {seed}"), kernel, Expect::Modified));
     }
     for (label, (mdp, _), expect) in [

@@ -17,7 +17,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `aoi-cache` | the paper's algorithms, policies and simulators |
-//! | [`mdp`] | `mdp` | finite-MDP models, the compiled CSR solver kernel, and solvers |
+//! | [`mdp`] | `mdp` | finite-MDP models, the compiled solver kernel, and solvers |
 //! | [`lyapunov`] | `lyapunov` | queues and drift-plus-penalty control |
 //! | [`vanet`] | `vanet` | the synthetic connected-vehicle substrate |
 //! | [`simkit`] | `simkit` | RNG streams, time series, stats, plots |
@@ -25,8 +25,9 @@
 //! ## Solving fast: compile-then-solve
 //!
 //! Every sweep-based MDP solver compiles its model into a
-//! [`mdp::CompiledMdp`] (flat CSR transition arrays, precomputed expected
-//! rewards, validity bitmap) and iterates on the flat arrays with zero heap
+//! [`mdp::CompiledMdp`] (flat row arrays — action-major dense planes for
+//! unit-mass deterministic models, CSR rows otherwise — and a validity
+//! bitmap) and iterates on the flat arrays with zero heap
 //! allocation per sweep; under the default `parallel` feature the per-state
 //! Bellman backup fans out across worker threads with bit-for-bit identical
 //! results. The simulators compile each RSU's MDP exactly once
