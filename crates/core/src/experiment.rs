@@ -882,14 +882,11 @@ impl ExperimentPlan {
                 artifact.manifest.config_hash
             ));
         }
-        match artifact.channel(self.headline_channel()) {
-            Some(channel) if !channel.series.is_empty() => {
-                CellResume::Valid(channel.series.clone())
-            }
-            _ => CellResume::Invalid(format!(
-                "missing headline channel \"{}\"",
-                self.headline_channel()
-            )),
+        // Move the series out of the artifact, which is dropped here.
+        let headline = self.headline_channel();
+        match artifact.channels.into_iter().find(|c| c.name == headline) {
+            Some(channel) if !channel.series.is_empty() => CellResume::Valid(channel.series),
+            _ => CellResume::Invalid(format!("missing headline channel \"{headline}\"")),
         }
     }
 

@@ -15,11 +15,18 @@ use serde::{Deserialize, Serialize};
 
 /// Relative value iteration configuration.
 ///
-/// Requires the MDP to be *unichain* under every stationary policy (a
-/// single recurrent class), which holds for the cache MDP: from any age
-/// vector, any fixed update pattern drives the chain into one recurrent
-/// cycle. An aperiodicity transform (damping) is applied internally so the
-/// iteration converges even on periodic chains.
+/// The bias `h` is unique up to one constant only when the MDP is
+/// *unichain* (a single recurrent class) under the optimal policy. The
+/// cache MDP need not be: a model can have several optimal recurrent
+/// cycles (three of the eight fig1a models at seeds 1–2 have 2 to 5).
+/// On such a multichain model the solve still converges and returns a
+/// *gain-optimal* table — every state gets the optimal gain — but each
+/// recurrent class leaves its own free constant in `h`. So in transient
+/// states where several actions are gain-optimal, the chosen action
+/// depends on where the damped iteration lands (the `damping` value and
+/// the start values), not on a fixed tie rule. An aperiodicity transform
+/// (damping) is applied internally so the iteration converges even on
+/// periodic chains.
 /// [`solve`](RelativeValueIteration::solve) compiles the model into a
 /// [`CompiledMdp`] once and sweeps on its flat arrays.
 ///

@@ -748,6 +748,13 @@ impl Artifact {
 /// Unknown record kinds and unknown fields are ignored (see the module
 /// docs' versioning rule); unknown *format versions* are rejected.
 ///
+/// [`ArtifactWriter`] emits every `sample` record in one canonical byte
+/// form, and the reader parses that form on a fast path that builds no
+/// JSON tree (samples are ~99% of an artifact's bytes). Any other valid
+/// JSON spelling of a record — whitespace, field order, escapes,
+/// exponents — goes through the general parser and reads identically, so
+/// foreign or hand-edited artifacts stay compatible.
+///
 /// # Errors
 ///
 /// Returns [`PersistError::Io`] for filesystem failures,
@@ -767,7 +774,7 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, PersistError> {
     let head = plain
         .fill_buf()
         .map_err(|e| io_error("read", &display, &e))?;
-    let reader: Box<dyn BufRead> = if compress::is_compressed(head) {
+    let mut reader: Box<dyn BufRead> = if compress::is_compressed(head) {
         let decoder = DecompressReader::new(plain).map_err(|e| io_error("read", &display, &e))?;
         Box::new(io::BufReader::new(decoder))
     } else {
@@ -791,9 +798,14 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, PersistError> {
     let mut samples = 0u64;
     let mut footer: Option<(usize, usize, u64)> = None;
 
-    for (index, line) in reader.lines().enumerate() {
-        let number = index + 1;
-        let line = line.map_err(|e| match e.kind() {
+    // One line buffer for the whole file; `lines()` would allocate a new
+    // `String` per record.
+    let mut buf = String::new();
+    let mut number = 0;
+    loop {
+        number += 1;
+        buf.clear();
+        let read = reader.read_line(&mut buf).map_err(|e| match e.kind() {
             // The compressed stream ended before its end marker — the
             // writer died mid-file, the same condition a missing footer
             // signals for plain artifacts.
@@ -805,13 +817,28 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, PersistError> {
             },
             _ => io_error("read", &display, &e),
         })?;
+        if read == 0 {
+            break;
+        }
+        // Strip the terminator exactly as `BufRead::lines` does.
+        let mut line = buf.as_str();
+        if let Some(rest) = line.strip_suffix('\n') {
+            line = rest.strip_suffix('\r').unwrap_or(rest);
+        }
         if line.trim().is_empty() {
             continue;
         }
         if footer.is_some() {
             return Err(corrupt(number, "records after the footer".to_string()));
         }
-        let record = parse_json(&line).map_err(|why| corrupt(number, why))?;
+        if manifest.is_some() {
+            if let Some(sample) = canonical_sample(line) {
+                push_sample(&mut channels, &mut samples, sample)
+                    .map_err(|why| corrupt(number, why))?;
+                continue;
+            }
+        }
+        let record = parse_json(line).map_err(|why| corrupt(number, why))?;
         let kind = record
             .get("kind")
             .and_then(Json::as_str)
@@ -865,14 +892,8 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, PersistError> {
                     .and_then(Json::as_u64)
                     .ok_or_else(|| corrupt(number, "sample without a slot".to_string()))?;
                 let value = req_f64(&record, "value").map_err(|why| corrupt(number, why))?;
-                let channel = channels
-                    .get_mut(ch)
-                    .ok_or_else(|| corrupt(number, format!("sample for unknown channel {ch}")))?;
-                if channel.series.last().is_some_and(|p| p.slot.index() > slot) {
-                    return Err(corrupt(number, "samples out of slot order".to_string()));
-                }
-                channel.series.push(TimeSlot::new(slot), value);
-                samples += 1;
+                push_sample(&mut channels, &mut samples, (ch, slot, value))
+                    .map_err(|why| corrupt(number, why))?;
             }
             "summary" => {
                 let ch = req_usize(&record, "ch").map_err(|why| corrupt(number, why))?;
@@ -967,6 +988,11 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, PersistError> {
     if footer.is_none() {
         return Err(PersistError::Truncated);
     }
+    // The series grew by doubling; callers keep them (resume moves a
+    // cell's headline series out), so hand them over without the slack.
+    for channel in &mut channels {
+        channel.series.shrink_to_fit();
+    }
     let curves = curves
         .into_iter()
         .map(|pending| ArtifactCurve {
@@ -987,6 +1013,53 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, PersistError> {
         channels,
         curves,
     })
+}
+
+/// The fast path for `sample` records: parses `line` only if it is the
+/// exact byte form [`ArtifactWriter::sample`] emits,
+/// `{"kind":"sample","ch":<digits>,"slot":<digits>,"value":<decimal>}`
+/// with `<decimal>` = `-?<digits>(.<digits>)?`, and returns its
+/// `(ch, slot, value)`. Any other spelling returns `None` and goes through
+/// [`parse_json`]. The tokens are parsed with the same `str::parse` calls
+/// as [`req_usize`], [`Json::as_u64`] and [`req_f64`], so an accepted line
+/// reads bit for bit as the general path reads it.
+fn canonical_sample(line: &str) -> Option<(usize, u64, f64)> {
+    fn digits(token: &str) -> bool {
+        !token.is_empty() && token.bytes().all(|b| b.is_ascii_digit())
+    }
+    let rest = line.strip_prefix("{\"kind\":\"sample\",\"ch\":")?;
+    let (ch, rest) = rest.split_once(",\"slot\":")?;
+    let (slot, rest) = rest.split_once(",\"value\":")?;
+    let value = rest.strip_suffix('}')?;
+    let unsigned = value.strip_prefix('-').unwrap_or(value);
+    let decimal = match unsigned.split_once('.') {
+        Some((int, frac)) => digits(int) && digits(frac),
+        None => digits(unsigned),
+    };
+    if !(digits(ch) && digits(slot) && decimal) {
+        return None;
+    }
+    let ch = usize::try_from(ch.parse::<u64>().ok()?).ok()?;
+    Some((ch, slot.parse().ok()?, value.parse().ok()?))
+}
+
+/// The `sample` arm shared by both parse paths of [`read_artifact`]: the
+/// channel must be declared and its slots must not go backwards; the
+/// sample is then appended and counted.
+fn push_sample(
+    channels: &mut [ChannelData],
+    samples: &mut u64,
+    (ch, slot, value): (usize, u64, f64),
+) -> Result<(), String> {
+    let channel = channels
+        .get_mut(ch)
+        .ok_or_else(|| format!("sample for unknown channel {ch}"))?;
+    if channel.series.last().is_some_and(|p| p.slot.index() > slot) {
+        return Err("samples out of slot order".to_string());
+    }
+    channel.series.push(TimeSlot::new(slot), value);
+    *samples += 1;
+    Ok(())
 }
 
 fn parse_manifest(record: &Json) -> Result<Manifest, String> {
@@ -1392,6 +1465,157 @@ mod tests {
         }
         assert_eq!(parse_mode("decimate:nope"), None);
         assert_eq!(parse_mode("whatever"), None);
+    }
+
+    /// `(ch, slot, value)` of a `sample` line as the general path reads
+    /// it: [`parse_json`], then `req_usize` / `Json::as_u64` / `req_f64`.
+    fn general_sample(line: &str) -> Option<(usize, u64, f64)> {
+        let record = parse_json(line).ok()?;
+        if record.get("kind").and_then(Json::as_str) != Some("sample") {
+            return None;
+        }
+        let ch = req_usize(&record, "ch").ok()?;
+        let slot = record.get("slot").and_then(Json::as_u64)?;
+        Some((ch, slot, req_f64(&record, "value").ok()?))
+    }
+
+    /// Whether the fast path accepts `line`; if it does, its reading must
+    /// equal the general path's bit for bit.
+    fn fast_path_agrees(line: &str) -> bool {
+        let Some((ch, slot, value)) = canonical_sample(line) else {
+            return false;
+        };
+        let general = general_sample(line)
+            .unwrap_or_else(|| panic!("fast path accepted {line:?}, general path rejects it"));
+        assert_eq!(
+            (general.0, general.1, general.2.to_bits()),
+            (ch, slot, value.to_bits()),
+            "{line:?}"
+        );
+        true
+    }
+
+    #[test]
+    fn fast_path_reads_every_written_sample_like_the_general_path() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0, // subnormal
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            1.0 / 3.0,
+            -1e21,
+            1e-7,
+            123_456_789.0,
+        ];
+        // Finite values spread over every exponent (SplitMix64 bits).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        while values.len() < 2_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let v = f64::from_bits(z ^ (z >> 31));
+            if v.is_finite() {
+                values.push(v);
+            }
+        }
+        let path = std::env::temp_dir().join(format!(
+            "simkit-persist-fast-path-{}.jsonl",
+            std::process::id()
+        ));
+        let manifest = Manifest {
+            artifact: ArtifactKind::Trace,
+            scenario: "fast-path".to_string(),
+            policy: "test".to_string(),
+            seed: None,
+            recording: RecordingMode::Full,
+            config_hash: 0,
+        };
+        let mut writer = ArtifactWriter::create(&path, &manifest).unwrap();
+        let chs: Vec<ChannelId> = (0..12)
+            .map(|i| {
+                writer
+                    .channel(&format!("c{i}"), RecordingMode::Full)
+                    .unwrap()
+            })
+            .collect();
+        for (i, &v) in values.iter().enumerate() {
+            let slot = if i + 1 == values.len() {
+                u64::MAX
+            } else {
+                i as u64 * 997
+            };
+            writer
+                .sample(chs[i % chs.len()], TimeSlot::new(slot), v)
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        let lines: Vec<&str> = text.lines().filter(|l| l.contains("\"sample\"")).collect();
+        assert_eq!(lines.len(), values.len());
+        for line in lines {
+            assert!(
+                fast_path_agrees(line),
+                "writer emitted a non-canonical {line:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fast_path_declines_or_agrees_on_other_spellings() {
+        let sample = |ch: &str, slot: &str, value: &str| {
+            format!("{{\"kind\":\"sample\",\"ch\":{ch},\"slot\":{slot},\"value\":{value}}}")
+        };
+        // Accepted (and checked against the general path).
+        for line in [
+            sample("01", "007", "-0"),
+            sample("0", "0", "00.50"),
+            sample("3", "18446744073709551615", "-0.0"),
+        ] {
+            assert!(fast_path_agrees(&line), "{line:?}");
+        }
+        // Declined: these go through `parse_json`.
+        for line in [
+            sample("1", "2", "+1"),
+            sample("1", "2", "1E3"),
+            sample("1", "2", "1e999"),
+            sample("1", "2", "1e-7"),
+            sample("1", "2", ".5"),
+            sample("1", "2", "5."),
+            sample("1", "2", "-"),
+            sample("1", "2", "inf"),
+            sample("1", "2", "NaN"),
+            sample("1", "2", "\"1\""),
+            sample("1", "2", "1,\"value\":2"),
+            sample("-1", "2", "1"),
+            sample("1", "-2", "1"),
+            sample("1", "18446744073709551616", "1"),
+            sample("18446744073709551616", "2", "1"),
+            sample("", "2", "1"),
+            format!("{}x", sample("1", "2", "1")),
+            format!("{}\r", sample("1", "2", "1")),
+            format!("{}}}", sample("1", "2", "1")),
+            format!(" {}", sample("1", "2", "1")),
+            "{\"kind\":\"sample\", \"ch\":1,\"slot\":2,\"value\":1}".to_string(),
+            "{\"kind\":\"sample\",\"ch\":1,\"slot\":2,\"value\": 1}".to_string(),
+            "{\"kind\":\"\\u0073ample\",\"ch\":1,\"slot\":2,\"value\":1}".to_string(),
+            "{\"kind\":\"sample\",\"slot\":2,\"ch\":1,\"value\":1}".to_string(),
+            "{\"ch\":1,\"kind\":\"sample\",\"slot\":2,\"value\":1}".to_string(),
+            "{\"kind\":\"summary\",\"ch\":1,\"slot\":2,\"value\":1}".to_string(),
+        ] {
+            assert!(!fast_path_agrees(&line), "fast path accepted {line:?}");
+        }
+        // The declined escaped-kind spelling still reads as a sample.
+        assert_eq!(
+            general_sample("{\"kind\":\"\\u0073ample\",\"ch\":1,\"slot\":2,\"value\":1E3}"),
+            Some((1, 2, 1000.0))
+        );
     }
 
     #[test]

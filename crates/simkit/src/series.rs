@@ -69,6 +69,11 @@ impl TimeSeries {
         self.points.push(SeriesPoint { slot, value });
     }
 
+    /// Drops the spare capacity left by growing the series.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.points.shrink_to_fit();
+    }
+
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
         self.points.len()

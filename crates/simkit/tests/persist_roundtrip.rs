@@ -4,7 +4,7 @@
 //! reconstructing silently wrong data.
 
 use simkit::persist::{
-    config_hash, read_artifact, ArtifactKind, ArtifactWriter, Manifest, PersistError,
+    config_hash, read_artifact, ArtifactKind, ArtifactWriter, Compression, Manifest, PersistError,
 };
 use simkit::{CurveAccumulator, RecordingMode, RunningStats, TimeSeries, TimeSlot, TraceRecorder};
 use std::path::{Path, PathBuf};
@@ -212,7 +212,7 @@ fn truncated_artifact_is_rejected() {
     std::fs::write(&path, half).unwrap();
     assert!(matches!(
         read_artifact(&path),
-        Err(PersistError::Corrupt { .. })
+        Err(PersistError::Corrupt { line, .. }) if line == lines.len()
     ));
 
     // An empty file is truncated too (no manifest).
@@ -240,7 +240,7 @@ fn corrupted_records_are_rejected_with_line_numbers() {
     std::fs::write(&path, lines.join("\n")).unwrap();
     assert!(matches!(
         read_artifact(&path),
-        Err(PersistError::Corrupt { .. })
+        Err(PersistError::Corrupt { line: 4, .. })
     ));
 
     // Footer counts that disagree with the records actually present.
@@ -250,9 +250,107 @@ fn corrupted_records_are_rejected_with_line_numbers() {
     std::fs::write(&path, lines.join("\n")).unwrap();
     assert!(matches!(
         read_artifact(&path),
-        Err(PersistError::Corrupt { .. })
+        Err(PersistError::Corrupt { line, .. }) if line == last + 1
     ));
     std::fs::remove_file(&path).unwrap();
+}
+
+/// `line` spelled as valid JSON the writer never emits (a space after the
+/// brace), so the reader parses it through its general path.
+fn respell(line: &str) -> String {
+    line.replacen('{', "{ ", 1)
+}
+
+#[test]
+fn sample_errors_are_identical_on_both_parse_paths() {
+    let path = scratch("sample-errors");
+    write_small_artifact(&path);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<String> = text.lines().map(str::to_string).collect();
+    // Lines: 0 manifest, 1 channel, 2..52 samples of slots 0..50.
+    let sample = |ch: usize, slot: u64| {
+        format!("{{\"kind\":\"sample\",\"ch\":{ch},\"slot\":{slot},\"value\":1.5}}")
+    };
+    let corrupt = |line: usize, why: &str| PersistError::Corrupt {
+        line,
+        why: why.to_string(),
+    };
+    let cases: Vec<(usize, String, PersistError)> = vec![
+        (
+            0,
+            sample(0, 0),
+            corrupt(1, "first record must be the manifest"),
+        ),
+        (1, sample(0, 0), corrupt(2, "sample for unknown channel 0")),
+        (3, sample(9, 1), corrupt(4, "sample for unknown channel 9")),
+        (4, sample(0, 0), corrupt(5, "samples out of slot order")),
+        (
+            6,
+            sample(0, u64::MAX),
+            corrupt(8, "samples out of slot order"),
+        ),
+    ];
+    for (at, line, want) in cases {
+        for spelled in [line.clone(), respell(&line)] {
+            let mut damaged = lines.clone();
+            // Inserted before the manifest or the channel; replacing a
+            // sample otherwise.
+            if at <= 1 {
+                damaged.insert(at, spelled.clone());
+            } else {
+                damaged[at] = spelled.clone();
+            }
+            std::fs::write(&path, damaged.join("\n")).unwrap();
+            assert_eq!(read_artifact(&path), Err(want.clone()), "{spelled}");
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn respelled_samples_read_identically() {
+    for compression in [Compression::None, Compression::Deflate] {
+        let path = compression.apply_to(&scratch("respelled"));
+        let mut writer = ArtifactWriter::create_with(
+            &path,
+            &manifest(ArtifactKind::Trace, RecordingMode::Full),
+            compression,
+        )
+        .unwrap();
+        let chs = [
+            writer.channel("a", RecordingMode::Full).unwrap(),
+            writer.channel("b", RecordingMode::Full).unwrap(),
+        ];
+        for (i, v) in awkward_values().into_iter().cycle().take(400).enumerate() {
+            writer
+                .sample(chs[i % 2], TimeSlot::new(i as u64), v)
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        let canonical = read_artifact(&path).unwrap();
+        // Every sample through the general path instead of the fast one.
+        let plain = scratch("respelled-plain");
+        let text = if compression == Compression::None {
+            std::fs::read_to_string(&path).unwrap()
+        } else {
+            let bytes = std::fs::read(&path).unwrap();
+            String::from_utf8(simkit::persist::compress::decompress(&bytes).unwrap()).unwrap()
+        };
+        let respelled: Vec<String> = text
+            .lines()
+            .map(|l| {
+                if l.contains("\"sample\"") {
+                    respell(l)
+                } else {
+                    l.to_string()
+                }
+            })
+            .collect();
+        std::fs::write(&plain, respelled.join("\n")).unwrap();
+        assert_eq!(read_artifact(&plain).unwrap(), canonical);
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&plain).unwrap();
+    }
 }
 
 #[test]
