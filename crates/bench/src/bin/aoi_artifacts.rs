@@ -28,8 +28,9 @@
 //!   copied into `OUT_DIR` (conflicts between sources are resolved by the
 //!   rule *verified wins*; two verified copies must be identical, and a
 //!   config-hash or seed mismatch is an error), then every `(scenario,
-//!   policy)` ensemble artifact is **recomputed from the merged cells** —
-//!   byte-identical to what the experiment engine itself would write.
+//!   policy)` ensemble artifact is **recomputed from the merged cells**
+//!   through the engine's own [`EnsembleFold`], so it holds the bytes the
+//!   experiment engine writes.
 //!
 //! `verify`, `diff` and `merge` exit non-zero on any
 //! failure/difference/conflict, so CI can assert round trips, resume
@@ -45,6 +46,7 @@
 //! ```
 
 use aoi_cache::persist::{read_artifact, Artifact, ArtifactKind, ArtifactWriter, PersistError};
+use aoi_cache::{headline_channel_for, Compression, EnsembleFold, ExperimentPlan, RecordingMode};
 use simkit::plot::AsciiPlot;
 use simkit::supervise::{self, EventKind};
 use simkit::table::{fmt_f64, Table};
@@ -109,24 +111,11 @@ fn main() -> ExitCode {
 /// directory for every `*.jsonl` / `*.jsonl.z` under it (recursively),
 /// sorted for deterministic output.
 fn discover(paths: &[String]) -> Result<Vec<PathBuf>, String> {
-    fn walk(dir: &Path, into: &mut Vec<PathBuf>) -> Result<(), String> {
-        let entries =
-            std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        for entry in entries {
-            let path = entry.map_err(|e| e.to_string())?.path();
-            if path.is_dir() {
-                walk(&path, into)?;
-            } else if is_artifact_name(&path) {
-                into.push(path);
-            }
-        }
-        Ok(())
-    }
     let mut files = Vec::new();
     for arg in paths {
         let path = PathBuf::from(arg);
         if path.is_dir() {
-            walk(&path, &mut files)?;
+            walk(&path, is_artifact_name, &mut files)?;
         } else if path.is_file() {
             files.push(path);
         } else {
@@ -140,13 +129,28 @@ fn discover(paths: &[String]) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-fn is_artifact_name(path: &Path) -> bool {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+/// Collects every file under `dir` (recursively) whose name `keep`
+/// accepts.
+fn walk(dir: &Path, keep: fn(&str) -> bool, into: &mut Vec<PathBuf>) -> Result<(), String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    for entry in entries {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        if path.is_dir() {
+            walk(&path, keep, into)?;
+        } else if keep(path.file_name().and_then(|n| n.to_str()).unwrap_or("")) {
+            into.push(path);
+        }
+    }
+    Ok(())
+}
+
+fn is_artifact_name(name: &str) -> bool {
     // Health journals and quarantine markers also end in .jsonl, but they
     // are worker telemetry (see `health`), not persist artifacts.
     (name.ends_with(".jsonl") || name.ends_with(".jsonl.z"))
-        && !simkit::supervise::is_journal_name(name)
-        && !simkit::supervise::is_quarantine_name(name)
+        && !supervise::is_journal_name(name)
+        && !supervise::is_quarantine_name(name)
 }
 
 /// The encoding-independent name diffs pair files by (`.z` stripped).
@@ -648,28 +652,9 @@ fn cmd_health(args: &[String]) -> Result<bool, String> {
     if !root.is_dir() {
         return Err(format!("no such directory: {}", root.display()));
     }
-    fn walk(
-        dir: &Path,
-        journals: &mut Vec<PathBuf>,
-        markers: &mut Vec<PathBuf>,
-    ) -> Result<(), String> {
-        let entries =
-            std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        for entry in entries {
-            let path = entry.map_err(|e| e.to_string())?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if path.is_dir() {
-                walk(&path, journals, markers)?;
-            } else if supervise::is_journal_name(name) {
-                journals.push(path);
-            } else if supervise::is_quarantine_name(name) {
-                markers.push(path);
-            }
-        }
-        Ok(())
-    }
     let (mut journals, mut markers) = (Vec::new(), Vec::new());
-    walk(&root, &mut journals, &mut markers)?;
+    walk(&root, supervise::is_journal_name, &mut journals)?;
+    walk(&root, supervise::is_quarantine_name, &mut markers)?;
     journals.sort();
     markers.sort();
 
@@ -731,27 +716,21 @@ fn cmd_health(args: &[String]) -> Result<bool, String> {
 
 // --- merge -----------------------------------------------------------------
 
-/// One merged cell artifact, retained for the ensemble recompute.
+/// What the ensemble recompute keeps of one merged cell artifact.
 struct MergedCell {
-    /// Directory the cell lives in, relative to its source root (and thus
-    /// to `OUT_DIR`).
-    rel_dir: PathBuf,
-    scenario: usize,
     replicate: usize,
-    policy: usize,
-    artifact: Artifact,
-    /// Whether the winning file was compressed (`.z`); the recomputed
-    /// ensemble follows the cells' encoding.
-    compressed: bool,
+    headline: TimeSeries,
+    config_hash: u64,
 }
 
-/// Parses a cell artifact's logical file name
-/// (`cell-s<S>-r<R>-p<P>.trace.jsonl`) into its grid coordinates.
-fn parse_cell_name(name: &str) -> Option<(usize, usize, usize)> {
-    let rest = name.strip_prefix("cell-s")?.strip_suffix(".trace.jsonl")?;
-    let (s, rest) = rest.split_once("-r")?;
-    let (r, p) = rest.split_once("-p")?;
-    Some((s.parse().ok()?, r.parse().ok()?, p.parse().ok()?))
+/// One `(directory, scenario, policy)` group of merged cells, with the
+/// policy label, recording mode and encoding of the first of its cells by
+/// file name.
+struct MergedGroup {
+    label: String,
+    recording: RecordingMode,
+    compression: Compression,
+    cells: Vec<MergedCell>,
 }
 
 fn cmd_merge(args: &[String]) -> Result<bool, String> {
@@ -786,7 +765,7 @@ fn cmd_merge(args: &[String]) -> Result<bool, String> {
         }
     }
 
-    let mut cells: Vec<MergedCell> = Vec::new();
+    let mut groups: BTreeMap<(PathBuf, usize, usize), MergedGroup> = BTreeMap::new();
     let mut copied = 0usize;
     let mut unmerged = 0usize;
     for (name, candidates) in &by_name {
@@ -800,12 +779,9 @@ fn cmd_merge(args: &[String]) -> Result<bool, String> {
                 Err(e) => broken.push(format!("{}: {e}", path.display())),
             }
         }
-        let file_name = Path::new(name)
-            .file_name()
-            .map(|n| n.to_string_lossy().to_string())
-            .unwrap_or_default();
         let Some((winner_path, winner)) = verified.first() else {
-            if file_name.starts_with("ensemble-") {
+            let file_name = Path::new(name).file_name().unwrap_or_default();
+            if file_name.to_string_lossy().starts_with("ensemble-") {
                 // Ensembles are recomputed from the merged cells below, so
                 // a torn per-worker ensemble copy costs nothing.
                 println!(
@@ -869,82 +845,59 @@ fn cmd_merge(args: &[String]) -> Result<bool, String> {
         std::fs::copy(winner_path, &dest)
             .map_err(|e| format!("merge: cannot copy {}: {e}", winner_path.display()))?;
         copied += 1;
-        if let Some((scenario, replicate, policy)) = parse_cell_name(&file_name) {
-            cells.push(MergedCell {
-                rel_dir: rel.parent().unwrap_or(Path::new("")).to_path_buf(),
-                scenario,
+        let rel_name = rel.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let Some(((scenario, replicate, policy), compression)) =
+            ExperimentPlan::parse_cell_artifact_name(rel_name)
+        else {
+            continue;
+        };
+        let winner = verified.swap_remove(0).1;
+        let manifest = winner.manifest;
+        let channel = headline_channel_for(&manifest.scenario).ok_or_else(|| {
+            format!(
+                "merge: {name}: unknown scenario family {:?}",
+                manifest.scenario
+            )
+        })?;
+        let headline = winner
+            .channels
+            .into_iter()
+            .find(|c| c.name == channel)
+            .ok_or_else(|| format!("merge: {name}: missing headline channel {channel:?}"))?
+            .series;
+        let rel_dir = rel.parent().unwrap_or(Path::new("")).to_path_buf();
+        groups
+            .entry((rel_dir, scenario, policy))
+            .or_insert_with(|| MergedGroup {
+                label: manifest.policy,
+                recording: manifest.recording,
+                compression,
+                cells: Vec::new(),
+            })
+            .cells
+            .push(MergedCell {
                 replicate,
-                policy,
-                artifact: verified.swap_remove(0).1,
-                compressed: rel.to_string_lossy().ends_with(".z"),
+                headline,
+                config_hash: manifest.config_hash,
             });
-        }
     }
 
     // Recompute one ensemble artifact per (directory, scenario, policy)
-    // group, folding the cells' headline curves in replicate order — the
-    // exact sequence (and accumulator naming, and manifest hash rule) the
-    // experiment engine uses, so the result is byte-identical to an
-    // engine-written ensemble.
-    let mut groups: BTreeMap<(PathBuf, usize, usize), Vec<&MergedCell>> = BTreeMap::new();
-    for cell in &cells {
-        groups
-            .entry((cell.rel_dir.clone(), cell.scenario, cell.policy))
-            .or_default()
-            .push(cell);
-    }
+    // group through the engine's own fold, in replicate order, so the
+    // result is byte-identical to an engine-written ensemble.
     let mut ensembles = 0usize;
     for ((rel_dir, scenario, policy), mut group) in groups {
-        group.sort_by_key(|c| c.replicate);
-        let first = &group[0].artifact;
-        let label = first.manifest.policy.clone();
-        let channel_name =
-            aoi_cache::headline_channel_for(&first.manifest.scenario).ok_or_else(|| {
-                format!(
-                    "merge: cell s{scenario}-p{policy}: unknown scenario family {:?}",
-                    first.manifest.scenario
-                )
-            })?;
-        let mut acc = simkit::CurveAccumulator::new(aoi_cache::group_curve_name(scenario, &label));
-        let mut hashes = Vec::with_capacity(group.len());
-        for cell in &group {
-            let ch = cell.artifact.channel(channel_name).ok_or_else(|| {
-                format!(
-                    "merge: cell s{scenario}-r{}-p{policy}: missing headline channel \
-                     {channel_name:?}",
-                    cell.replicate
-                )
-            })?;
-            acc.push_curve(&ch.series);
-            hashes.push(cell.artifact.manifest.config_hash);
+        group.cells.sort_by_key(|c| c.replicate);
+        let mut fold = EnsembleFold::new(scenario, policy, group.label);
+        for cell in &group.cells {
+            fold.push(&cell.headline, cell.config_hash);
         }
-        let curve = acc
+        let curve = fold
             .finish()
             .map_err(|e| format!("merge: ensemble s{scenario}-p{policy}: {e}"))?;
-        let manifest = aoi_cache::persist::Manifest {
-            artifact: ArtifactKind::Ensemble,
-            scenario: format!("s{scenario}"),
-            policy: label.clone(),
-            seed: None,
-            recording: first.manifest.recording,
-            config_hash: aoi_cache::ensemble_manifest_hash(&hashes),
-        };
-        let compression = if group[0].compressed {
-            aoi_cache::persist::Compression::Deflate
-        } else {
-            aoi_cache::persist::Compression::None
-        };
-        let path = compression.apply_to(
-            &out_path
-                .join(&rel_dir)
-                .join(format!("ensemble-s{scenario}-p{policy}.jsonl")),
-        );
-        let write = || -> Result<(), PersistError> {
-            let mut writer = ArtifactWriter::create_with(&path, &manifest, compression)?;
-            writer.curve(&label, scenario, policy, &curve)?;
-            writer.finish()
-        };
-        write().map_err(|e| format!("merge: cannot write {}: {e}", path.display()))?;
+        let dir = out_path.join(&rel_dir);
+        fold.write(&curve, &dir, group.recording, group.compression)
+            .map_err(|e| format!("merge: ensemble s{scenario}-p{policy}: {e}"))?;
         ensembles += 1;
     }
     println!(

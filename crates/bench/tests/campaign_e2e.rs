@@ -152,6 +152,42 @@ fn split_campaign_merges_bit_identically() {
     }
 }
 
+/// A degraded campaign (one cell quarantined in each grid) merges back
+/// into exactly its own directory: the engine and merge both hash the
+/// cells an ensemble folded, so a group with a quarantine gap gets the
+/// same manifest either way.
+#[test]
+#[ignore = "spawns full-campaign child processes; run via --ignored (CI)"]
+fn quarantined_campaign_merges_to_itself() {
+    let out = scratch_dir("degraded-out");
+    let output = Command::new(ENSEMBLE)
+        .args(ensemble_args(&out))
+        .args(["--resume", "--claim", "--max-attempts", "2"])
+        .args(["--lease-ttl-ms", "1000"])
+        .env("AOI_POISON_CELL", "s0-r1-p0")
+        .env_remove("SIMKIT_FAULT")
+        .output()
+        .expect("spawn ensemble");
+    assert_eq!(
+        output.status.code(),
+        Some(3),
+        "a campaign with quarantined cells exits 3: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+
+    let merged = scratch_dir("degraded-merged");
+    let status = artifacts_tool(&[
+        "merge",
+        &merged.display().to_string(),
+        &out.display().to_string(),
+    ]);
+    assert!(status.success(), "merge must accept the surviving cells");
+    assert_diff_clean(&out, &merged);
+    for dir in [out, merged] {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// Merging directories from two *different* campaigns is a configuration
 /// conflict, not a quiet wrong answer.
 #[test]

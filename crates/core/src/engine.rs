@@ -11,9 +11,10 @@
 //! * [`RsuServiceEngine`] — one RSU's stage-2 state (backlog queue +
 //!   service policy). `decide → apply` is one slot.
 //!
-//! Three drivers compose the same ops in different clocks:
+//! Four drivers compose the same ops in different clocks:
 //! [`CacheSimulation::run`](crate::CacheSimulation::run) (stage 1 alone,
-//! synthetic popularity), [`run_joint`](crate::run_joint) (both stages on
+//! synthetic popularity), [`run_service`](crate::run_service) (stage 2
+//! alone, one arrival trace), [`run_joint`](crate::run_joint) (both stages on
 //! the live `vanet` substrate) and the online `aoi-serve` engine (both
 //! stages against an **external** request stream). Because every driver
 //! calls the identical core operations in the identical order, simulator
@@ -214,9 +215,15 @@ pub struct RsuServiceEngine {
 impl RsuServiceEngine {
     /// Wraps a service policy around an empty backlog queue.
     pub fn new(policy: Box<dyn ServicePolicy>) -> Self {
+        Self::with_backlog(policy, 0.0)
+    }
+
+    /// Wraps a service policy around a queue already holding `backlog`
+    /// (finite and non-negative).
+    pub(crate) fn with_backlog(policy: Box<dyn ServicePolicy>, backlog: f64) -> Self {
         RsuServiceEngine {
             policy,
-            queue: Queue::new(),
+            queue: Queue::with_backlog(backlog),
         }
     }
 

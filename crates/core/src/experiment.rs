@@ -7,7 +7,10 @@
 //! [`ExperimentPlan::run`] expands it into cells (one `(scenario, seed,
 //! policy)` triple each), runs the cells concurrently on
 //! [`simkit::executor`], and aggregates each `(scenario, policy)` group's
-//! replicate curves into mean/95%-CI [`CurveSummary`] bands.
+//! replicate curves into mean/95%-CI [`CurveSummary`] bands. Each group
+//! folds through one [`EnsembleFold`], which also writes the group's
+//! ensemble artifact; `aoi-artifacts merge` rebuilds ensembles through the
+//! same fold, so the engine and merge share one writer.
 //!
 //! Three properties make the engine safe to scale:
 //!
@@ -390,6 +393,20 @@ impl ExperimentPlan {
         )))
     }
 
+    /// Parses a cell artifact's file name, as
+    /// [`cell_artifact_path_with`](ExperimentPlan::cell_artifact_path_with)
+    /// writes it in either encoding, into the cell's `(scenario,
+    /// replicate, policy)` indices and the file's encoding. `None` for any
+    /// other name.
+    pub fn parse_cell_artifact_name(name: &str) -> Option<((usize, usize, usize), Compression)> {
+        let (name, compression) = match name.strip_suffix(Compression::Deflate.suffix()) {
+            Some(plain) => (plain, Compression::Deflate),
+            None => (name, Compression::None),
+        };
+        let coords = name.strip_prefix("cell-")?.strip_suffix(".trace.jsonl")?;
+        Some((parse_cell_coords(coords)?, compression))
+    }
+
     /// The lease file a claim-mode worker writes beside the artifact of
     /// cell `id` while computing it (see [`simkit::lease`]). The name is
     /// compression-independent: workers agree on the claim regardless of
@@ -640,7 +657,7 @@ impl ExperimentPlan {
             _ => None,
         };
         let mut report = ResumeReport::default();
-        let mut groups = self.group_accumulators();
+        let mut groups = self.group_folds();
         let mut gaps = vec![0usize; groups.len()];
         let n_policies = self.grid.n_policies();
         let all_ids = self.cell_ids();
@@ -797,14 +814,15 @@ impl ExperimentPlan {
                 if cell.attempts > 1 {
                     report.attempts.push((cell.id, cell.attempts));
                 }
+                let hash = self.expected_cell_hash(cell.id);
                 match cell.curve {
-                    Some(curve) => groups[group].push_curve(&curve),
+                    Some(curve) => groups[group].push(&curve, hash),
                     // Only a quarantined cell ends its wave without a
                     // curve. Another worker may have landed its artifact
                     // anyway; then its (bit-identical) curve folds in and
                     // there is no gap.
                     None => match resume_dir.map(|dir| self.check_cell_artifact(dir, cell.id)) {
-                        Some(CellResume::Valid(curve)) => groups[group].push_curve(&curve),
+                        Some(CellResume::Valid(curve)) => groups[group].push(&curve, hash),
                         _ => gaps[group] += 1,
                     },
                 }
@@ -1044,28 +1062,30 @@ impl ExperimentPlan {
 
     /// Aggregates each `(scenario, policy)` group's headline curves across
     /// seed replicates, streaming one curve at a time into the group's
-    /// [`CurveAccumulator`] (no side-by-side curve matrix).
+    /// [`EnsembleFold`] (no side-by-side curve matrix).
     fn summarize(&self, cells: &[CellReport]) -> Result<Vec<EnsembleSummary>, AoiCacheError> {
-        let mut groups = self.group_accumulators();
+        let mut folds = self.group_folds();
         let n_policies = self.grid.n_policies();
         for cell in cells {
-            groups[cell.id.scenario * n_policies + cell.id.policy]
-                .push_curve(cell.outcome.headline_curve());
+            folds[cell.id.scenario * n_policies + cell.id.policy].push(
+                cell.outcome.headline_curve(),
+                self.expected_cell_hash(cell.id),
+            );
         }
-        self.finish_groups(groups, &[])
+        self.finish_groups(folds, &[])
     }
 
-    /// One empty curve accumulator per `(scenario, policy)` group, in
-    /// ensemble-report order (scenario-major).
-    fn group_accumulators(&self) -> Vec<CurveAccumulator> {
-        let mut groups = Vec::with_capacity(self.grid.n_scenarios() * self.grid.n_policies());
+    /// One empty fold per `(scenario, policy)` group, in ensemble-report
+    /// order (scenario-major).
+    fn group_folds(&self) -> Vec<EnsembleFold> {
+        let mut folds = Vec::with_capacity(self.grid.n_scenarios() * self.grid.n_policies());
         for scenario in 0..self.grid.n_scenarios() {
             for policy in 0..self.grid.n_policies() {
                 let label = self.grid.policy_label(scenario, policy);
-                groups.push(CurveAccumulator::new(group_curve_name(scenario, &label)));
+                folds.push(EnsembleFold::new(scenario, policy, label));
             }
         }
-        groups
+        folds
     }
 
     /// `gaps` is the per-group count of replicates missing because a
@@ -1073,93 +1093,117 @@ impl ExperimentPlan {
     /// when every group folds its full complement).
     fn finish_groups(
         &self,
-        groups: Vec<CurveAccumulator>,
+        folds: Vec<EnsembleFold>,
         gaps: &[usize],
     ) -> Result<Vec<EnsembleSummary>, AoiCacheError> {
-        let n_policies = self.grid.n_policies();
-        let mut ensembles = Vec::with_capacity(groups.len());
-        for (i, group) in groups.into_iter().enumerate() {
-            let (scenario, policy) = (i / n_policies, i % n_policies);
+        let mut ensembles = Vec::with_capacity(folds.len());
+        for (i, fold) in folds.into_iter().enumerate() {
             let quarantined = gaps.get(i).copied().unwrap_or(0);
-            let curve = if quarantined > 0 {
-                match group.finish() {
-                    Ok(curve) => curve,
-                    // Every replicate of the group was quarantined: there
-                    // is nothing to fold, so the group gets no ensemble
-                    // (the gap stays visible in the resume report).
-                    Err(_) => continue,
+            let curve = match fold.finish() {
+                Ok(curve) => curve,
+                // Every replicate of the group was quarantined: there is
+                // nothing to fold, so the group gets no ensemble (the gap
+                // stays visible in the resume report).
+                Err(_) if quarantined > 0 => continue,
+                Err(_) => {
+                    return Err(AoiCacheError::Internal {
+                        what: "a group with zero quarantined cells is missing a replicate curve",
+                    })
                 }
-            } else {
-                group.finish().map_err(|_| AoiCacheError::Internal {
-                    what: "a group with zero quarantined cells is missing a replicate curve",
-                })?
-            };
-            let ensemble = EnsembleSummary {
-                scenario,
-                policy,
-                label: self.grid.policy_label(scenario, policy),
-                curve,
-                quarantined,
             };
             if let Some(dir) = &self.artifacts {
-                self.write_ensemble_artifact(dir, &ensemble)?;
+                fold.write(&curve, dir, self.recording, self.compression)?;
             }
-            ensembles.push(ensemble);
+            ensembles.push(EnsembleSummary {
+                scenario: fold.scenario,
+                policy: fold.policy,
+                label: fold.label,
+                curve,
+                quarantined,
+            });
         }
         Ok(ensembles)
     }
+}
 
-    /// Writes one `(scenario, policy)` group's mean/CI curve as its own
-    /// ensemble artifact.
-    fn write_ensemble_artifact(
-        &self,
-        dir: &Path,
-        ensemble: &EnsembleSummary,
-    ) -> Result<(), AoiCacheError> {
-        let manifest = Manifest {
-            artifact: ArtifactKind::Ensemble,
-            scenario: format!("s{}", ensemble.scenario),
-            policy: ensemble.label.clone(),
-            seed: None,
-            recording: self.recording,
-            config_hash: self.ensemble_config_hash(ensemble.scenario, ensemble.policy),
-        };
-        let path = Self::ensemble_artifact_path_with(
-            dir,
-            ensemble.scenario,
-            ensemble.policy,
-            self.compression,
-        );
-        let mut writer = ArtifactWriter::create_with(&path, &manifest, self.compression)
-            .map_err(AoiCacheError::from)?;
-        writer
-            .curve(
-                &ensemble.label,
-                ensemble.scenario,
-                ensemble.policy,
-                &ensemble.curve,
-            )
-            .map_err(AoiCacheError::from)?;
-        writer.finish().map_err(AoiCacheError::from)
+/// One `(scenario, policy)` group's ensemble: the mean/CI fold of its
+/// replicates' headline curves and the config hashes of the cells folded.
+/// The grid engine and `aoi-artifacts merge` both build their ensemble
+/// artifacts through it, so a merged directory holds exactly the bytes
+/// the engine writes.
+#[derive(Debug)]
+pub struct EnsembleFold {
+    scenario: usize,
+    policy: usize,
+    label: String,
+    curves: CurveAccumulator,
+    cell_hashes: Vec<u64>,
+}
+
+impl EnsembleFold {
+    /// An empty fold for group `(scenario, policy)` of policy `label`; its
+    /// curves are named `s<scenario>/<label>`.
+    pub fn new(scenario: usize, policy: usize, label: String) -> Self {
+        EnsembleFold {
+            curves: CurveAccumulator::new(format!("s{scenario}/{label}")),
+            scenario,
+            policy,
+            label,
+            cell_hashes: Vec::new(),
+        }
     }
 
-    /// The `config_hash` of one `(scenario, policy)` ensemble artifact: a
-    /// fold over the group's per-cell config hashes in replicate order
-    /// (see [`ensemble_manifest_hash`]). Defined bottom-up — cells first —
-    /// so `aoi-artifacts merge` can reproduce an engine-written ensemble
-    /// manifest from the cell artifacts alone.
-    fn ensemble_config_hash(&self, scenario: usize, policy: usize) -> u64 {
-        let hashes: Vec<u64> = (0..self.n_replicates())
-            .map(|rep| {
-                self.expected_cell_hash(CellId {
-                    scenario,
-                    replicate: rep,
-                    seed: self.seed_of(scenario, rep),
-                    policy,
-                })
-            })
-            .collect();
-        ensemble_manifest_hash(&hashes)
+    /// Folds one replicate: its headline curve and its cell artifact's
+    /// `config_hash`. Call in ascending replicate order.
+    pub fn push(&mut self, curve: &TimeSeries, cell_config_hash: u64) {
+        self.curves.push_curve(curve);
+        self.cell_hashes.push(cell_config_hash);
+    }
+
+    /// The mean/95%-CI band over the replicates folded so far.
+    ///
+    /// # Errors
+    ///
+    /// As [`CurveAccumulator::finish`]: nothing folded, or curves on
+    /// different slot axes.
+    pub fn finish(&self) -> Result<CurveSummary, simkit::SimkitError> {
+        self.curves.finish()
+    }
+
+    /// Writes `curve` (this fold's [`finish`](EnsembleFold::finish)) as
+    /// the group's ensemble artifact under `dir`
+    /// ([`ExperimentPlan::ensemble_artifact_path_with`]). The manifest's
+    /// `config_hash` is an FNV-1a fold ([`persist::config_hash`]) over the
+    /// hashes of the cells folded, in replicate order — so it can be
+    /// recomputed from the cell artifacts in a directory alone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates artifact write failures.
+    pub fn write(
+        &self,
+        curve: &CurveSummary,
+        dir: &Path,
+        recording: RecordingMode,
+        compression: Compression,
+    ) -> Result<(), persist::PersistError> {
+        let manifest = Manifest {
+            artifact: ArtifactKind::Ensemble,
+            scenario: format!("s{}", self.scenario),
+            policy: self.label.clone(),
+            seed: None,
+            recording,
+            config_hash: persist::config_hash(&self.cell_hashes),
+        };
+        let path = ExperimentPlan::ensemble_artifact_path_with(
+            dir,
+            self.scenario,
+            self.policy,
+            compression,
+        );
+        let mut writer = ArtifactWriter::create_with(&path, &manifest, compression)?;
+        writer.curve(&self.label, self.scenario, self.policy, curve)?;
+        writer.finish()
     }
 }
 
@@ -1173,21 +1217,6 @@ pub fn headline_channel_for(scenario_kind: &str) -> Option<&'static str> {
         "joint" => Some("cache reward (cumulative)"),
         _ => None,
     }
-}
-
-/// The accumulator (and curve-label) name of one `(scenario, policy)`
-/// ensemble group: `s<scenario>/<label>`.
-pub fn group_curve_name(scenario: usize, label: &str) -> String {
-    format!("s{scenario}/{label}")
-}
-
-/// The `config_hash` an ensemble artifact is written under: an FNV-1a
-/// fold ([`simkit::persist::config_hash`]) over the group's per-cell
-/// config hashes in replicate order. Defined bottom-up so a merge tool
-/// can recompute it from cell manifests alone and reproduce
-/// engine-written ensemble artifacts byte-identically.
-pub fn ensemble_manifest_hash(cell_hashes: &[u64]) -> u64 {
-    persist::config_hash(&cell_hashes)
 }
 
 /// Writes one service run's report as a trace artifact under the given
@@ -1982,5 +2011,37 @@ mod tests {
         assert!(cell.outcome.service().is_none());
         assert!(cell.outcome.joint().is_none());
         assert_eq!(cell.outcome.headline_curve().len(), 80);
+    }
+
+    #[test]
+    fn cell_artifact_names_parse_back() {
+        let id = CellId {
+            scenario: 2,
+            replicate: 13,
+            seed: 99,
+            policy: 4,
+        };
+        for compression in [Compression::None, Compression::Deflate] {
+            let path = ExperimentPlan::cell_artifact_path_with(Path::new("d"), id, compression);
+            let name = path.file_name().unwrap().to_str().unwrap();
+            assert_eq!(
+                ExperimentPlan::parse_cell_artifact_name(name),
+                Some(((2, 13, 4), compression)),
+                "{name}"
+            );
+        }
+        let d = Path::new("d");
+        for other in [
+            ExperimentPlan::ensemble_artifact_path(d, 2, 4),
+            ExperimentPlan::cell_lease_path(d, id),
+            ExperimentPlan::cell_quarantine_path(d, id),
+        ] {
+            let name = other.file_name().unwrap().to_str().unwrap();
+            assert_eq!(
+                ExperimentPlan::parse_cell_artifact_name(name),
+                None,
+                "{name}"
+            );
+        }
     }
 }

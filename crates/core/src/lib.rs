@@ -80,9 +80,9 @@ pub use catalog::{Catalog, ContentSpec};
 pub use engine::{RsuCacheEngine, RsuServiceEngine};
 pub use error::AoiCacheError;
 pub use experiment::{
-    ensemble_manifest_hash, group_curve_name, headline_channel_for, parse_cell_coords,
-    write_service_artifact_with, CellId, CellOutcome, CellReport, EnsembleSummary, ExperimentGrid,
-    ExperimentPlan, ExperimentReport, ResumeReport, DEFAULT_LEASE_TTL_MS, DEFAULT_MAX_ATTEMPTS,
+    headline_channel_for, parse_cell_coords, write_service_artifact_with, CellId, CellOutcome,
+    CellReport, EnsembleFold, EnsembleSummary, ExperimentGrid, ExperimentPlan, ExperimentReport,
+    ResumeReport, DEFAULT_LEASE_TTL_MS, DEFAULT_MAX_ATTEMPTS,
 };
 pub use freshness_service::{
     run_freshness_service, FreshnessReport, FreshnessScenario, ServingSource, SourcingMode,

@@ -5,10 +5,10 @@
 //! **identical arrival trace** (drawn once from the scenario seed), so
 //! differences are purely due to the decision rule.
 
-use crate::service::{ServiceDecisionContext, ServiceLevel, ServicePolicy, ServicePolicyKind};
+use crate::engine::RsuServiceEngine;
+use crate::service::{ServiceLevel, ServicePolicy, ServicePolicyKind};
 use crate::AoiCacheError;
 use lyapunov::analysis::{check_stability, StabilityVerdict};
-use lyapunov::Queue;
 use serde::{Deserialize, Serialize};
 use simkit::{sample_poisson, SeedSequence, SlotClock, TimeSeries};
 
@@ -164,7 +164,7 @@ pub fn run_service(
 /// Propagates scenario validation errors.
 pub fn run_service_with(
     scenario: &ServiceScenario,
-    mut policy: Box<dyn ServicePolicy>,
+    policy: Box<dyn ServicePolicy>,
 ) -> Result<ServiceRunReport, AoiCacheError> {
     scenario.validate()?;
     let arrivals = scenario.arrival_trace();
@@ -172,7 +172,8 @@ pub fn run_service_with(
     let _ = seeds.rng("arrivals");
     let mut rng = seeds.rng("policy");
 
-    let mut queue = Queue::with_backlog(scenario.initial_backlog);
+    let name = policy.name().to_string();
+    let mut engine = RsuServiceEngine::with_backlog(policy, scenario.initial_backlog);
     let mut clock = SlotClock::new();
     let mut queue_series = TimeSeries::with_capacity("queue", scenario.horizon);
     let mut cost_series = TimeSeries::with_capacity("cost", scenario.horizon);
@@ -183,26 +184,13 @@ pub fn run_service_with(
 
     for a in &arrivals {
         let now = clock.now();
-        let decision = {
-            let ctx = ServiceDecisionContext {
-                slot: now,
-                backlog: queue.backlog(),
-                levels: &scenario.levels,
-            };
-            policy.decide(&ctx, &mut rng)
-        };
-        if decision >= scenario.levels.len() {
-            return Err(AoiCacheError::BadParameter {
-                what: "service decision",
-                valid: "level index",
-            });
-        }
+        let decision = engine.decide(now, &scenario.levels, &mut rng)?;
         let level = scenario.levels[decision];
-        served += queue.step(*a, level.rate);
+        served += engine.apply(*a, level);
         level_counts[decision] += 1;
         cost_sum += level.cost;
-        queue_sum += queue.backlog();
-        queue_series.push(now, queue.backlog());
+        queue_sum += engine.backlog();
+        queue_series.push(now, engine.backlog());
         cost_series.push(now, level.cost);
         clock.tick();
     }
@@ -210,7 +198,7 @@ pub fn run_service_with(
     let effective_horizon = arrivals.len().max(1) as f64;
     let backlogs: Vec<f64> = queue_series.values().collect();
     Ok(ServiceRunReport {
-        policy: policy.name().to_string(),
+        policy: name,
         stability: check_stability(&backlogs, 0.05),
         queue: queue_series,
         cost: cost_series,

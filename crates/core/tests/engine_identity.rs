@@ -7,8 +7,9 @@
 //!
 //! 1. *Goldens* — report fields captured from the pre-refactor simulator
 //!    (exact `f64` bit patterns and a trace checksum) must still fall out
-//!    of today's [`CacheSimulation::run`] and [`run_joint`]. Any change to
-//!    RNG draw order, `f64` operation order, or accounting breaks these.
+//!    of today's [`CacheSimulation::run`], [`run_joint`] and
+//!    [`run_service`]. Any change to RNG draw order, `f64` operation
+//!    order, or accounting breaks these.
 //! 2. *Hand-rolled driver* — a test-local slot loop over the public engine
 //!    core API ([`CacheSimulation::cache_engines`]) must reproduce the
 //!    built-in driver's report bit for bit, proving the driver is nothing
@@ -21,9 +22,10 @@
 //! `--features parallel` and `--no-default-features`, so an executor that
 //! perturbed results would fail here, not in a downstream experiment.
 
+use aoi_cache::presets::{fig1b_policies, fig1b_scenario};
 use aoi_cache::{
-    run_joint, CachePolicyKind, CacheRunReport, CacheScenario, CacheSimulation, JointScenario,
-    RecordingMode, ServicePolicyKind,
+    run_joint, run_service, CachePolicyKind, CacheRunReport, CacheScenario, CacheSimulation,
+    JointScenario, RecordingMode, ServicePolicyKind, ServiceScenario,
 };
 use simkit::{SeedSequence, TimeSeries};
 use vanet::NetworkConfig;
@@ -239,6 +241,126 @@ fn joint_reports_match_pre_refactor_goldens() {
             series,
             "{label}: cache reward series checksum"
         );
+    }
+}
+
+/// Byte-wise FNV-1a over the exact bit patterns of a series. Service
+/// series hold mostly small integers, whose low mantissa bits are all
+/// zero; [`series_checksum`] never mixes the high bits down, so it would
+/// pin only part of each value.
+fn series_fnv(series: &TimeSeries) -> u64 {
+    let mut acc = 0xcbf2_9ce4_8422_2325u64;
+    for p in series.iter() {
+        for b in p.value.to_bits().to_le_bytes() {
+            acc = (acc ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    acc
+}
+
+/// One stage-2 golden, captured from the simulator before it ran through
+/// [`aoi_cache::RsuServiceEngine`]: series checksums, exact means and the
+/// per-level decision counts.
+struct ServiceGolden {
+    queue: u64,
+    cost: u64,
+    mean_queue_bits: u64,
+    mean_cost_bits: u64,
+    served_bits: u64,
+    level_counts: [u64; 3],
+}
+
+#[test]
+fn service_reports_match_goldens() {
+    // `fig1b_policies()` order: lyapunov, always-serve, cost-greedy; once
+    // from an empty queue and once from a standing backlog.
+    let goldens: [(f64, [ServiceGolden; 3]); 2] = [
+        (
+            0.0,
+            [
+                ServiceGolden {
+                    queue: 0xd60d7db2e997ec69,
+                    cost: 0x6f1e19c57e6f35c5,
+                    mean_queue_bits: 0x4027e76c8b439581,
+                    mean_cost_bits: 0x3fdccccccccccccd,
+                    served_bits: 0x408b480000000000,
+                    level_counts: [181, 792, 27],
+                },
+                ServiceGolden {
+                    queue: 0x0354dcb6529a1a68,
+                    cost: 0x33f0911b81fdf425,
+                    mean_queue_bits: 0x3fed916872b020c5,
+                    mean_cost_bits: 0x4000000000000000,
+                    served_bits: 0x408ba00000000000,
+                    level_counts: [0, 0, 1000],
+                },
+                ServiceGolden {
+                    queue: 0xcaf16700592e54a4,
+                    cost: 0x51e78e744621f425,
+                    mean_queue_bits: 0x407b8a9ba5e353f8,
+                    mean_cost_bits: 0,
+                    served_bits: 0,
+                    level_counts: [1000, 0, 0],
+                },
+            ],
+        ),
+        (
+            12.5,
+            [
+                ServiceGolden {
+                    queue: 0xd9d1530f44af3139,
+                    cost: 0x27d8df0dd058e408,
+                    mean_queue_bits: 0x4027147ae147ae14,
+                    mean_cost_bits: 0x3fdd374bc6a7ef9e,
+                    served_bits: 0x408bb00000000000,
+                    level_counts: [168, 805, 27],
+                },
+                ServiceGolden {
+                    queue: 0x2b636da5b640e2a6,
+                    cost: 0x33f0911b81fdf425,
+                    mean_queue_bits: 0x3fee624dd2f1a9fc,
+                    mean_cost_bits: 0x4000000000000000,
+                    served_bits: 0x408c040000000000,
+                    level_counts: [0, 0, 1000],
+                },
+                ServiceGolden {
+                    queue: 0x3f89ed8452bd4058,
+                    cost: 0x51e78e744621f425,
+                    mean_queue_bits: 0x407c529ba5e353f8,
+                    mean_cost_bits: 0,
+                    served_bits: 0,
+                    level_counts: [1000, 0, 0],
+                },
+            ],
+        ),
+    ];
+    for (initial_backlog, cases) in goldens {
+        let scenario = ServiceScenario {
+            initial_backlog,
+            ..fig1b_scenario()
+        };
+        for (kind, golden) in fig1b_policies().into_iter().zip(cases) {
+            let r = run_service(&scenario, kind).expect("service run succeeds");
+            let what = format!("{} from backlog {initial_backlog}", kind.label());
+            assert_eq!(series_fnv(&r.queue), golden.queue, "{what}: queue series");
+            assert_eq!(series_fnv(&r.cost), golden.cost, "{what}: cost series");
+            assert_eq!(
+                r.mean_queue.to_bits(),
+                golden.mean_queue_bits,
+                "{what}: mean queue bits"
+            );
+            assert_eq!(
+                r.mean_cost.to_bits(),
+                golden.mean_cost_bits,
+                "{what}: mean cost bits"
+            );
+            assert_eq!(
+                r.total_served.to_bits(),
+                golden.served_bits,
+                "{what}: total served bits"
+            );
+            assert_eq!(r.level_counts, golden.level_counts, "{what}: level counts");
+        }
     }
 }
 

@@ -116,11 +116,20 @@ fn poisoned_cell_quarantines_after_exact_budget_and_the_rest_completes() {
         .find(|e| e.scenario == 0 && e.policy == 0)
         .unwrap();
     assert_eq!(poisoned_group.quarantined, 1);
+    let survivors_dir = scratch_dir("survivors");
     let survivors = ExperimentPlan::cache(vec![tiny_cache()], vec![CachePolicyKind::Myopic])
         .replicate_seeds(vec![5, 7])
+        .artifact_dir(&survivors_dir)
         .run_ensembles()
         .unwrap();
     assert_eq!(poisoned_group.curve, survivors[0].curve);
+    // Its ensemble artifact hashes the cells it folded, so it is the
+    // artifact a plan of just the surviving seeds writes, byte for byte.
+    assert_eq!(
+        std::fs::read(ExperimentPlan::ensemble_artifact_path(&dir, 0, 0)).unwrap(),
+        std::fs::read(ExperimentPlan::ensemble_artifact_path(&survivors_dir, 0, 0)).unwrap(),
+        "a gap group's ensemble artifact must equal the survivors' one"
+    );
     let healthy_group = ensembles
         .iter()
         .find(|e| e.scenario == 0 && e.policy == 1)
@@ -176,8 +185,9 @@ fn poisoned_cell_quarantines_after_exact_budget_and_the_rest_completes() {
         "marker must be cleared on recompute: {:?}",
         file_names(&dir)
     );
-    std::fs::remove_dir_all(&cold_dir).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
+    for d in [cold_dir, dir, survivors_dir] {
+        std::fs::remove_dir_all(&d).unwrap();
+    }
 }
 
 #[test]

@@ -515,7 +515,7 @@ impl CurveAccumulator {
     /// Returns [`SimkitError::Empty`] when no curve was pushed or any
     /// pushed curve had no samples, and [`SimkitError::Mismatch`] when any
     /// pushed curve disagreed with the first curve's slot axis.
-    pub fn finish(self) -> Result<CurveSummary, SimkitError> {
+    pub fn finish(&self) -> Result<CurveSummary, SimkitError> {
         if self.replicates == 0 {
             return Err(SimkitError::Empty { what: "curves" });
         }
@@ -534,7 +534,7 @@ impl CurveAccumulator {
         let mut lo = TimeSeries::with_capacity(format!("{} (ci lo)", self.name), len);
         let mut hi = TimeSeries::with_capacity(format!("{} (ci hi)", self.name), len);
         let t_mult = t_quantile_975(self.replicates.saturating_sub(1) as u64);
-        for (slot, stats) in self.slots.into_iter().zip(&self.stats) {
+        for (&slot, stats) in self.slots.iter().zip(&self.stats) {
             let m = stats.mean();
             let half = if stats.count() >= 2 {
                 t_mult * (stats.sample_variance() / stats.count() as f64).sqrt()
