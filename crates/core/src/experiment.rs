@@ -847,6 +847,17 @@ impl ExperimentPlan {
         headline_channel_for(family).expect("every grid family has a headline channel")
     }
 
+    /// The recording mode a cell artifact of this grid is written under:
+    /// the plan's for cache and joint grids; service cells hold only
+    /// `O(horizon)` series and are always written
+    /// [`Full`](RecordingMode::Full) ([`write_service_artifact_with`]).
+    fn cell_recording(&self) -> RecordingMode {
+        match &self.grid {
+            ExperimentGrid::Service { .. } => RecordingMode::Full,
+            ExperimentGrid::Cache { .. } | ExperimentGrid::Joint { .. } => self.recording,
+        }
+    }
+
     /// The `config_hash` a fresh artifact of cell `id` would be written
     /// under — must replicate exactly what the cell runners hash.
     fn expected_cell_hash(&self, id: CellId) -> u64 {
@@ -1112,7 +1123,9 @@ impl ExperimentPlan {
                 }
             };
             if let Some(dir) = &self.artifacts {
-                fold.write(&curve, dir, self.recording, self.compression)?;
+                // An ensemble carries the recording of the cells it folds,
+                // as `aoi-artifacts merge` reads it back from them.
+                fold.write(&curve, dir, self.cell_recording(), self.compression)?;
             }
             ensembles.push(EnsembleSummary {
                 scenario: fold.scenario,
@@ -1347,7 +1360,7 @@ impl Campaign {
             journal,
             poison: std::env::var("AOI_POISON_CELL")
                 .ok()
-                .and_then(|spec| parse_cell_coords(&spec)),
+                .and_then(|spec| parse_cell_coords(spec.trim())),
         })
     }
 
@@ -1614,16 +1627,19 @@ impl CellId {
 
 /// Parses a cell coordinate string (`s<S>-r<R>-p<P>`, the format
 /// [`CellId::coords`] produces) into its `(scenario, replicate, policy)`
-/// indices. `None` for anything malformed.
+/// indices. `None` for anything malformed and for any spelling
+/// `CellId::coords` never writes (signs, leading zeros, whitespace), so
+/// no two file names alias one cell.
 pub fn parse_cell_coords(spec: &str) -> Option<(usize, usize, usize)> {
-    let rest = spec.trim().strip_prefix('s')?;
+    let rest = spec.strip_prefix('s')?;
     let (scenario, rest) = rest.split_once("-r")?;
     let (replicate, policy) = rest.split_once("-p")?;
-    Some((
+    let (s, r, p): (usize, usize, usize) = (
         scenario.parse().ok()?,
         replicate.parse().ok()?,
         policy.parse().ok()?,
-    ))
+    );
+    (format!("s{s}-r{r}-p{p}") == spec).then_some((s, r, p))
 }
 
 /// One cell's full single-run report.
@@ -2028,6 +2044,14 @@ mod tests {
                 ExperimentPlan::parse_cell_artifact_name(name),
                 Some(((2, 13, 4), compression)),
                 "{name}"
+            );
+        }
+        // Spellings `CellId::coords` never writes must not alias a cell.
+        for alias in ["cell-s+2-r13-p4.trace.jsonl", "cell-s02-r13-p4.trace.jsonl"] {
+            assert_eq!(
+                ExperimentPlan::parse_cell_artifact_name(alias),
+                None,
+                "{alias}"
             );
         }
         let d = Path::new("d");

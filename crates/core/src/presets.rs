@@ -7,7 +7,6 @@ use crate::joint_sim::JointScenario;
 use crate::policy::CachePolicyKind;
 use crate::service::ServicePolicyKind;
 use crate::service_sim::ServiceScenario;
-use simkit::RecordingMode;
 
 /// The Fig. 1a experiment: 4 RSUs × 5 contents (20 contents managed by the
 /// MBS), 1000 slots, random initial ages and per-content `A^max`; the
@@ -64,16 +63,6 @@ pub fn fig1a_ensemble(n_seeds: u64) -> ExperimentPlan {
         ],
     )
     .replicate_seeds((1..=n_seeds.max(1)).collect())
-}
-
-/// [`fig1a_ensemble`] in its memory-lean form: cells retain only exact
-/// per-content AoI summaries ([`RecordingMode::SummaryOnly`]), so a cell
-/// costs `O(horizon)` instead of `O(horizon × contents)` — the preset to
-/// scale seed counts far beyond the paper's. Every statistic and ensemble
-/// curve is identical to the full-trace plan; pair with
-/// [`ExperimentPlan::run_ensembles`] to also stream the replicate waves.
-pub fn fig1a_ensemble_lean(n_seeds: u64) -> ExperimentPlan {
-    fig1a_ensemble(n_seeds).recording(RecordingMode::SummaryOnly)
 }
 
 /// The Fig. 1b experiment as an ensemble: the drift-plus-penalty rule and
@@ -144,10 +133,6 @@ mod tests {
         assert_eq!(b.n_cells(), 9);
         // Degenerate requests still yield at least one replicate.
         assert_eq!(fig1a_ensemble(0).n_replicates(), 1);
-        // The lean preset only changes trace retention.
-        let lean = fig1a_ensemble_lean(5);
-        assert_eq!(lean.recording, RecordingMode::SummaryOnly);
-        assert_eq!(lean.n_cells(), fig1a_ensemble(5).n_cells());
     }
 
     #[test]

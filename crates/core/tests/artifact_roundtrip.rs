@@ -8,7 +8,8 @@ use aoi_cache::persist::{read_artifact, ArtifactKind, PersistError};
 use aoi_cache::presets::smoke_grid;
 use aoi_cache::{
     run_joint_artifact_with, run_joint_recorded, CachePolicyKind, CacheRunReport, CacheScenario,
-    CacheSimulation, Compression, ExperimentPlan, JointScenario, RecordingMode,
+    CacheSimulation, Compression, ExperimentPlan, JointScenario, RecordingMode, ServicePolicyKind,
+    ServiceScenario,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -203,6 +204,42 @@ fn streamed_ensembles_with_artifacts_match_batch() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An ensemble manifest carries the recording of the cells it folds, as
+/// `aoi-artifacts merge` reads it back from them: the plan's for cache
+/// grids, always `Full` for service grids (service cells are written
+/// `Full` whatever the plan asks).
+#[test]
+fn ensemble_manifests_carry_their_cells_recording() {
+    let service = ExperimentPlan::service(
+        vec![ServiceScenario {
+            horizon: 80,
+            ..ServiceScenario::default()
+        }],
+        vec![ServicePolicyKind::AlwaysServe],
+    )
+    .replicate_seeds(vec![1, 2]);
+    for (tag, plan) in [("service", service), ("cache", smoke_grid())] {
+        let dir = scratch_dir(tag);
+        let plan = plan
+            .recording(RecordingMode::SummaryOnly)
+            .artifact_dir(&dir);
+        plan.run_ensembles().unwrap();
+        for cell in plan.cell_ids() {
+            let cell_recording = read_artifact(&ExperimentPlan::cell_artifact_path(&dir, cell))
+                .unwrap()
+                .manifest
+                .recording;
+            let path = ExperimentPlan::ensemble_artifact_path(&dir, cell.scenario, cell.policy);
+            let ensemble = read_artifact(&path).unwrap();
+            assert_eq!(
+                ensemble.manifest.recording, cell_recording,
+                "{tag} {cell:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]

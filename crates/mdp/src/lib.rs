@@ -77,13 +77,11 @@ mod error;
 mod model;
 mod policy;
 pub mod reference;
-mod rollout;
 pub mod solver;
 mod space;
 
 pub use compiled::CompiledMdp;
 pub use error::MdpError;
 pub use model::{FiniteMdp, FnMdp, TabularMdp, TabularMdpBuilder, Transition};
-pub use policy::{EpsilonGreedy, Policy, QTable, TabularPolicy, UniformRandomPolicy};
-pub use rollout::{Rollout, RolloutResult, Step};
+pub use policy::{QTable, TabularPolicy};
 pub use space::{ProductSpace, ProductSpaceIter};

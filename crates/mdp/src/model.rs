@@ -57,8 +57,8 @@ pub trait FiniteMdp {
 
     /// Expected immediate reward of `(state, action)`.
     ///
-    /// The default routes through a thread-local row buffer so learner and
-    /// rollout loops calling it per step do not allocate; implementors with
+    /// The default routes through a thread-local row buffer so learner loops
+    /// calling it per step do not allocate; implementors with
     /// materialized rows ([`TabularMdp`], [`CompiledMdp`](crate::CompiledMdp))
     /// override it to read their storage directly.
     fn expected_reward(&self, state: usize, action: usize) -> f64 {

@@ -1,28 +1,15 @@
 //! Policies over finite state/action spaces.
 
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
-
-/// A decision rule mapping states to actions.
-///
-/// The trait is object-safe: stochastic policies draw from the supplied RNG,
-/// deterministic ones ignore it.
-pub trait Policy {
-    /// Chooses an action for `state`.
-    fn decide(&self, state: usize, rng: &mut dyn RngCore) -> usize;
-}
 
 /// A deterministic tabular policy: one action per state.
 ///
 /// ```
-/// use mdp::{Policy, TabularPolicy};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
+/// use mdp::TabularPolicy;
 ///
 /// let policy = TabularPolicy::new(vec![1, 0, 1]);
-/// let mut rng = StdRng::seed_from_u64(0);
-/// assert_eq!(policy.decide(0, &mut rng), 1);
-/// assert_eq!(policy.decide(1, &mut rng), 0);
+/// assert_eq!(policy.action(0), 1);
+/// assert_eq!(policy.action(1), 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TabularPolicy {
@@ -52,86 +39,6 @@ impl TabularPolicy {
     /// Number of states covered.
     pub fn n_states(&self) -> usize {
         self.actions.len()
-    }
-}
-
-impl Policy for TabularPolicy {
-    fn decide(&self, state: usize, _rng: &mut dyn RngCore) -> usize {
-        self.actions[state]
-    }
-}
-
-/// Uniform-random policy over `n_actions` actions (exploration baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UniformRandomPolicy {
-    n_actions: usize,
-}
-
-impl UniformRandomPolicy {
-    /// Creates a uniform policy over `n_actions` actions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_actions == 0`.
-    pub fn new(n_actions: usize) -> Self {
-        assert!(n_actions > 0, "need at least one action");
-        UniformRandomPolicy { n_actions }
-    }
-}
-
-impl Policy for UniformRandomPolicy {
-    fn decide(&self, _state: usize, rng: &mut dyn RngCore) -> usize {
-        rand::Rng::gen_range(rng, 0..self.n_actions)
-    }
-}
-
-/// ε-greedy wrapper: with probability `epsilon` act uniformly at random,
-/// otherwise follow the inner policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EpsilonGreedy<P> {
-    inner: P,
-    epsilon: f64,
-    n_actions: usize,
-}
-
-impl<P: Policy> EpsilonGreedy<P> {
-    /// Wraps `inner` with exploration rate `epsilon ∈ [0, 1]` over
-    /// `n_actions` actions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` is outside `[0, 1]` or `n_actions == 0`.
-    pub fn new(inner: P, epsilon: f64, n_actions: usize) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&epsilon),
-            "epsilon must be within [0, 1]"
-        );
-        assert!(n_actions > 0, "need at least one action");
-        EpsilonGreedy {
-            inner,
-            epsilon,
-            n_actions,
-        }
-    }
-
-    /// The wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Unwraps the inner policy.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-}
-
-impl<P: Policy> Policy for EpsilonGreedy<P> {
-    fn decide(&self, state: usize, rng: &mut dyn RngCore) -> usize {
-        if rand::Rng::gen::<f64>(rng) < self.epsilon {
-            rand::Rng::gen_range(rng, 0..self.n_actions)
-        } else {
-            self.inner.decide(state, rng)
-        }
     }
 }
 
@@ -199,67 +106,17 @@ impl QTable {
     }
 }
 
-impl Policy for QTable {
-    fn decide(&self, state: usize, _rng: &mut dyn RngCore) -> usize {
-        self.greedy_action(state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn tabular_policy_is_deterministic() {
         let p = TabularPolicy::new(vec![2, 0]);
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..10 {
-            assert_eq!(p.decide(0, &mut rng), 2);
-            assert_eq!(p.decide(1, &mut rng), 0);
-        }
+        assert_eq!(p.action(0), 2);
+        assert_eq!(p.action(1), 0);
         assert_eq!(p.n_states(), 2);
         assert_eq!(p.actions(), &[2, 0]);
-    }
-
-    #[test]
-    fn uniform_policy_covers_all_actions() {
-        let p = UniformRandomPolicy::new(3);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut seen = [false; 3];
-        for _ in 0..100 {
-            seen[p.decide(0, &mut rng)] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn epsilon_zero_is_inner() {
-        let p = EpsilonGreedy::new(TabularPolicy::new(vec![1]), 0.0, 3);
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..50 {
-            assert_eq!(p.decide(0, &mut rng), 1);
-        }
-        assert_eq!(p.inner().action(0), 1);
-    }
-
-    #[test]
-    fn epsilon_one_is_uniform() {
-        let p = EpsilonGreedy::new(TabularPolicy::new(vec![0]), 1.0, 4);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut seen = [false; 4];
-        for _ in 0..200 {
-            seen[p.decide(0, &mut rng)] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-        let _ = p.into_inner();
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon")]
-    fn epsilon_out_of_range_panics() {
-        let _ = EpsilonGreedy::new(TabularPolicy::new(vec![0]), 1.5, 2);
     }
 
     #[test]
@@ -283,13 +140,5 @@ mod tests {
     fn qtable_ties_break_to_first() {
         let q = QTable::zeros(1, 4);
         assert_eq!(q.greedy_action(0), 0);
-    }
-
-    #[test]
-    fn qtable_as_policy() {
-        let mut q = QTable::zeros(1, 2);
-        q.set(0, 1, 1.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(q.decide(0, &mut rng), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Reference MDPs with known solutions, used by tests and benches.
 
-use crate::model::{TabularMdp, Transition};
+use crate::model::TabularMdp;
 
 /// Action index that moves forward in [`chain`].
 pub const CHAIN_FORWARD: usize = 1;
@@ -147,22 +147,6 @@ fn mdp_or_panic(b: crate::model::TabularMdpBuilder) -> TabularMdp {
     }
 }
 
-/// Enumerates `(state, action, transitions)` of a model — handy for
-/// debugging small reference models in tests.
-pub fn dump_rows<M: crate::model::FiniteMdp>(mdp: &M) -> Vec<(usize, usize, Vec<Transition>)> {
-    let mut rows = Vec::new();
-    let mut buf = Vec::new();
-    for s in 0..mdp.n_states() {
-        for a in 0..mdp.n_actions() {
-            mdp.transitions(s, a, &mut buf);
-            if !buf.is_empty() {
-                rows.push((s, a, buf.clone()));
-            }
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,12 +213,5 @@ mod tests {
         assert_eq!(buf.len(), 1);
         assert_eq!(buf[0].next, 6); // start = bottom-left of 3x3
         assert!((buf[0].reward - 0.99).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dump_rows_collects_everything() {
-        let (mdp, _) = two_state();
-        let rows = dump_rows(&mdp);
-        assert_eq!(rows.len(), 4);
     }
 }

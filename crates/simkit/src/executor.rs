@@ -764,6 +764,10 @@ mod tests {
                 if x % 7 == 3 {
                     panic!("poison {i}");
                 }
+                if x == 5 {
+                    // A literal message: a `&'static str` payload.
+                    panic!("static boom");
+                }
                 x * 2
             });
             assert_eq!(results.len(), items.len());
@@ -772,6 +776,10 @@ mod tests {
                     let failure = r.as_ref().expect_err("items 3, 10, 17 panic");
                     assert_eq!(failure.index, i);
                     assert_eq!(failure.message, format!("poison {i}"));
+                } else if i == 5 {
+                    let failure = r.as_ref().expect_err("item 5 panics");
+                    assert_eq!(failure.index, 5);
+                    assert_eq!(failure.message, "static boom");
                 } else {
                     assert_eq!(*r.as_ref().expect("healthy items complete"), i * 2);
                 }

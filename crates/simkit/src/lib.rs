@@ -27,7 +27,7 @@
 //! * [`supervise`] — supervision primitives for self-healing campaigns:
 //!   panic capture, deterministic jittered retry [`Backoff`](supervise::Backoff),
 //!   append-only per-worker health journals and quarantine markers,
-//! * [`RunningStats`], [`Histogram`], [`Summary`] — streaming statistics,
+//! * [`RunningStats`], [`Summary`] — streaming statistics,
 //! * [`CurveSummary`] / [`summarize_curves`] / [`CurveAccumulator`] —
 //!   mean/CI aggregation of replicate curves (experiment ensembles),
 //!   batch or streamed one curve at a time,
@@ -81,7 +81,5 @@ pub use error::SimkitError;
 pub use recorder::{RecordingMode, TraceRecorder, TraceSink};
 pub use rng::{sample_poisson, SeedSequence};
 pub use series::{SeriesPoint, TimeSeries};
-pub use stats::{
-    percentile, summarize_curves, CurveAccumulator, CurveSummary, Histogram, RunningStats, Summary,
-};
+pub use stats::{summarize_curves, CurveAccumulator, CurveSummary, RunningStats, Summary};
 pub use time::{SlotClock, Stopwatch, TimeSlot};

@@ -158,33 +158,6 @@ fn scale(v: f64, lo: f64, hi: f64, cells: usize) -> usize {
     ((frac * (cells - 1) as f64).round() as usize).min(cells - 1)
 }
 
-/// One-line sparkline of a value sequence using eighth-block glyphs.
-///
-/// ```
-/// let line = simkit::plot::sparkline(&[0.0, 1.0, 2.0, 3.0]);
-/// assert_eq!(line.chars().count(), 4);
-/// ```
-pub fn sparkline(values: &[f64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if values.is_empty() {
-        return String::new();
-    }
-    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let span = if (hi - lo).abs() < f64::EPSILON {
-        1.0
-    } else {
-        hi - lo
-    };
-    values
-        .iter()
-        .map(|v| {
-            let idx = (((v - lo) / span) * 7.0).round() as usize;
-            BARS[idx.min(7)]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,15 +227,6 @@ mod tests {
             .render();
         assert!(text.contains("y: queue"));
         assert!(text.contains("[time]"));
-    }
-
-    #[test]
-    fn sparkline_shapes() {
-        assert_eq!(sparkline(&[]), "");
-        let line = sparkline(&[0.0, 3.0, 1.0]);
-        assert_eq!(line.chars().count(), 3);
-        let flat = sparkline(&[2.0, 2.0]);
-        assert_eq!(flat.chars().count(), 2);
     }
 
     #[test]

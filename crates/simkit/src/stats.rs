@@ -1,5 +1,5 @@
-//! Streaming statistics: Welford running moments, percentiles, histograms,
-//! and ensemble curve summaries (mean/CI across replicate runs).
+//! Streaming statistics: Welford running moments and ensemble curve
+//! summaries (mean/CI across replicate runs).
 
 use crate::series::TimeSeries;
 use crate::SimkitError;
@@ -194,188 +194,6 @@ impl fmt::Display for Summary {
             (Some(min), Some(max)) => write!(f, " min={min:.4} max={max:.4}"),
             _ => write!(f, " min=n/a max=n/a"),
         }
-    }
-}
-
-/// Linear-interpolation percentile of a sample set.
-///
-/// `p` is in percent, `0.0..=100.0`. The input does not need to be sorted.
-///
-/// # Errors
-///
-/// Returns [`SimkitError::Empty`] for an empty slice,
-/// [`SimkitError::OutOfRange`] if `p` is outside `0..=100` or non-finite,
-/// and [`SimkitError::NonFinite`] if any sample is NaN (infinite samples
-/// are ordered normally).
-///
-/// ```
-/// let xs = [1.0, 2.0, 3.0, 4.0];
-/// assert_eq!(simkit::percentile(&xs, 50.0).unwrap(), 2.5);
-/// assert_eq!(simkit::percentile(&xs, 0.0).unwrap(), 1.0);
-/// assert_eq!(simkit::percentile(&xs, 100.0).unwrap(), 4.0);
-/// assert!(simkit::percentile(&[1.0, f64::NAN], 50.0).is_err());
-/// ```
-pub fn percentile(samples: &[f64], p: f64) -> Result<f64, SimkitError> {
-    if samples.is_empty() {
-        return Err(SimkitError::Empty { what: "samples" });
-    }
-    if !p.is_finite() || !(0.0..=100.0).contains(&p) {
-        return Err(SimkitError::OutOfRange {
-            what: "percentile",
-            valid: "0.0..=100.0",
-        });
-    }
-    if samples.iter().any(|x| x.is_nan()) {
-        return Err(SimkitError::NonFinite { what: "samples" });
-    }
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Fixed-width-bin histogram over a closed range.
-///
-/// Samples below the range go to an underflow bucket, above to an overflow
-/// bucket, so the total count is always preserved.
-///
-/// ```
-/// use simkit::Histogram;
-/// let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-/// for x in [0.5, 1.5, 2.5, 9.9, 11.0] {
-///     h.push(x);
-/// }
-/// assert_eq!(h.total(), 5);
-/// assert_eq!(h.overflow(), 1);
-/// assert_eq!(h.bin_count(0), 2); // 0.5 and 1.5 both fall in [0,2)
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `n_bins` equal bins over `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `lo >= hi`, the bounds are non-finite, or
-    /// `n_bins == 0`.
-    pub fn new(lo: f64, hi: f64, n_bins: usize) -> Result<Self, SimkitError> {
-        if !lo.is_finite() || !hi.is_finite() {
-            return Err(SimkitError::NonFinite {
-                what: "histogram bounds",
-            });
-        }
-        if lo >= hi {
-            return Err(SimkitError::OutOfRange {
-                what: "histogram bounds",
-                valid: "lo < hi",
-            });
-        }
-        if n_bins == 0 {
-            return Err(SimkitError::OutOfRange {
-                what: "n_bins",
-                valid: ">= 1",
-            });
-        }
-        Ok(Histogram {
-            lo,
-            hi,
-            bins: vec![0; n_bins],
-            underflow: 0,
-            overflow: 0,
-        })
-    }
-
-    /// Adds a sample (NaN samples are counted as overflow so nothing is
-    /// silently lost).
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() {
-            self.overflow += 1;
-            return;
-        }
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Count in bin `i` (0-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= n_bins`.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// `[low, high)` edges of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= n_bins`.
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.bins.len(), "bin index out of range");
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + i as f64 * width, self.lo + (i + 1) as f64 * width)
-    }
-
-    /// Number of bins.
-    pub fn n_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the upper bound (plus NaNs).
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples pushed, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Iterates `(bin_low_edge, bin_high_edge, count)` triples.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        (0..self.bins.len()).map(|i| {
-            let (lo, hi) = self.bin_edges(i);
-            (lo, hi, self.bins[i])
-        })
-    }
-
-    /// Empirical CDF evaluated at each bin's upper edge, in-range samples
-    /// only. Returns an empty vector when no in-range samples were recorded.
-    pub fn cdf(&self) -> Vec<(f64, f64)> {
-        let in_range: u64 = self.bins.iter().sum();
-        if in_range == 0 {
-            return Vec::new();
-        }
-        let mut acc = 0u64;
-        self.iter()
-            .map(|(_, hi, c)| {
-                acc += c;
-                (hi, acc as f64 / in_range as f64)
-            })
-            .collect()
     }
 }
 
@@ -644,86 +462,6 @@ mod tests {
         assert_eq!(full.count(), 3);
     }
 
-    #[test]
-    fn percentile_edges() {
-        let xs = [5.0, 1.0, 3.0];
-        assert_eq!(percentile(&xs, 0.0).unwrap(), 1.0);
-        assert_eq!(percentile(&xs, 100.0).unwrap(), 5.0);
-        assert_eq!(percentile(&xs, 50.0).unwrap(), 3.0);
-    }
-
-    #[test]
-    fn percentile_rejects_bad_input() {
-        assert!(percentile(&[], 50.0).is_err());
-        assert!(percentile(&[1.0], -1.0).is_err());
-        assert!(percentile(&[1.0], 101.0).is_err());
-        assert!(percentile(&[1.0], f64::NAN).is_err());
-    }
-
-    #[test]
-    fn percentile_rejects_nan_samples_without_panicking() {
-        // Regression: this used to panic inside the sort comparator.
-        assert_eq!(
-            percentile(&[1.0, f64::NAN], 50.0),
-            Err(SimkitError::NonFinite { what: "samples" })
-        );
-        assert_eq!(
-            percentile(&[f64::NAN, f64::NAN], 95.0),
-            Err(SimkitError::NonFinite { what: "samples" })
-        );
-        // Infinities are ordered, not rejected.
-        assert_eq!(
-            percentile(&[f64::NEG_INFINITY, 0.0, f64::INFINITY], 50.0).unwrap(),
-            0.0
-        );
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 10).unwrap();
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(10.0); // upper edge is exclusive -> overflow
-        for i in 0..10 {
-            assert_eq!(h.bin_count(i), 1, "bin {i}");
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 12);
-    }
-
-    #[test]
-    fn histogram_rejects_bad_construction() {
-        assert!(Histogram::new(1.0, 1.0, 4).is_err());
-        assert!(Histogram::new(2.0, 1.0, 4).is_err());
-        assert!(Histogram::new(0.0, 1.0, 0).is_err());
-        assert!(Histogram::new(f64::NAN, 1.0, 4).is_err());
-    }
-
-    #[test]
-    fn histogram_cdf_monotone_and_complete() {
-        let mut h = Histogram::new(0.0, 1.0, 4).unwrap();
-        for x in [0.1, 0.3, 0.6, 0.9] {
-            h.push(x);
-        }
-        let cdf = h.cdf();
-        assert_eq!(cdf.len(), 4);
-        let mut prev = 0.0;
-        for (_, p) in &cdf {
-            assert!(*p >= prev);
-            prev = *p;
-        }
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_empty_cdf() {
-        let h = Histogram::new(0.0, 1.0, 4).unwrap();
-        assert!(h.cdf().is_empty());
-    }
-
     fn curve(values: &[f64]) -> TimeSeries {
         let mut s = TimeSeries::new("c");
         for (i, v) in values.iter().enumerate() {
@@ -850,12 +588,5 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("min=n/a max=n/a"), "{text}");
         assert!(!text.contains("NaN"), "{text}");
-    }
-
-    #[test]
-    fn bin_edges_cover_range() {
-        let h = Histogram::new(0.0, 10.0, 5).unwrap();
-        assert_eq!(h.bin_edges(0), (0.0, 2.0));
-        assert_eq!(h.bin_edges(4), (8.0, 10.0));
     }
 }

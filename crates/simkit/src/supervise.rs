@@ -5,7 +5,7 @@
 //! outlive a failing work item.  This module holds the domain-free
 //! supervision primitives the experiment engine builds that on:
 //!
-//! * [`catch`] / [`panic_message`] — convert a panic into a structured,
+//! * [`panic_message`] — render a caught panic payload as a structured,
 //!   reportable error string instead of unwinding through the harness,
 //! * [`Backoff`] — deterministic jittered exponential retry delays,
 //!   seeded from the worker id via [`SeedSequence`] so a campaign's retry
@@ -42,16 +42,6 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     } else {
         "panic with a non-string payload".to_string()
     }
-}
-
-/// Run `f`, converting a panic into `Err(message)` instead of unwinding.
-///
-/// The standard panic hook still prints its report to stderr (useful in a
-/// post-mortem); what `catch` changes is that the *caller* gets a value
-/// back either way.
-pub fn catch<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .map_err(|payload| panic_message(payload.as_ref()))
 }
 
 /// Namespace seed under which per-worker backoff streams are derived, so
@@ -470,15 +460,6 @@ mod tests {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("simkit-supervise-{}-{tag}-{n}", std::process::id()))
-    }
-
-    #[test]
-    fn catch_reports_panic_payloads_verbatim() {
-        assert_eq!(catch(|| 7).unwrap(), 7);
-        let err = catch(|| -> i32 { panic!("boom {}", 3) }).unwrap_err();
-        assert_eq!(err, "boom 3");
-        let err = catch(|| -> i32 { panic!("static boom") }).unwrap_err();
-        assert_eq!(err, "static boom");
     }
 
     #[test]

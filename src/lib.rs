@@ -110,7 +110,7 @@ pub mod prelude {
     };
     pub use lyapunov::{DecisionOption, DriftPlusPenalty, Queue, ServiceController};
     pub use mdp::solver::{PolicyIteration, QLearning, ValueIteration};
-    pub use mdp::{CompiledMdp, FiniteMdp, Policy, TabularMdp};
+    pub use mdp::{CompiledMdp, FiniteMdp, TabularMdp};
     pub use simkit::{RecordingMode, SeedSequence, TimeSeries, TimeSlot};
     pub use vanet::{Network, NetworkConfig, Road, RsuLayout, Zipf};
 }
