@@ -1,33 +1,50 @@
 //! CI smoke for the artifact round trip: a small `ExperimentPlan` run
-//! once in memory and once with an artifact directory, asserting that
-//! (a) the reports agree on every non-trace field, (b) every spilled
-//! cell artifact re-reads **bit-identically** to the in-memory cell's
-//! traces, and (c) every ensemble artifact re-reads bit-identically to
-//! the in-memory ensemble curves. CI executes this example both with the
-//! `parallel` feature and under `--no-default-features`, so both executor
-//! paths cover the spilling code.
+//! once in memory and then with an artifact directory, serially and on a
+//! forced 4-worker fan-out, asserting each time that (a) the reports
+//! agree on every non-trace field, (b) every spilled cell artifact
+//! re-reads **bit-identically** to the in-memory cell's traces, and (c)
+//! every ensemble artifact re-reads bit-identically to the in-memory
+//! ensemble curves.
 //!
 //! ```sh
 //! cargo run --release -p aoi-cache --example artifact_roundtrip
-//! cargo run --release -p aoi-cache --example artifact_roundtrip --no-default-features
 //! ```
 
 use aoi_cache::persist::read_artifact;
 use aoi_cache::presets::smoke_grid;
-use aoi_cache::ExperimentPlan;
+use aoi_cache::{ExperimentPlan, ExperimentReport};
+use std::path::Path;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let feature = if cfg!(feature = "parallel") {
-        "parallel"
-    } else {
-        "serial (no default features)"
-    };
-    println!("artifact round-trip smoke [{feature}]");
-
-    let dir = std::env::temp_dir().join(format!("aoi-artifact-smoke-{}", std::process::id()));
+    println!("artifact round-trip smoke");
     let in_memory = smoke_grid().run()?;
-    let spilled = smoke_grid().artifact_dir(&dir).run()?;
+    let mut samples = 0usize;
+    for workers in [1, 4] {
+        let dir = std::env::temp_dir().join(format!(
+            "aoi-artifact-smoke-{}-w{workers}",
+            std::process::id()
+        ));
+        let spilled = smoke_grid().workers(workers).artifact_dir(&dir).run()?;
+        samples = check_spill(&dir, &in_memory, &spilled)?;
+        std::fs::remove_dir_all(&dir)?;
+        println!("  {workers} worker(s): spilled grid matches the in-memory run");
+    }
+    println!(
+        "OK: {} cells ({samples} trace samples) and {} ensembles spilled, \
+         re-read and diffed bit-identically",
+        in_memory.cells.len(),
+        in_memory.ensembles.len()
+    );
+    Ok(())
+}
 
+/// Checks one spilled run against the in-memory report; returns the number
+/// of trace samples compared.
+fn check_spill(
+    dir: &Path,
+    in_memory: &ExperimentReport,
+    spilled: &ExperimentReport,
+) -> Result<usize, Box<dyn std::error::Error>> {
     // The grid's results must not depend on whether artifacts were written.
     assert_eq!(spilled.ensembles, in_memory.ensembles, "ensembles differ");
     let mut samples = 0usize;
@@ -44,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Diff every cell artifact against the in-memory report, bit by bit.
     for cell in &in_memory.cells {
-        let path = ExperimentPlan::cell_artifact_path(&dir, cell.id);
+        let path = ExperimentPlan::cell_artifact_path(dir, cell.id);
         let artifact = read_artifact(&path)?;
         let want = cell.outcome.cache().unwrap();
         for (k, trace) in want.aoi_traces.iter().enumerate() {
@@ -57,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     for ensemble in &in_memory.ensembles {
-        let path = ExperimentPlan::ensemble_artifact_path(&dir, ensemble.scenario, ensemble.policy);
+        let path = ExperimentPlan::ensemble_artifact_path(dir, ensemble.scenario, ensemble.policy);
         let artifact = read_artifact(&path)?;
         assert_eq!(
             artifact.curves[0].curve, ensemble.curve,
@@ -66,12 +83,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    std::fs::remove_dir_all(&dir)?;
-    println!(
-        "OK: {} cells ({samples} trace samples) and {} ensembles spilled, \
-         re-read and diffed bit-identically",
-        in_memory.cells.len(),
-        in_memory.ensembles.len()
-    );
-    Ok(())
+    Ok(samples)
 }

@@ -1,23 +1,15 @@
 //! CI smoke grid: a small `ExperimentPlan` (2 cache policies × 2 seeds)
 //! run twice — serial and with a forced 4-worker fan-out — asserting the
-//! two reports are bit-identical. CI executes this example both with the
-//! `parallel` feature and under `--no-default-features`, so both executor
-//! paths stay green.
+//! two reports are bit-identical.
 //!
 //! ```sh
 //! cargo run -p aoi-cache --example experiment_grid
-//! cargo run -p aoi-cache --example experiment_grid --no-default-features
 //! ```
 
 use aoi_cache::presets::smoke_grid;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let feature = if cfg!(feature = "parallel") {
-        "parallel"
-    } else {
-        "serial (no default features)"
-    };
-    println!("experiment-grid smoke [{feature}]");
+    println!("experiment-grid smoke");
 
     let serial = smoke_grid().workers(1).run()?;
     let pooled = smoke_grid().workers(4).run()?;

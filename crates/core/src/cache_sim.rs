@@ -212,11 +212,6 @@ impl CacheSimulation {
     /// only how much of the `O(horizon × contents)` per-content trace data
     /// is kept changes ([`RecordingMode::SummaryOnly`] keeps none, shrinking
     /// a run's trace memory to O(contents)).
-    pub fn set_recording(&mut self, mode: RecordingMode) {
-        self.recording = mode;
-    }
-
-    /// Builder-style [`set_recording`](CacheSimulation::set_recording).
     #[must_use]
     pub fn with_recording(mut self, mode: RecordingMode) -> Self {
         self.recording = mode;
@@ -291,29 +286,17 @@ impl CacheSimulation {
     /// retained; the artifact also carries the reward and
     /// cumulative-reward series, so it is self-contained.
     ///
-    /// # Errors
-    ///
-    /// Propagates policy-construction errors and artifact write failures
-    /// ([`AoiCacheError::Persist`]).
-    pub fn run_artifact(
-        &self,
-        kind: CachePolicyKind,
-        path: &Path,
-    ) -> Result<CacheRunReport, AoiCacheError> {
-        self.run_artifact_with(kind, path, Compression::None)
-    }
-
-    /// [`run_artifact`](CacheSimulation::run_artifact) under an explicit
-    /// artifact encoding. With [`Compression::Deflate`] the samples stream
-    /// through the codec of [`simkit::persist::compress`] (the caller
-    /// picks the path — conventionally with the `.z` suffix, see
-    /// [`Compression::apply_to`]); the per-sample write path stays
+    /// `compression` picks the encoding. With [`Compression::Deflate`] the
+    /// samples stream through the codec of [`simkit::persist::compress`]
+    /// (the caller picks the path — conventionally with the `.z` suffix,
+    /// see [`Compression::apply_to`]); the per-sample write path stays
     /// allocation-free and [`simkit::persist::read_artifact`] reads both
     /// encodings transparently.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`run_artifact`](CacheSimulation::run_artifact).
+    /// Propagates policy-construction errors and artifact write failures
+    /// ([`AoiCacheError::Persist`]).
     pub fn run_artifact_with(
         &self,
         kind: CachePolicyKind,

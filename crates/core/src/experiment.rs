@@ -21,8 +21,8 @@
 //!   the executor).
 //! * **Determinism** — every cell derives all randomness from its own
 //!   scenario seed, so a grid run is bit-for-bit identical to running each
-//!   cell alone, for *any* worker count (including the serial fallback
-//!   without the `parallel` feature).
+//!   cell alone, for *any* worker count (including a single worker on the
+//!   calling thread).
 //! * **Single-run compatibility** — the single-run APIs
 //!   ([`CacheSimulation::run`], [`run_service`], [`crate::run_joint`]) are
 //!   exactly
@@ -532,7 +532,7 @@ impl ExperimentPlan {
     }
 
     /// Runs every cell of the grid — concurrently on the shared executor
-    /// when the `parallel` feature is on — and aggregates the replicate
+    /// unless pinned to one worker — and aggregates the replicate
     /// curves of each `(scenario, policy)` group.
     ///
     /// # Errors

@@ -73,8 +73,8 @@ pub fn fig1b_ensemble(n_seeds: u64) -> ExperimentPlan {
 }
 
 /// A deliberately small grid (2 policies × 2 seeds on a tiny scenario) used
-/// by the CI smoke step and the bench harness to keep both executor paths
-/// (serial and `parallel`) green.
+/// by the CI smoke steps and the bench harness to keep both executor paths
+/// (one worker and a pool) green.
 pub fn smoke_grid() -> ExperimentPlan {
     let scenario = CacheScenario {
         n_rsus: 2,

@@ -12,8 +12,7 @@
 //! allocations.
 //!
 //! Runs are wrapped in `executor::serialized` so allocation counts stay
-//! deterministic on any host (no pool threads), which also covers the
-//! `--no-default-features` build where that is the only path.
+//! deterministic on any host (no pool threads).
 
 use aoi_cache::persist::Compression;
 use aoi_cache::{Age, CachePolicyKind, CacheScenario, CacheSimulation, RecordingMode, RsuSpec};

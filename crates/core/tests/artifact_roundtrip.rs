@@ -87,7 +87,9 @@ fn cache_run_artifact_roundtrips_in_every_mode() {
         let sim = CacheSimulation::new(tiny()).unwrap().with_recording(mode);
         let in_memory = sim.run(CachePolicyKind::Myopic).unwrap();
         let path = dir.join(format!("run-{i}.trace.jsonl"));
-        let spilled = sim.run_artifact(CachePolicyKind::Myopic, &path).unwrap();
+        let spilled = sim
+            .run_artifact_with(CachePolicyKind::Myopic, &path, Compression::None)
+            .unwrap();
         assert_cache_roundtrip(&in_memory, &spilled, &path);
         let artifact = read_artifact(&path).unwrap();
         assert_eq!(artifact.manifest.policy, "myopic");

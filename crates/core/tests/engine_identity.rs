@@ -18,16 +18,16 @@
 //! 3. *Driver variants* — recording modes change trace retention, never
 //!    results.
 //!
-//! The whole suite is feature-free on purpose: CI runs it under both
-//! `--features parallel` and `--no-default-features`, so an executor that
-//! perturbed results would fail here, not in a downstream experiment.
+//! The cache goldens are checked at the default worker count and inside
+//! `executor::serialized`, so an executor that perturbed results would
+//! fail here, not in a downstream experiment.
 
 use aoi_cache::presets::{fig1b_policies, fig1b_scenario};
 use aoi_cache::{
     run_joint, run_service, CachePolicyKind, CacheRunReport, CacheScenario, CacheSimulation,
     JointScenario, RecordingMode, ServicePolicyKind, ServiceScenario,
 };
-use simkit::{SeedSequence, TimeSeries};
+use simkit::{executor, SeedSequence, TimeSeries};
 use vanet::NetworkConfig;
 
 /// Order-sensitive checksum over the exact bit patterns of a series.
@@ -111,38 +111,44 @@ const CACHE_GOLDENS: &[CacheGolden] = &[
 fn cache_reports_match_pre_refactor_goldens() {
     let sim = CacheSimulation::new(golden_cache_scenario()).expect("valid scenario");
     for golden in CACHE_GOLDENS {
-        let r = sim.run(golden.kind).expect("run succeeds");
-        let label = golden.kind.label();
-        assert_eq!(r.updates, golden.updates, "{label}: updates");
-        assert_eq!(
-            r.violation_content_slots, golden.violations,
-            "{label}: violations"
-        );
-        assert_eq!(
-            r.final_cumulative_reward().to_bits(),
-            golden.cumulative_bits,
-            "{label}: cumulative reward bits"
-        );
-        assert_eq!(
-            r.mean_aoi_ratio.to_bits(),
-            golden.ratio_bits,
-            "{label}: mean AoI ratio bits"
-        );
-        assert_eq!(
-            r.mean_utility.to_bits(),
-            golden.utility_bits,
-            "{label}: mean utility bits"
-        );
-        assert_eq!(
-            r.mean_cost.to_bits(),
-            golden.cost_bits,
-            "{label}: mean cost bits"
-        );
-        assert_eq!(
-            series_checksum(&r.reward),
-            golden.series,
-            "{label}: reward series checksum"
-        );
+        // Default sizing, then pinned to the calling thread: both must
+        // reproduce the goldens.
+        let pooled = sim.run(golden.kind);
+        let serial = executor::serialized(|| sim.run(golden.kind));
+        for r in [pooled, serial] {
+            let r = r.expect("run succeeds");
+            let label = golden.kind.label();
+            assert_eq!(r.updates, golden.updates, "{label}: updates");
+            assert_eq!(
+                r.violation_content_slots, golden.violations,
+                "{label}: violations"
+            );
+            assert_eq!(
+                r.final_cumulative_reward().to_bits(),
+                golden.cumulative_bits,
+                "{label}: cumulative reward bits"
+            );
+            assert_eq!(
+                r.mean_aoi_ratio.to_bits(),
+                golden.ratio_bits,
+                "{label}: mean AoI ratio bits"
+            );
+            assert_eq!(
+                r.mean_utility.to_bits(),
+                golden.utility_bits,
+                "{label}: mean utility bits"
+            );
+            assert_eq!(
+                r.mean_cost.to_bits(),
+                golden.cost_bits,
+                "{label}: mean cost bits"
+            );
+            assert_eq!(
+                series_checksum(&r.reward),
+                golden.series,
+                "{label}: reward series checksum"
+            );
+        }
     }
 }
 

@@ -180,7 +180,8 @@ fn foreign_and_unknown_version_artifacts_force_recompute() {
         ..tiny_cache()
     })
     .unwrap();
-    sim.run_artifact(CachePolicyKind::Myopic, &foreign).unwrap();
+    sim.run_artifact_with(CachePolicyKind::Myopic, &foreign, Compression::None)
+        .unwrap();
 
     let (resumed, report) = cache_plan(&dir)
         .resume(true)
@@ -406,7 +407,9 @@ fn full_mode_fig1a_artifact_shrinks_3x_and_rereads_bitwise() {
     // Myopic needs no MDP solve, so the debug-build test stays quick; the
     // artifact's shape (20 AoI channels × 1000 slots + reward curves) is
     // identical for every policy.
-    let a = sim.run_artifact(CachePolicyKind::Myopic, &plain).unwrap();
+    let a = sim
+        .run_artifact_with(CachePolicyKind::Myopic, &plain, Compression::None)
+        .unwrap();
     let b = sim
         .run_artifact_with(CachePolicyKind::Myopic, &packed, Compression::Deflate)
         .unwrap();

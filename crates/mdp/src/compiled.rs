@@ -23,8 +23,7 @@
 //!
 //! Solvers then run on the compiled form with **zero heap allocation per
 //! sweep**, and the per-state Bellman backup is embarrassingly parallel:
-//! under the `parallel` feature (default) sweeps over a large enough model
-//! fan out across the workspace's shared executor ([`simkit::executor`]) —
+//! sweeps over a large enough model fan out across the workspace's shared executor ([`simkit::executor`]) —
 //! one persistent barrier-synchronized pool per solve — and stay on the
 //! calling thread inside [`simkit::executor::serialized`]. Sweeps are
 //! Jacobi-style (each state's backup reads only the previous iterate), so
@@ -963,7 +962,7 @@ const MIN_STATES_PER_WORKER: usize = 1024;
 
 /// Workers a sweep loop over `n_states` states fans out across: parallel
 /// when the model is large enough, serial inside
-/// [`simkit::executor::serialized`] or without the `parallel` feature.
+/// [`simkit::executor::serialized`].
 pub(crate) fn sweep_workers(n_states: usize) -> usize {
     simkit::executor::worker_count(n_states, true, MIN_STATES_PER_WORKER)
 }
@@ -1234,7 +1233,6 @@ mod tests {
 
     /// A panic inside a pool worker must surface as a panic on the calling
     /// thread, not leave the coordinator deadlocked on the barrier.
-    #[cfg(feature = "parallel")]
     #[test]
     #[should_panic(expected = "pool worker panicked")]
     fn worker_panic_propagates_instead_of_deadlocking() {

@@ -22,10 +22,10 @@
 //! [`CompiledMdp`] — flat compressed-sparse-row transition arrays with
 //! precomputed per-row expected rewards and a validity bitmap — and then
 //! runs its fixed point on the flat arrays with zero heap allocation per
-//! sweep. Every such solver runs one blocked Jacobi sweep loop: with the
-//! `parallel` feature (default) it fans the Bellman backups out across a
-//! pool of scoped worker threads once the model is large enough, and
-//! inside [`simkit::executor::serialized`] it stays on the calling thread
+//! sweep. Every such solver runs one blocked Jacobi sweep loop: it fans the
+//! Bellman backups out across a pool of scoped worker threads once the
+//! model is large enough, and inside [`simkit::executor::serialized`] it
+//! stays on the calling thread
 //! (no solver has a switch of its own). Sweeps are Jacobi-style, so serial
 //! and parallel runs return bit-for-bit identical values and policies.
 //!

@@ -20,9 +20,8 @@
 //! `solve(&impl FiniteMdp)` entry points compile the model once and forward
 //! to the corresponding `solve_compiled(&CompiledMdp)` method, which
 //! performs zero heap allocation per sweep. Every compiled solver runs the
-//! same blocked Jacobi sweep loop: with the `parallel` feature it fans the
-//! Bellman backups out across worker threads once the model is large
-//! enough, and inside [`simkit::executor::serialized`] it stays on the
+//! same blocked Jacobi sweep loop: it fans the Bellman backups out across
+//! worker threads once the model is large enough, and inside [`simkit::executor::serialized`] it stays on the
 //! calling thread (there is no per-solver switch; results are bit-for-bit
 //! identical either way). Callers who solve the same model repeatedly
 //! should compile it themselves and call `solve_compiled` directly. The `solve_callback` methods retain

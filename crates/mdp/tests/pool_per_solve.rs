@@ -10,8 +10,6 @@
 //! test can race the deltas. `force_workers` drives the pooled path even on
 //! single-CPU hosts, where automatic sizing would correctly stay serial.
 
-#![cfg(feature = "parallel")]
-
 use mdp::solver::{
     evaluate_policy_compiled, BackwardInduction, PolicyIteration, RelativeValueIteration,
     StopReason, ValueIteration,

@@ -9,22 +9,10 @@ use std::fmt;
 /// message; all variants are non-exhaustive-friendly plain data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimkitError {
-    /// A quantity that must be finite was NaN or infinite.
-    NonFinite {
-        /// Name of the offending quantity.
-        what: &'static str,
-    },
     /// A collection that must be non-empty was empty.
     Empty {
         /// Name of the offending collection.
         what: &'static str,
-    },
-    /// A parameter was outside its valid range.
-    OutOfRange {
-        /// Name of the offending parameter.
-        what: &'static str,
-        /// Human-readable description of the valid range.
-        valid: &'static str,
     },
     /// Positionally aligned inputs disagreed where they must match (e.g.
     /// replicate curves with different slot axes).
@@ -37,11 +25,7 @@ pub enum SimkitError {
 impl fmt::Display for SimkitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimkitError::NonFinite { what } => write!(f, "{what} must be finite"),
             SimkitError::Empty { what } => write!(f, "{what} must not be empty"),
-            SimkitError::OutOfRange { what, valid } => {
-                write!(f, "{what} out of range (expected {valid})")
-            }
             SimkitError::Mismatch { what } => {
                 write!(f, "{what} must match across inputs")
             }
@@ -57,15 +41,8 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_concise() {
-        let e = SimkitError::NonFinite { what: "mean" };
-        assert_eq!(e.to_string(), "mean must be finite");
         let e = SimkitError::Empty { what: "samples" };
         assert_eq!(e.to_string(), "samples must not be empty");
-        let e = SimkitError::OutOfRange {
-            what: "p",
-            valid: "0..=100",
-        };
-        assert_eq!(e.to_string(), "p out of range (expected 0..=100)");
         let e = SimkitError::Mismatch {
             what: "curve slot axes",
         };

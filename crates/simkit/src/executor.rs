@@ -17,16 +17,15 @@
 //!
 //! Both shapes are **deterministic**: every job/chunk computes from
 //! immutable inputs into its own output slot, so results are bit-for-bit
-//! identical no matter how many workers run (including the serial fallback
-//! used when the `parallel` feature is disabled), and per-chunk round
+//! identical no matter how many workers run (including the serial loop a
+//! single worker runs on the calling thread), and per-chunk round
 //! stats are folded in worker-index order, never in scheduling-dependent
 //! arrival order (see [`RoundStat`] for the exact guarantee). Panics
 //! inside a worker poison the pool and re-raise on the calling thread
 //! instead of deadlocking the barrier protocol.
 //!
-//! Callers size both shapes with [`worker_count`]. The `parallel` feature
-//! gates all thread creation; without it both entry points degrade to
-//! their serial loops and [`worker_count`] always returns 1. With it,
+//! Callers size both shapes with [`worker_count`]; with one worker both
+//! entry points run their serial loops and create no thread.
 //! [`serialized`] is the one way to keep a call tree on the calling
 //! thread: every [`worker_count`] inside it returns 1.
 
@@ -80,7 +79,6 @@ static POOLS_CREATED: AtomicUsize = AtomicUsize::new(0);
 /// Worker-count override installed by [`force_workers`] (0 = automatic).
 static FORCED_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-#[cfg(feature = "parallel")]
 std::thread_local! {
     /// Whether the current thread is a pool worker. Automatic sizing
     /// ([`worker_count`]) refuses to fan out from inside a pool: the outer
@@ -91,14 +89,7 @@ std::thread_local! {
 
 /// Whether the calling thread is one of the executor's own pool workers.
 pub fn on_pool_worker() -> bool {
-    #[cfg(feature = "parallel")]
-    {
-        IN_POOL_WORKER.with(|flag| flag.get())
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        false
-    }
+    IN_POOL_WORKER.with(|flag| flag.get())
 }
 
 /// Runs `f` with automatic fan-out suppressed on this thread: every
@@ -111,19 +102,12 @@ pub fn on_pool_worker() -> bool {
 /// plan pinned to 1 worker) wrap their work in this so nested layers —
 /// per-RSU solves, sweep pools — stay on the calling thread too.
 pub fn serialized<R>(f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "parallel")]
-    {
-        IN_POOL_WORKER.with(|flag| {
-            let prev = flag.replace(true);
-            let out = f();
-            flag.set(prev);
-            out
-        })
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        f()
-    }
+    IN_POOL_WORKER.with(|flag| {
+        let prev = flag.replace(true);
+        let out = f();
+        flag.set(prev);
+        out
+    })
 }
 
 /// Number of pools spawned by [`run_rounds`] since process start.
@@ -140,9 +124,9 @@ pub fn pools_created() -> usize {
 ///
 /// `None` restores automatic sizing. The override is process-global and
 /// only applies where parallelism is allowed (it never forces a caller
-/// that requested serial execution onto the pool, and it is ignored when
-/// the `parallel` feature is off). Results are bit-for-bit identical
-/// either way; only scheduling changes.
+/// that requested serial execution, or one inside [`serialized`], onto
+/// the pool). Results are bit-for-bit identical either way; only
+/// scheduling changes.
 pub fn force_workers(workers: Option<usize>) {
     FORCED_WORKERS.store(workers.unwrap_or(0).min(64), Ordering::SeqCst);
 }
@@ -152,10 +136,9 @@ pub fn force_workers(workers: Option<usize>) {
 /// items (so synchronization never dominates the work), capped at 16.
 ///
 /// Returns 1 — run on the calling thread, no pool — when `fan_out` is
-/// false (the workload has nothing worth splitting), the `parallel`
-/// feature is disabled, or the caller is already running *on* a pool
-/// worker or inside [`serialized`] (the outer fan-out owns the hardware;
-/// nesting would oversubscribe it). An override installed via
+/// false (the workload has nothing worth splitting) or the caller is
+/// already running *on* a pool worker or inside [`serialized`] (the outer
+/// fan-out owns the hardware; nesting would oversubscribe it). An override installed via
 /// [`force_workers`] takes precedence over the automatic sizing (but never
 /// over `fan_out == false` or the nesting guard).
 ///
@@ -165,7 +148,7 @@ pub fn force_workers(workers: Option<usize>) {
 /// mask on every call, which would dominate a tiny inline job. The count
 /// is never cached, since both can change at run time.
 pub fn worker_count(n_items: usize, fan_out: bool, min_per_worker: usize) -> usize {
-    if !fan_out || !cfg!(feature = "parallel") || on_pool_worker() {
+    if !fan_out || on_pool_worker() {
         return 1;
     }
     let forced = FORCED_WORKERS.load(Ordering::SeqCst);
@@ -197,12 +180,12 @@ pub fn worker_count(n_items: usize, fan_out: bool, min_per_worker: usize) -> usi
 /// do not depend on `block`, so results — including the fold order of
 /// `stat` — are also identical for any `block`.
 ///
-/// With `workers >= 2` (and the `parallel` feature) a **persistent** pool
-/// of scoped workers is spawned once and reused for every round: per round
-/// the workers (1) read the shared iterate and recompute their chunk into a
-/// worker-local buffer, (2) publish the chunk, and the coordinator (3) runs
-/// the epilogue and decides termination — three barrier phases, no
-/// per-round allocation anywhere. A panic inside `task` poisons the pool
+/// With `workers >= 2` a **persistent** pool of scoped workers is spawned
+/// once and reused for every round: per round the workers (1) read the
+/// shared iterate and recompute their chunk into a worker-local buffer,
+/// (2) publish the chunk, and the coordinator (3) runs the epilogue and
+/// decides termination — three barrier phases, no per-round allocation
+/// anywhere. A panic inside `task` poisons the pool
 /// (workers keep honouring the barrier protocol) and re-raises on the
 /// calling thread once every worker has exited.
 pub fn run_rounds<T, R, B, E>(
@@ -220,11 +203,9 @@ where
     E: FnMut(&mut [T], &R, usize) -> bool,
 {
     let block = block.max(1);
-    #[cfg(feature = "parallel")]
     if workers >= 2 {
         return run_rounds_pooled(values, workers, max_rounds, block, task, epilogue);
     }
-    let _ = workers;
     run_rounds_serial(values, max_rounds, block, task, epilogue)
 }
 
@@ -288,7 +269,6 @@ where
 }
 
 /// The persistent pool behind [`run_rounds`].
-#[cfg(feature = "parallel")]
 fn run_rounds_pooled<T, R, B, E>(
     values: Vec<T>,
     workers: usize,
@@ -448,24 +428,21 @@ where
 ///
 /// Jobs must be independent and deterministic per item; with that, the
 /// result is bit-for-bit identical for any worker count, including the
-/// serial fallback (`workers < 2`, fewer than two items, or the `parallel`
-/// feature disabled). A panicking job stops the queue and re-raises on the
-/// calling thread after all workers have exited.
+/// serial loop (`workers < 2` or fewer than two items). A panicking job
+/// stops the queue and re-raises on the calling thread after all workers
+/// have exited.
 pub fn parallel_map<T, R, F>(workers: usize, items: &[T], job: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    #[cfg(feature = "parallel")]
     if workers >= 2 && items.len() >= 2 {
         return parallel_map_pooled(workers, items, job);
     }
-    let _ = workers;
     items.iter().enumerate().map(|(i, t)| job(i, t)).collect()
 }
 
-#[cfg(feature = "parallel")]
 fn parallel_map_pooled<T, R, F>(workers: usize, items: &[T], job: F) -> Vec<R>
 where
     T: Sync,
@@ -694,7 +671,6 @@ mod tests {
         assert!(!out.converged);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     #[should_panic(expected = "pool worker panicked")]
     fn round_worker_panic_propagates_instead_of_deadlocking() {
@@ -716,7 +692,6 @@ mod tests {
     /// The symmetric case to a worker panic: a panic in the *coordinator's*
     /// epilogue must release the pool and re-raise, not leave the workers
     /// blocked on a barrier the coordinator will never reach.
-    #[cfg(feature = "parallel")]
     #[test]
     #[should_panic(expected = "epilogue boom")]
     fn epilogue_panic_propagates_instead_of_deadlocking() {
@@ -754,8 +729,7 @@ mod tests {
 
     /// The supervised map isolates a panicking item: the rest of the
     /// queue completes, the failure arrives as a structured value, and
-    /// results stay in input order (both executor flavors via the
-    /// feature matrix).
+    /// results stay in input order, serial and pooled alike.
     #[test]
     fn supervised_map_isolates_panics_per_item() {
         let items: Vec<usize> = (0..20).collect();
@@ -787,7 +761,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     #[should_panic(expected = "pool worker panicked")]
     fn map_job_panic_propagates() {
@@ -800,7 +773,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn automatic_sizing_refuses_to_nest() {
         let items = [(); 4];
@@ -820,42 +792,40 @@ mod tests {
     fn worker_count_policy() {
         // Serial requests never fan out.
         assert_eq!(worker_count(1 << 20, false, 1), 1);
-        if cfg!(feature = "parallel") {
-            // Tiny workloads stay serial regardless of hardware.
-            assert_eq!(worker_count(10, true, 1024), 1);
-            // The early return for unsplittable work changes no value:
-            // every size, including both sides of the `n / m < 2`
-            // boundary, matches the plain hardware/work/cap formula.
-            let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-            for m in [0, 1, 2, 3, 7, 1024] {
-                let unit = m.max(1);
-                for n in [
-                    0,
-                    1,
-                    unit - 1,
-                    unit,
-                    2 * unit - 1,
-                    2 * unit,
-                    3 * unit,
-                    17 * unit,
-                    1 << 20,
-                ] {
-                    assert_eq!(
-                        worker_count(n, true, m),
-                        hardware.min(n / unit).clamp(1, MAX_WORKERS),
-                        "n_items={n} min_per_worker={m}"
-                    );
-                }
+        // Tiny workloads stay serial regardless of hardware.
+        assert_eq!(worker_count(10, true, 1024), 1);
+        // The early return for unsplittable work changes no value:
+        // every size, including both sides of the `n / m < 2`
+        // boundary, matches the plain hardware/work/cap formula.
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for m in [0, 1, 2, 3, 7, 1024] {
+            let unit = m.max(1);
+            for n in [
+                0,
+                1,
+                unit - 1,
+                unit,
+                2 * unit - 1,
+                2 * unit,
+                3 * unit,
+                17 * unit,
+                1 << 20,
+            ] {
+                assert_eq!(
+                    worker_count(n, true, m),
+                    hardware.min(n / unit).clamp(1, MAX_WORKERS),
+                    "n_items={n} min_per_worker={m}"
+                );
             }
-            // The forced override wins over automatic sizing...
-            force_workers(Some(5));
-            assert_eq!(worker_count(10, true, 1024), 5);
-            // ...but never over an explicit serial request.
-            assert_eq!(worker_count(10, false, 1024), 1);
-            force_workers(None);
-            assert_eq!(worker_count(10, true, 1024), 1);
-        } else {
-            assert_eq!(worker_count(1 << 20, true, 1), 1);
         }
+        // The forced override wins over automatic sizing...
+        force_workers(Some(5));
+        assert_eq!(worker_count(10, true, 1024), 5);
+        // ...but never over an explicit serial request...
+        assert_eq!(worker_count(10, false, 1024), 1);
+        // ...nor over a serialized call tree.
+        assert_eq!(serialized(|| worker_count(10, true, 1024)), 1);
+        force_workers(None);
+        assert_eq!(worker_count(10, true, 1024), 1);
     }
 }

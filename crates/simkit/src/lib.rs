@@ -28,13 +28,12 @@
 //!   panic capture, deterministic jittered retry [`Backoff`](supervise::Backoff),
 //!   append-only per-worker health journals and quarantine markers,
 //! * [`RunningStats`], [`Summary`] — streaming statistics,
-//! * [`CurveSummary`] / [`summarize_curves`] / [`CurveAccumulator`] —
-//!   mean/CI aggregation of replicate curves (experiment ensembles),
-//!   batch or streamed one curve at a time,
+//! * [`CurveSummary`] / [`CurveAccumulator`] — mean/CI aggregation of
+//!   replicate curves (experiment ensembles), streamed one curve at a time,
 //! * [`executor`] — the workspace's only thread pool: a persistent
 //!   barrier-synchronized round pool for fixed-point solvers and a one-shot
 //!   ordered [`parallel_map`](executor::parallel_map) for coarse jobs, both
-//!   gated behind the `parallel` feature and bit-for-bit deterministic,
+//!   bit-for-bit deterministic for any worker count,
 //! * [`AsciiPlot`](plot::AsciiPlot) and [`Table`](table::Table) — terminal
 //!   "figures" and CSV export used by the benchmark harness.
 //!
@@ -81,5 +80,5 @@ pub use error::SimkitError;
 pub use recorder::{RecordingMode, TraceRecorder, TraceSink};
 pub use rng::{sample_poisson, SeedSequence};
 pub use series::{SeriesPoint, TimeSeries};
-pub use stats::{summarize_curves, CurveAccumulator, CurveSummary, RunningStats, Summary};
+pub use stats::{CurveAccumulator, CurveSummary, RunningStats, Summary};
 pub use time::{SlotClock, Stopwatch, TimeSlot};

@@ -217,7 +217,7 @@ fn t_quantile_975(df: u64) -> f64 {
 /// Ensemble summary of replicate curves: the per-slot mean with a 95%
 /// Student-t confidence band.
 ///
-/// Produced by [`summarize_curves`] from the per-run [`TimeSeries`] of an
+/// Produced by [`CurveAccumulator`] from the per-run [`TimeSeries`] of an
 /// experiment grid (e.g. cumulative-reward curves across seed replicates —
 /// the ensembles the paper's figures average over).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -254,9 +254,13 @@ impl CurveSummary {
 /// curve side by side (`O(horizon × replicates)`), which is what lets an
 /// experiment grid stream each cell's contribution and drop the cell.
 ///
-/// The result is bit-identical to collecting all curves and calling
-/// [`summarize_curves`] (which is itself implemented on this accumulator):
-/// curves are aligned by position, with the first curve fixing the slot
+/// The band is mean ± `t`·se, where `t` is the two-sided 95% Student-t
+/// quantile for `n − 1` degrees of freedom: at the small replicate counts
+/// experiments actually use, the normal 1.96 would claim far more
+/// precision than the data has. It collapses onto the mean for a single
+/// replicate.
+///
+/// Curves are aligned by position, with the first curve fixing the slot
 /// axis. Every later curve must repeat that axis exactly — a replicate
 /// with a different length or different slots would silently be averaged
 /// against the wrong slots, so the mismatch is recorded and reported as an
@@ -372,34 +376,6 @@ impl CurveAccumulator {
     }
 }
 
-/// Aggregates replicate curves slot by slot into a [`CurveSummary`]
-/// (mean ± `t`·se, where `t` is the two-sided 95% Student-t quantile for
-/// `n − 1` degrees of freedom — at the small replicate counts experiments
-/// actually use, the normal 1.96 would claim far more precision than the
-/// data has. The band collapses onto the mean for a single replicate.)
-///
-/// Curves are aligned by position; the first curve fixes the slot axis and
-/// every other curve must repeat it exactly. Callers that can visit their
-/// curves one at a time should feed a [`CurveAccumulator`] directly (this
-/// function does exactly that) to avoid holding every curve at once.
-///
-/// # Errors
-///
-/// Returns [`SimkitError::Empty`] when `curves` is empty or any curve has
-/// no samples, and [`SimkitError::Mismatch`] when the curves' slot axes
-/// disagree (they would otherwise be silently averaged against the wrong
-/// slots).
-pub fn summarize_curves(
-    name: impl Into<String>,
-    curves: &[&TimeSeries],
-) -> Result<CurveSummary, SimkitError> {
-    let mut acc = CurveAccumulator::new(name);
-    for curve in curves {
-        acc.push_curve(curve);
-    }
-    acc.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,11 +446,20 @@ mod tests {
         s
     }
 
+    /// Folds `curves` into a fresh accumulator and finishes it.
+    fn fold(curves: &[&TimeSeries]) -> Result<CurveSummary, SimkitError> {
+        let mut acc = CurveAccumulator::new("x");
+        for c in curves {
+            acc.push_curve(c);
+        }
+        acc.finish()
+    }
+
     #[test]
-    fn summarize_curves_mean_and_band() {
+    fn accumulator_mean_and_band() {
         let a = curve(&[1.0, 2.0, 3.0]);
         let b = curve(&[3.0, 4.0, 5.0]);
-        let s = summarize_curves("reward", &[&a, &b]).unwrap();
+        let s = fold(&[&a, &b]).unwrap();
         assert_eq!(s.replicates, 2);
         assert_eq!(s.mean.values().collect::<Vec<_>>(), vec![2.0, 3.0, 4.0]);
         assert_eq!(s.final_mean(), 4.0);
@@ -488,13 +473,11 @@ mod tests {
     #[test]
     fn summarize_single_replicate_collapses_band() {
         let a = curve(&[1.0, 2.0]);
-        let s = summarize_curves("x", &[&a]).unwrap();
-        assert_eq!(
-            s.mean.values().collect::<Vec<_>>(),
-            s.lo.values().collect::<Vec<_>>()
-        );
+        let s = fold(&[&a]).unwrap();
         assert_eq!(s.final_ci_half_width(), 0.0);
-        assert_eq!(s.lo.values().collect::<Vec<_>>(), vec![1.0, 2.0]);
+        for edge in [&s.lo, &s.hi] {
+            assert_eq!(edge.values().collect::<Vec<_>>(), vec![1.0, 2.0]);
+        }
     }
 
     #[test]
@@ -518,55 +501,38 @@ mod tests {
         let err = SimkitError::Mismatch {
             what: "curve slot axes",
         };
-        assert_eq!(summarize_curves("x", &[&a, &b]), Err(err.clone()));
+        assert_eq!(fold(&[&a, &b]), Err(err.clone()));
         // A *longer* later curve used to silently drop its tail.
-        let mut acc = CurveAccumulator::new("x");
-        acc.push_curve(&b);
-        acc.push_curve(&a);
-        assert_eq!(acc.finish(), Err(err.clone()));
+        assert_eq!(fold(&[&b, &a]), Err(err.clone()));
         // Equal lengths sampled at different slots are just as wrong.
         let mut shifted = TimeSeries::new("c");
         for (i, v) in [1.0, 2.0, 3.0].iter().enumerate() {
             shifted.push(TimeSlot::new(10 + i as u64), *v);
         }
-        assert_eq!(summarize_curves("x", &[&a, &shifted]), Err(err));
-    }
-
-    #[test]
-    fn accumulator_matches_batch_summarize_bitwise() {
-        let curves: Vec<TimeSeries> = (0..5)
-            .map(|k| {
-                curve(
-                    &(0..40)
-                        .map(|t| ((t + k) as f64 * 0.31).sin() * (k + 1) as f64)
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        let refs: Vec<&TimeSeries> = curves.iter().collect();
-        let batch = summarize_curves("x", &refs).unwrap();
-        let mut acc = CurveAccumulator::new("x");
-        for c in &curves {
-            acc.push_curve(c);
-        }
-        assert_eq!(acc.replicates(), 5);
-        let streamed = acc.finish().unwrap();
-        assert_eq!(batch, streamed, "streaming must be bit-identical");
+        assert_eq!(fold(&[&a, &shifted]), Err(err));
     }
 
     #[test]
     fn accumulator_rejects_empty_input() {
-        assert!(CurveAccumulator::new("x").finish().is_err());
+        let acc = CurveAccumulator::new("x");
+        assert_eq!(acc.replicates(), 0);
+        assert!(acc.finish().is_err());
         let mut acc = CurveAccumulator::new("x");
         acc.push_curve(&TimeSeries::new("e"));
+        assert_eq!(acc.replicates(), 1);
         assert!(acc.finish().is_err());
     }
 
     #[test]
     fn summarize_rejects_empty() {
-        assert!(summarize_curves("x", &[]).is_err());
+        assert_eq!(fold(&[]), Err(SimkitError::Empty { what: "curves" }));
         let empty = TimeSeries::new("e");
-        assert!(summarize_curves("x", &[&empty]).is_err());
+        assert_eq!(
+            fold(&[&empty]),
+            Err(SimkitError::Empty {
+                what: "curve samples"
+            })
+        );
     }
 
     #[test]

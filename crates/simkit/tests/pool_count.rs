@@ -9,10 +9,10 @@ use simkit::executor::{parallel_map, pools_created, run_rounds};
 
 #[test]
 fn one_pool_per_round_loop() {
-    let fifty_rounds = || {
+    let fifty_rounds = |workers| {
         run_rounds(
             vec![0.0f64; 256],
-            4,
+            workers,
             50,
             1,
             |range, old: &[f64], out: &mut [f64], _: &mut ()| {
@@ -24,16 +24,13 @@ fn one_pool_per_round_loop() {
         )
     };
 
-    if !cfg!(feature = "parallel") {
-        // Serial builds never spawn pools at all.
-        let before = pools_created();
-        let _ = fifty_rounds();
-        assert_eq!(pools_created(), before);
-        return;
-    }
+    // A single worker runs on the calling thread and spawns no pool.
+    let before = pools_created();
+    let _ = fifty_rounds(1);
+    assert_eq!(pools_created(), before, "one worker must spawn no pool");
 
     let before = pools_created();
-    let _ = fifty_rounds();
+    let _ = fifty_rounds(4);
     assert_eq!(
         pools_created() - before,
         1,

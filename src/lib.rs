@@ -28,8 +28,8 @@
 //! [`mdp::CompiledMdp`] (flat row arrays — action-major dense planes for
 //! unit-mass deterministic models, CSR rows otherwise — and a validity
 //! bitmap) and iterates on the flat arrays with zero heap
-//! allocation per sweep; under the default `parallel` feature the per-state
-//! Bellman backup fans out across worker threads with bit-for-bit identical
+//! allocation per sweep; on a large enough model the per-state Bellman
+//! backup fans out across worker threads with bit-for-bit identical
 //! results. The simulators compile each RSU's MDP exactly once
 //! ([`core::CompiledRsuMdp`]) and share the kernel across every policy
 //! kind, horizon step and run.
