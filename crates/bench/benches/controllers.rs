@@ -1,7 +1,12 @@
-//! Criterion benches: Lyapunov controller and queue primitives.
+//! Criterion benches: the stage-2 service core and its queue and
+//! drift-plus-penalty primitives.
 
+use aoi_cache::{LyapunovServicePolicy, RsuServiceEngine, ServiceLevel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lyapunov::{DecisionOption, DriftPlusPenalty, Queue, ServiceController};
+use lyapunov::{DecisionOption, DriftPlusPenalty, Queue};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use simkit::TimeSlot;
 
 fn menu(n: usize) -> Vec<DecisionOption> {
     (0..n)
@@ -25,11 +30,22 @@ fn bench_dpp_decide(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_controller_step(c: &mut Criterion) {
-    let options = menu(4);
-    c.bench_function("service_controller_step", |b| {
-        let mut ctl = ServiceController::new(20.0).expect("valid V");
-        b.iter(|| std::hint::black_box(ctl.step(0.9, &options).expect("steps")))
+/// One slot of the per-RSU stage-2 core every driver runs: the paper's
+/// Eq. 5 decision on the pre-arrival backlog, then the queue dynamics.
+fn bench_service_engine_step(c: &mut Criterion) {
+    let levels: Vec<ServiceLevel> = (0..4)
+        .map(|i| ServiceLevel::new(f64::from(i) * 0.5, f64::from(i)))
+        .collect();
+    c.bench_function("service_engine_step", |b| {
+        let policy = LyapunovServicePolicy::new(20.0).expect("valid V");
+        let mut engine = RsuServiceEngine::new(Box::new(policy));
+        let mut rng = StdRng::seed_from_u64(0);
+        b.iter(|| {
+            let d = engine
+                .decide(TimeSlot::ZERO, &levels, &mut rng)
+                .expect("valid decision");
+            std::hint::black_box(engine.apply(0.9, levels[d]))
+        })
     });
 }
 
@@ -54,7 +70,7 @@ fn bench_service_grid(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dpp_decide,
-    bench_controller_step,
+    bench_service_engine_step,
     bench_queue_step,
     bench_service_grid
 );

@@ -202,11 +202,10 @@ impl RsuCacheEngine {
 ///
 /// `decide` evaluates the policy on the pre-arrival backlog; `apply` runs
 /// the queue dynamics for an (independently chosen) service level. The
-/// split mirrors [`lyapunov::ServiceController::decide`] /
-/// [`lyapunov::ServiceController::step_chosen`] and exists for the same
-/// reason: arrivals and decisions are inputs, so any driver — simulator
+/// split keeps arrivals and decisions inputs, so any driver — simulator
 /// or online server — produces identical queue trajectories from
-/// identical inputs.
+/// identical inputs. This is the workspace's one stage-2 core: every
+/// driver keeps its own cost and backlog sums around it.
 pub struct RsuServiceEngine {
     policy: Box<dyn ServicePolicy>,
     queue: Queue,

@@ -87,12 +87,7 @@ impl FreshnessScenario {
                 valid: ">= 0 and finite",
             });
         }
-        if self.levels.is_empty() {
-            return Err(AoiCacheError::BadParameter {
-                what: "levels",
-                valid: "non-empty",
-            });
-        }
+        ServiceLevel::validate_menu(&self.levels)?;
         if !self.mbs_surcharge.is_finite() || self.mbs_surcharge < 0.0 {
             return Err(AoiCacheError::BadParameter {
                 what: "mbs_surcharge",
@@ -420,6 +415,9 @@ mod tests {
         assert!(run_freshness_service(&s, SourcingMode::Adaptive).is_err());
         let mut s = scenario();
         s.mbs_surcharge = -1.0;
+        assert!(run_freshness_service(&s, SourcingMode::Adaptive).is_err());
+        let mut s = scenario();
+        s.levels.push(ServiceLevel::new(1.0, f64::INFINITY));
         assert!(run_freshness_service(&s, SourcingMode::Adaptive).is_err());
         assert_eq!(scenario().mean_cache_age(), 4.5);
         assert_eq!(SourcingMode::Adaptive.label(), "adaptive");

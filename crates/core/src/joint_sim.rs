@@ -110,12 +110,7 @@ impl JointScenario {
                 valid: ">= 1",
             });
         }
-        if self.levels.is_empty() {
-            return Err(AoiCacheError::BadParameter {
-                what: "levels",
-                valid: "non-empty",
-            });
-        }
+        ServiceLevel::validate_menu(&self.levels)?;
         if !self.mbs_fetch_cost.is_finite() || self.mbs_fetch_cost < 0.0 {
             return Err(AoiCacheError::BadParameter {
                 what: "mbs_fetch_cost",
@@ -492,6 +487,25 @@ mod tests {
         assert!(report.updates > 0);
         assert!(report.freshness_rate() >= 0.0 && report.freshness_rate() <= 1.0);
         assert!(report.mean_total_cost() > 0.0);
+    }
+
+    #[test]
+    fn rejects_invalid_service_menus() {
+        // A NaN or negative cost would corrupt the cost averages and an
+        // infinite rate would reach the queue's finiteness assertion.
+        for bad in [
+            ServiceLevel::new(f64::NAN, 1.0),
+            ServiceLevel::new(-5.0, 1.0),
+            ServiceLevel::new(1.0, f64::INFINITY),
+        ] {
+            let mut s = tiny();
+            s.service_policy = ServicePolicyKind::AlwaysServe;
+            s.levels.push(bad);
+            assert!(
+                matches!(run_joint(&s), Err(AoiCacheError::BadParameter { .. })),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

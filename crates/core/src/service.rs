@@ -32,6 +32,40 @@ impl ServiceLevel {
             ServiceLevel::new(2.0, 3.0),
         ]
     }
+
+    /// Validates a service menu: at least one level, every cost and rate
+    /// finite and non-negative. Every stage-2 driver checks its menu here
+    /// before the first slot, so policies and the backlog queue may rely
+    /// on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AoiCacheError::BadParameter`] for an empty menu or a
+    /// negative or non-finite cost or rate.
+    pub fn validate_menu(levels: &[ServiceLevel]) -> Result<(), AoiCacheError> {
+        if levels.is_empty() {
+            return Err(AoiCacheError::BadParameter {
+                what: "levels",
+                valid: "non-empty",
+            });
+        }
+        if levels
+            .iter()
+            .any(|l| !l.cost.is_finite() || l.cost < 0.0 || !l.rate.is_finite() || l.rate < 0.0)
+        {
+            return Err(AoiCacheError::BadParameter {
+                what: "service levels",
+                valid: ">= 0 and finite",
+            });
+        }
+        Ok(())
+    }
+}
+
+impl From<ServiceLevel> for DecisionOption {
+    fn from(level: ServiceLevel) -> Self {
+        DecisionOption::new(level.cost, level.rate)
+    }
 }
 
 /// Everything a service policy may inspect when deciding.
@@ -84,15 +118,11 @@ impl ServicePolicy for LyapunovServicePolicy {
     }
 
     fn decide(&mut self, ctx: &ServiceDecisionContext<'_>, _rng: &mut dyn RngCore) -> usize {
-        let options: Vec<DecisionOption> = ctx
-            .levels
-            .iter()
-            .map(|l| DecisionOption::new(l.cost, l.rate))
-            .collect();
         self.dpp
-            .decide(ctx.backlog, &options)
-            // lint:allow(panic-hygiene): the controller validated its service
-            // levels at construction and the backlog is its own queue state.
+            .decide(ctx.backlog, ctx.levels)
+            // lint:allow(panic-hygiene): every driver passes a menu that
+            // ServiceLevel::validate_menu accepted (non-empty), and the
+            // backlog is its queue's own state (finite, non-negative).
             .expect("levels are non-empty and backlog is valid")
     }
 }

@@ -62,22 +62,7 @@ impl ServiceScenario {
                 valid: ">= 0 and finite",
             });
         }
-        if self.levels.is_empty() {
-            return Err(AoiCacheError::BadParameter {
-                what: "levels",
-                valid: "non-empty",
-            });
-        }
-        if self
-            .levels
-            .iter()
-            .any(|l| !l.cost.is_finite() || l.cost < 0.0 || !l.rate.is_finite() || l.rate < 0.0)
-        {
-            return Err(AoiCacheError::BadParameter {
-                what: "service levels",
-                valid: ">= 0 and finite",
-            });
-        }
+        ServiceLevel::validate_menu(&self.levels)?;
         if self.horizon == 0 {
             return Err(AoiCacheError::BadParameter {
                 what: "horizon",

@@ -9,14 +9,20 @@
 //!
 //! Compiling the cache MDP into its solver kernel must not allocate per
 //! `(state, action)` row either: two model sizes make the same number of
-//! allocations.
+//! allocations. The stage-2 core's slot (`RsuServiceEngine` under the
+//! paper's drift-plus-penalty policy) allocates nothing at all.
 //!
 //! Runs are wrapped in `executor::serialized` so allocation counts stay
 //! deterministic on any host (no pool threads).
 
 use aoi_cache::persist::Compression;
-use aoi_cache::{Age, CachePolicyKind, CacheScenario, CacheSimulation, RecordingMode, RsuSpec};
-use simkit::executor;
+use aoi_cache::{
+    Age, CachePolicyKind, CacheScenario, CacheSimulation, LyapunovServicePolicy, RecordingMode,
+    RsuServiceEngine, RsuSpec, ServiceLevel,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use simkit::{executor, TimeSlot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -226,5 +232,31 @@ fn compile_does_not_allocate_per_row() {
     assert_eq!(
         small, large,
         "compile allocations must not scale with rows (small {small}, large {large})"
+    );
+}
+
+/// One stage-2 slot — the drift-plus-penalty decision on the pre-arrival
+/// backlog, then the queue dynamics — reads the service menu in place:
+/// 512 slots of `RsuServiceEngine` under `LyapunovServicePolicy` make no
+/// allocation.
+#[test]
+fn service_engine_slot_is_allocation_free() {
+    let levels = ServiceLevel::standard_menu();
+    let policy = LyapunovServicePolicy::new(20.0).unwrap();
+    let mut engine = RsuServiceEngine::new(Box::new(policy));
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut served = 0.0;
+    let allocations = allocations_during(|| {
+        for t in 0..512u32 {
+            let d = engine
+                .decide(TimeSlot::new(u64::from(t)), &levels, &mut rng)
+                .unwrap();
+            served += engine.apply(f64::from(t % 4), levels[d]);
+        }
+    });
+    assert!(served > 0.0, "the policy must serve as well as idle");
+    assert_eq!(
+        allocations, 0,
+        "stage-2 slots allocated {allocations} times"
     );
 }

@@ -86,11 +86,18 @@ impl DriftPlusPenalty {
     /// Picks `argmin_α V·cost(α) − queue·service(α)`; ties break to the
     /// lowest index (by convention the "cheapest"/idle decision first).
     ///
+    /// The options are read in place: any `Copy` menu entry that converts
+    /// into a [`DecisionOption`] (such as a caller's service level) is
+    /// accepted without building a `DecisionOption` slice first.
+    ///
     /// # Errors
     ///
     /// Returns [`LyapunovError::NoDecisions`] for an empty option set and
     /// [`LyapunovError::BadQuantity`] for a negative/non-finite backlog.
-    pub fn decide(&self, queue: f64, options: &[DecisionOption]) -> Result<usize, LyapunovError> {
+    pub fn decide<O>(&self, queue: f64, options: &[O]) -> Result<usize, LyapunovError>
+    where
+        O: Copy + Into<DecisionOption>,
+    {
         if options.is_empty() {
             return Err(LyapunovError::NoDecisions);
         }
@@ -99,7 +106,8 @@ impl DriftPlusPenalty {
         }
         let mut best = 0;
         let mut best_obj = f64::INFINITY;
-        for (i, opt) in options.iter().enumerate() {
+        for (i, &opt) in options.iter().enumerate() {
+            let opt: DecisionOption = opt.into();
             let obj = self.v * opt.cost - queue * opt.service;
             if obj < best_obj {
                 best_obj = obj;
@@ -206,12 +214,44 @@ mod tests {
     }
 
     #[test]
+    fn larger_v_trades_queue_for_cost() {
+        // The O(1/V) cost / O(V) backlog tradeoff on one fixed workload.
+        let options = [
+            DecisionOption::new(0.0, 0.0),
+            DecisionOption::new(0.5, 1.0),
+            DecisionOption::new(2.0, 3.0),
+        ];
+        let run = |v: f64| {
+            let dpp = DriftPlusPenalty::new(v).unwrap();
+            let mut queue = crate::Queue::new();
+            let (mut cost, mut backlog) = (0.0, 0.0);
+            for _ in 0..20_000 {
+                let chosen = options[dpp.decide(queue.backlog(), &options).unwrap()];
+                queue.step(0.8, chosen.service);
+                cost += chosen.cost;
+                backlog += queue.backlog();
+            }
+            (cost / 20_000.0, backlog / 20_000.0)
+        };
+        let (cost_low_v, queue_low_v) = run(1.0);
+        let (cost_high_v, queue_high_v) = run(200.0);
+        assert!(
+            cost_high_v <= cost_low_v + 1e-9,
+            "cost {cost_high_v} vs {cost_low_v}"
+        );
+        assert!(
+            queue_high_v > queue_low_v,
+            "queue {queue_high_v} vs {queue_low_v}"
+        );
+    }
+
+    #[test]
     fn rejects_bad_inputs() {
         assert!(DriftPlusPenalty::new(-1.0).is_err());
         assert!(DriftPlusPenalty::new(f64::NAN).is_err());
         let dpp = DriftPlusPenalty::new(1.0).unwrap();
         assert!(matches!(
-            dpp.decide(0.0, &[]),
+            dpp.decide::<DecisionOption>(0.0, &[]),
             Err(LyapunovError::NoDecisions)
         ));
         assert!(dpp.decide(-1.0, &idle_serve()).is_err());

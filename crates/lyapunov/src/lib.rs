@@ -13,24 +13,29 @@
 //!   and the `max(Z + y, 0)` constraint dynamics,
 //! * [`DriftPlusPenalty`] — the argmin decision rule (single- and
 //!   multi-queue forms),
-//! * [`ServiceController`] — queue + rule + time-average accounting in one
-//!   struct,
 //! * [`analysis`] — rate-stability verdicts and `O(1/V)`/`O(V)` tradeoff
 //!   signature checks.
+//!
+//! Drivers keep their own time averages; `aoi_cache::RsuServiceEngine` is
+//! the per-RSU core that binds a [`Queue`] to a service policy.
 //!
 //! ## Example
 //!
 //! ```
-//! use lyapunov::{ServiceController, DecisionOption};
+//! use lyapunov::{DecisionOption, DriftPlusPenalty, Queue};
 //!
 //! // An RSU that can idle (free) or serve two requests at unit cost.
 //! let options = [DecisionOption::new(0.0, 0.0), DecisionOption::new(1.0, 2.0)];
-//! let mut controller = ServiceController::new(25.0)?;
+//! let dpp = DriftPlusPenalty::new(25.0)?;
+//! let mut queue = Queue::new();
+//! let mut cost = 0.0;
 //! for _ in 0..1_000 {
-//!     controller.step(1.0, &options)?; // one request arrives per slot
+//!     let chosen = options[dpp.decide(queue.backlog(), &options)?];
+//!     queue.step(1.0, chosen.service); // one request arrives per slot
+//!     cost += chosen.cost;
 //! }
-//! assert!(controller.queue().backlog_rate() < 0.05); // stable
-//! assert!(controller.mean_cost() < 1.0);             // cheaper than always-on
+//! assert!(queue.backlog() / 1_000.0 < 0.05); // stable
+//! assert!(cost / 1_000.0 < 1.0);             // cheaper than always-on
 //! # Ok::<(), lyapunov::LyapunovError>(())
 //! ```
 
@@ -38,13 +43,11 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-mod controller;
 mod dpp;
 mod error;
 mod queue;
 
 pub use analysis::{StabilityVerdict, TradeoffPoint};
-pub use controller::{ServiceController, StepOutcome};
 pub use dpp::{DecisionOption, DriftPlusPenalty, WeightedOption};
 pub use error::LyapunovError;
 pub use queue::{Queue, VirtualQueue};

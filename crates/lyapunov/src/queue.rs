@@ -19,10 +19,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Queue {
     backlog: f64,
-    total_arrivals: f64,
-    total_departures: f64,
-    steps: u64,
-    backlog_integral: f64,
 }
 
 impl Queue {
@@ -41,10 +37,7 @@ impl Queue {
             backlog.is_finite() && backlog >= 0.0,
             "initial backlog must be finite and non-negative"
         );
-        Queue {
-            backlog,
-            ..Queue::default()
-        }
+        Queue { backlog }
     }
 
     /// Current backlog `Q[t]`.
@@ -70,46 +63,7 @@ impl Queue {
         );
         let drained = departures.min(self.backlog);
         self.backlog = (self.backlog - departures).max(0.0) + arrivals;
-        self.total_arrivals += arrivals;
-        self.total_departures += drained;
-        self.steps += 1;
-        self.backlog_integral += self.backlog;
         drained
-    }
-
-    /// Number of steps applied.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Time-average backlog `(1/T) Σ Q[t]` over the steps so far (0 if no
-    /// steps).
-    pub fn mean_backlog(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.backlog_integral / self.steps as f64
-        }
-    }
-
-    /// Total work admitted so far.
-    pub fn total_arrivals(&self) -> f64 {
-        self.total_arrivals
-    }
-
-    /// Total work actually drained so far.
-    pub fn total_departures(&self) -> f64 {
-        self.total_departures
-    }
-
-    /// Rate-stability heuristic: `Q[T] / T`, which tends to 0 for stable
-    /// queues and to `λ − μ > 0` for overloaded ones.
-    pub fn backlog_rate(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.backlog / self.steps as f64
-        }
     }
 }
 
@@ -130,7 +84,6 @@ impl Queue {
 pub struct VirtualQueue {
     value: f64,
     steps: u64,
-    integral: f64,
 }
 
 impl VirtualQueue {
@@ -153,16 +106,6 @@ impl VirtualQueue {
         assert!(violation.is_finite(), "violation must be finite");
         self.value = (self.value + violation).max(0.0);
         self.steps += 1;
-        self.integral += self.value;
-    }
-
-    /// Time-average queue value.
-    pub fn mean_value(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.integral / self.steps as f64
-        }
     }
 
     /// `Z[T] / T` — tends to zero iff the time-average constraint is met.
@@ -202,13 +145,12 @@ mod tests {
 
     #[test]
     fn queue_accounting() {
+        // The drained amounts `step` returns account for every unit of work
+        // that left: initial backlog + arrivals = final backlog + drained.
         let mut q = Queue::with_backlog(2.0);
-        q.step(3.0, 1.0);
-        q.step(0.0, 4.0);
-        assert_eq!(q.total_arrivals(), 3.0);
-        assert_eq!(q.total_departures(), 5.0);
-        assert_eq!(q.steps(), 2);
-        assert!(q.mean_backlog() > 0.0);
+        let drained = q.step(3.0, 1.0) + q.step(0.0, 4.0);
+        assert_eq!(drained, 5.0);
+        assert_eq!(q.backlog(), 0.0);
     }
 
     #[test]
@@ -217,7 +159,7 @@ mod tests {
         for _ in 0..10_000 {
             q.step(1.0, 2.0);
         }
-        assert!(q.backlog_rate() < 1e-3);
+        assert!(q.backlog() / 10_000.0 < 1e-3);
     }
 
     #[test]
@@ -226,7 +168,7 @@ mod tests {
         for _ in 0..10_000 {
             q.step(2.0, 1.0);
         }
-        assert!((q.backlog_rate() - 1.0).abs() < 1e-2);
+        assert!((q.backlog() / 10_000.0 - 1.0).abs() < 1e-2);
     }
 
     #[test]
@@ -248,10 +190,10 @@ mod tests {
         assert_eq!(z.value(), 3.0);
         z.step(-1.0);
         assert_eq!(z.value(), 2.0);
+        assert_eq!(z.rate(), 1.0, "Z[T] / T after two steps");
         z.step(-10.0);
         assert_eq!(z.value(), 0.0);
-        assert!(z.mean_value() > 0.0);
-        assert!(z.rate() < 1.0);
+        assert_eq!(z.rate(), 0.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * DPP stabilizes any load that *some* stationary decision could stabilize,
 //! * higher `V` never yields higher long-run cost on the same workload.
 
-use lyapunov::{DecisionOption, DriftPlusPenalty, Queue, ServiceController};
+use lyapunov::{DecisionOption, DriftPlusPenalty, Queue};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,12 +32,14 @@ proptest! {
         events in proptest::collection::vec((0.0f64..5.0, 0.0f64..5.0), 1..200)
     ) {
         let mut q = Queue::new();
+        let (mut arrived, mut drained) = (0.0, 0.0);
         for (a, d) in &events {
-            q.step(*a, *d);
+            drained += q.step(*a, *d);
+            arrived += a;
             prop_assert!(q.backlog() >= 0.0);
         }
         // Work conservation: arrivals = backlog + drained.
-        let balance = q.total_arrivals() - (q.backlog() + q.total_departures());
+        let balance = arrived - (q.backlog() + drained);
         prop_assert!(balance.abs() < 1e-9, "work imbalance {balance}");
     }
 
@@ -70,15 +72,16 @@ proptest! {
         let hover = 2.0 * v * max_cost / max_service + 2.0 * mean_arrival;
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ctl = ServiceController::new(v).unwrap();
+        let dpp = DriftPlusPenalty::new(v).unwrap();
+        let mut queue = Queue::new();
         let slots = 20_000u64;
         for _ in 0..slots {
-            let a = rng.gen_range(0.0..2.0 * mean_arrival);
-            ctl.step(a, &options).unwrap();
+            let chosen = options[dpp.decide(queue.backlog(), &options).unwrap()];
+            queue.step(rng.gen_range(0.0..2.0 * mean_arrival), chosen.service);
         }
         // Rate stability up to the O(V) hover level: the backlog must not
         // grow past the hover point by more than diffusion noise.
-        let final_backlog = ctl.queue().backlog();
+        let final_backlog = queue.backlog();
         let noise = 4.0 * max_service * (slots as f64).sqrt();
         prop_assert!(
             final_backlog <= hover + noise,
@@ -97,12 +100,15 @@ proptest! {
 
         let run = |v: f64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut ctl = ServiceController::new(v).unwrap();
+            let dpp = DriftPlusPenalty::new(v).unwrap();
+            let mut queue = Queue::new();
+            let mut cost = 0.0;
             for _ in 0..6_000 {
-                let a = rng.gen_range(0.0..2.0 * mean_arrival);
-                ctl.step(a, &options).unwrap();
+                let chosen = options[dpp.decide(queue.backlog(), &options).unwrap()];
+                queue.step(rng.gen_range(0.0..2.0 * mean_arrival), chosen.service);
+                cost += chosen.cost;
             }
-            ctl.mean_cost()
+            cost / 6_000.0
         };
         let cost_small = run(1.0);
         let cost_large = run(100.0);

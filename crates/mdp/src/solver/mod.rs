@@ -10,8 +10,7 @@
 //! * [`RelativeValueIteration`] — average-reward (long-run gain) solving,
 //! * [`QLearning`] / [`Sarsa`] — model-free tabular learners,
 //! * [`evaluate_policy`] — iterative policy evaluation,
-//! * [`bellman_residual`] — solution-quality diagnostic,
-//! * [`stationary_distribution`] / [`policy_gain`] — induced-chain analysis.
+//! * [`bellman_residual`] — solution-quality diagnostic.
 //!
 //! ## Compile-then-solve
 //!
@@ -38,9 +37,7 @@ mod value_iteration;
 pub use finite_horizon::{BackwardInduction, FiniteHorizonSolution};
 pub use policy_iteration::{PolicyIteration, PolicyIterationOutcome};
 pub use q_learning::{ExplorationSchedule, LearningRate, QLearning};
-pub use relative_vi::{
-    policy_gain, stationary_distribution, AverageRewardOutcome, RelativeValueIteration,
-};
+pub use relative_vi::{AverageRewardOutcome, RelativeValueIteration};
 pub use sarsa::Sarsa;
 pub use value_iteration::{
     PolicyOutcome, SolveCounters, StopReason, ValueIteration, ValueIterationOutcome,

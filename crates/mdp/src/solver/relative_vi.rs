@@ -229,60 +229,30 @@ pub struct AverageRewardOutcome {
     pub sweeps: usize,
 }
 
-/// Estimates the stationary distribution of the Markov chain induced by a
-/// policy (power iteration from the uniform distribution).
-///
-/// Requires the induced chain to have a unique stationary distribution
-/// (unichain + aperiodic; pass a few thousand iterations for slowly mixing
-/// chains).
-///
-/// # Panics
-///
-/// Panics if the policy's state count differs from the model's or it picks
-/// an invalid action.
-pub fn stationary_distribution<M: FiniteMdp>(
-    mdp: &M,
-    policy: &TabularPolicy,
-    iterations: usize,
-) -> Vec<f64> {
-    assert_eq!(policy.n_states(), mdp.n_states(), "state count mismatch");
-    let n = mdp.n_states();
-    let mut dist = vec![1.0 / n as f64; n];
-    let mut buf = Vec::new();
-    for _ in 0..iterations {
-        let mut next = vec![0.0; n];
-        for (s, mass) in dist.iter().enumerate() {
-            if *mass == 0.0 {
-                continue;
-            }
-            mdp.transitions(s, policy.action(s), &mut buf);
-            assert!(!buf.is_empty(), "policy picked an invalid action");
-            for t in &buf {
-                next[t.next] += mass * t.probability;
-            }
-        }
-        // Damping for periodic chains.
-        for s in 0..n {
-            dist[s] = 0.5 * dist[s] + 0.5 * next[s];
-        }
-    }
-    dist
-}
-
-/// Long-run average reward of a fixed policy, computed from its stationary
-/// distribution.
-pub fn policy_gain<M: FiniteMdp>(mdp: &M, policy: &TabularPolicy, iterations: usize) -> f64 {
-    let dist = stationary_distribution(mdp, policy, iterations);
-    (0..mdp.n_states())
-        .map(|s| dist[s] * mdp.expected_reward(s, policy.action(s)))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
     use crate::solver::ValueIteration;
+    use crate::TabularMdp;
+
+    /// The gain of a fixed policy: RVI on the one-action model that keeps
+    /// only the policy's row in every state.
+    fn gain_of<M: FiniteMdp>(mdp: &M, policy: &TabularPolicy) -> f64 {
+        let mut b = TabularMdp::builder(mdp.n_states(), 1);
+        let mut row = Vec::new();
+        for s in 0..mdp.n_states() {
+            mdp.transitions(s, policy.action(s), &mut row);
+            for t in &row {
+                b = b.transition(s, 0, t.next, t.probability, t.reward);
+            }
+        }
+        let restricted = b.build().unwrap();
+        RelativeValueIteration::new()
+            .solve(&restricted)
+            .unwrap()
+            .gain
+    }
 
     #[test]
     fn two_state_gain_is_one() {
@@ -316,32 +286,10 @@ mod tests {
         // Blackwell optimality: for gamma close enough to 1 the discounted
         // optimal policy is gain-optimal. Compare achieved gains instead of
         // raw action tables (ties may differ).
-        let g_rvi = policy_gain(&mdp, &rvi.policy, 20_000);
-        let g_vi = policy_gain(&mdp, &vi.policy, 20_000);
+        let g_rvi = gain_of(&mdp, &rvi.policy);
+        let g_vi = gain_of(&mdp, &vi.policy);
         assert!((g_rvi - g_vi).abs() < 1e-4, "{g_rvi} vs {g_vi}");
         assert!((g_rvi - rvi.gain).abs() < 1e-3, "gain self-consistent");
-    }
-
-    #[test]
-    fn stationary_distribution_of_absorbing_policy() {
-        let (mdp, _) = reference::two_state();
-        // Policy that jumps to state 1 and stays: stationary mass all on 1.
-        let policy = TabularPolicy::new(vec![1, 0]);
-        let dist = stationary_distribution(&mdp, &policy, 5_000);
-        assert!(dist[1] > 0.999, "{dist:?}");
-        assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn policy_gain_matches_reward_at_stationarity() {
-        let (mdp, _) = reference::two_state();
-        // Unichain policy: jump to state 1 and stay -> gain 1.
-        let jump_policy = TabularPolicy::new(vec![1, 0]);
-        assert!((policy_gain(&mdp, &jump_policy, 5_000) - 1.0).abs() < 1e-3);
-        // The stay policy makes BOTH states absorbing (multichain): from the
-        // uniform start the averaged gain is the mixture 0.5·0 + 0.5·1.
-        let stay_policy = TabularPolicy::new(vec![0, 0]);
-        assert!((policy_gain(&mdp, &stay_policy, 2_000) - 0.5).abs() < 1e-9);
     }
 
     #[test]

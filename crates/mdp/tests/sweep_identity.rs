@@ -196,9 +196,14 @@ proptest! {
     }
 }
 
-/// A deterministic AoI-shaped counter (age advances or resets at a cost):
-/// unichain under every stationary policy, so relative value iteration
-/// applies — compiled (dense sweeps) against the callback reference.
+/// A deterministic AoI-shaped counter (age advances or resets at a cost),
+/// solved by relative value iteration — compiled (dense sweeps) against
+/// the callback reference. The model is not unichain under every
+/// stationary policy: "refresh at state 3, age elsewhere" has two
+/// recurrent classes, `{0, 1, 2, 3}` and the absorbing cap state `8`.
+/// It is communicating, though (refreshing reaches state 0 and ageing
+/// reaches every state from there), so the optimal gain is the same in
+/// every state and the iteration converges.
 #[test]
 fn relative_vi_dense_matches_callback() {
     let n = 9usize;

@@ -253,14 +253,10 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Propagates scenario validation and policy-construction errors;
-    /// rejects an empty service-level menu.
+    /// rejects a service-level menu that
+    /// [`ServiceLevel::validate_menu`] does not accept.
     pub fn new(config: ServeConfig) -> Result<Self, ServeError> {
-        if config.levels.is_empty() {
-            return Err(ServeError::BadParameter {
-                what: "levels",
-                valid: "at least one service level",
-            });
-        }
+        ServiceLevel::validate_menu(&config.levels)?;
         let manifest = Manifest {
             artifact: ArtifactKind::Trace,
             scenario: "serve".to_string(),

@@ -3,8 +3,12 @@
 //! telemetry bytes for **any** worker count, in both executor feature
 //! configurations.
 
-use aoi_cache::{CachePolicyKind, CacheScenario, Compression, ServiceLevel, ServicePolicyKind};
-use aoi_serve::{MbsRefresh, ServeConfig, ServeEngine, TelemetrySpec, MIN_WORK_PER_WORKER};
+use aoi_cache::{
+    AoiCacheError, CachePolicyKind, CacheScenario, Compression, ServiceLevel, ServicePolicyKind,
+};
+use aoi_serve::{
+    MbsRefresh, ServeConfig, ServeEngine, ServeError, TelemetrySpec, MIN_WORK_PER_WORKER,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
@@ -245,4 +249,26 @@ fn bad_rsu_is_rejected() {
         region: RegionId(0),
     }]]);
     assert!(engine.serve(&window).is_err());
+}
+
+#[test]
+fn invalid_service_menus_are_rejected() {
+    for levels in [
+        vec![ServiceLevel::new(f64::NAN, 1.0)],
+        vec![ServiceLevel::new(0.0, 0.0), ServiceLevel::new(-5.0, 1.0)],
+        vec![ServiceLevel::new(1.0, f64::INFINITY)],
+        vec![],
+    ] {
+        let config = ServeConfig {
+            levels: levels.clone(),
+            ..config(0)
+        };
+        assert!(
+            matches!(
+                ServeEngine::new(config),
+                Err(ServeError::Cache(AoiCacheError::BadParameter { .. }))
+            ),
+            "{levels:?}"
+        );
+    }
 }

@@ -108,7 +108,7 @@ pub mod prelude {
         PopularityModel, RewardModel, RsuCacheMdp, RsuSpec, ServiceLevel, ServicePolicy,
         ServicePolicyKind, ServiceRunReport, ServiceScenario,
     };
-    pub use lyapunov::{DecisionOption, DriftPlusPenalty, Queue, ServiceController};
+    pub use lyapunov::{DecisionOption, DriftPlusPenalty, Queue};
     pub use mdp::solver::{PolicyIteration, QLearning, ValueIteration};
     pub use mdp::{CompiledMdp, FiniteMdp, TabularMdp};
     pub use simkit::{RecordingMode, SeedSequence, TimeSeries, TimeSlot};
