@@ -90,11 +90,10 @@ fn bench_compiled_vs_callback(c: &mut Criterion) {
 /// the dense kernel), `solve_rvi` (relative value iteration at the
 /// tolerance of the `mdp-avg` policy every fig1a grid solves), and value iteration's
 /// full-tolerance `solve_compiled` against
-/// the certified policy-only `solve_policy`, which runs modified policy
-/// iteration (full sweeps, each followed by 10 one-row-per-state
-/// evaluation sweeps of its greedy policy), stops once a full sweep's
-/// action gap proves the greedy policy optimal, and returns the same
-/// policy.
+/// the certified policy-only `solve_policy`, which runs Howard's policy
+/// iteration (full sweeps, each followed by an exact evaluation of its
+/// greedy policy), stops once a full sweep's action gap proves the greedy
+/// policy optimal, and returns the same policy.
 fn bench_fig1a_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig1a_size");
     group.sample_size(10);

@@ -21,21 +21,36 @@
 //! must report the quarantined cells (exit 1), and a relaunch without the
 //! poison must heal to bit-identity with a cold run.
 //!
-//! Ignored by default (the sweeps spawn one run per injection point); CI
-//! runs them in release with `--ignored --test-threads 1` — the fault
-//! harness and the poison hook are process-global, so these tests must
-//! not run concurrently.
+//! Ignored by default (the sweeps spawn one run per injection point); run
+//! them in release with `--ignored`. The fault harness is process-global,
+//! so every test holds one process-wide lock and the tests run one at a
+//! time at any test-thread count.
 
 use aoi_cache::{CachePolicyKind, CacheScenario, ExperimentPlan};
 use simkit::faults::{self, FaultKind, FaultSchedule};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard};
 
 const ENSEMBLE: &str = env!("CARGO_BIN_EXE_ensemble");
 const ARTIFACTS: &str = env!("CARGO_BIN_EXE_aoi-artifacts");
 
-/// A unique scratch directory per call; removed by each test on success.
+/// The fault schedule is process-global; every test holds this lock so no
+/// campaign runs while another test has a fault armed.
+static FAULTS: Mutex<()> = Mutex::new(());
+
+/// Takes the fault-harness lock (a test that panicked while holding it
+/// leaves nothing worth guarding) and disarms whatever schedule such a
+/// test left behind.
+fn lock_faults() -> MutexGuard<'static, ()> {
+    let guard = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    faults::clear();
+    guard
+}
+
+/// A unique scratch directory per call and tag; removed by each test on
+/// success.
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("aoi-cp-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -78,9 +93,10 @@ fn claim_plan(dir: &Path, worker: &str) -> ExperimentPlan {
 }
 
 /// Number of injection points a cold run of the sweep grid passes: a
-/// counting dry run over the same workload every sweep iteration re-runs.
-fn injection_points() -> u64 {
-    let dir = scratch_dir("count");
+/// counting dry run over the same workload every sweep iteration re-runs,
+/// in the scratch directory `tag` (one per test).
+fn injection_points(tag: &str) -> u64 {
+    let dir = scratch_dir(tag);
     faults::inject_schedule(FaultSchedule::counting());
     plan(&dir).run_ensembles().unwrap();
     let n = faults::operations();
@@ -140,6 +156,7 @@ fn assert_leases_released(dir: &Path, what: &str) {
 #[test]
 #[ignore = "kill-sweep worker entry; a no-op unless spawned by the sweep"]
 fn kill_sweep_worker_entry() {
+    let _guard = lock_faults();
     let Ok(dir) = std::env::var("AOI_SWEEP_DIR") else {
         return;
     };
@@ -152,10 +169,11 @@ fn kill_sweep_worker_entry() {
 #[test]
 #[ignore = "spawns one child process per injection point; run via --ignored (CI)"]
 fn killed_worker_sweep_recovers_at_every_injection_point() {
+    let _guard = lock_faults();
     let cold_dir = scratch_dir("kill-cold");
     let (cold, _) = plan(&cold_dir).run_ensembles_resumable().unwrap();
     let cold_bytes = artifact_bytes(&cold_dir);
-    let n = injection_points();
+    let n = injection_points("kill-count");
     println!("kill sweep: {n} injection points");
 
     let me = std::env::current_exe().unwrap();
@@ -196,10 +214,11 @@ fn killed_worker_sweep_recovers_at_every_injection_point() {
 #[test]
 #[ignore = "runs the campaign once per injection point; run via --ignored (CI)"]
 fn latched_write_failure_is_loud_at_every_injection_point() {
+    let _guard = lock_faults();
     let cold_dir = scratch_dir("fw-cold");
     let (cold, _) = plan(&cold_dir).run_ensembles_resumable().unwrap();
     let cold_bytes = artifact_bytes(&cold_dir);
-    let n = injection_points();
+    let n = injection_points("fw-count");
     println!("fail-writes sweep: {n} injection points");
 
     for k in 0..n {
@@ -236,10 +255,11 @@ fn latched_write_failure_is_loud_at_every_injection_point() {
 #[test]
 #[ignore = "runs the campaign once per injection point; run via --ignored (CI)"]
 fn transient_write_failure_is_absorbed_at_every_injection_point() {
+    let _guard = lock_faults();
     let cold_dir = scratch_dir("fwo-cold");
     let (cold, _) = plan(&cold_dir).run_ensembles_resumable().unwrap();
     let cold_bytes = artifact_bytes(&cold_dir);
-    let n = injection_points();
+    let n = injection_points("fwo-count");
     println!("fail-write-once sweep: {n} injection points");
 
     for k in 0..n {
@@ -318,6 +338,7 @@ fn artifacts_tool(args: &[&str]) -> (std::process::ExitStatus, String) {
 #[test]
 #[ignore = "spawns full-campaign child processes; run via --ignored (CI)"]
 fn poisoned_campaign_exits_3_health_reports_and_relaunch_heals() {
+    let _guard = lock_faults();
     let cold = scratch_dir("poison-cold");
     assert!(run_ensemble(&cold, &[], None).success());
 

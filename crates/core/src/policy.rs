@@ -140,9 +140,9 @@ impl SolvedMdpPolicy {
     }
 
     /// Value iteration on an already-compiled per-RSU MDP, through the
-    /// policy-only solve ([`ValueIteration::solve_policy`], modified policy
-    /// iteration): it stops as soon as the action gap proves the greedy
-    /// policy optimal, and the
+    /// policy-only solve ([`ValueIteration::solve_policy`], exact policy
+    /// evaluation between full sweeps): it stops as soon as the action gap
+    /// proves the greedy policy optimal, and the
     /// policy is the one the full-tolerance solve would return. Its
     /// counters stay readable through
     /// [`solve_counters`](SolvedMdpPolicy::solve_counters).
@@ -253,7 +253,8 @@ impl SolvedMdpPolicy {
     }
 
     /// Deterministic counters of the solve that produced the policy
-    /// (full and evaluation sweeps, stop rule, final action gap and span);
+    /// (full sweeps, exact evaluations, stop rule, final action gap and
+    /// span);
     /// `Some` for value iteration only.
     pub fn solve_counters(&self) -> Option<&SolveCounters> {
         self.counters.as_ref()

@@ -2,9 +2,9 @@
 //! (`ValueIteration::solve_policy`, behind `SolvedMdpPolicy::value_iteration_on`):
 //! on the per-RSU cache MDPs of the fig1a scenario (replicate seeds 1–4 and
 //! the default seed) it must return exactly the policy of the
-//! full-tolerance `solve_compiled`, in fewer full sweeps (with evaluation
-//! sweeps between them at full size), and the same counters and policy for
-//! every worker count.
+//! full-tolerance `solve_compiled`, in fewer full sweeps (with exact
+//! evaluations of the greedy policy between them at full size), and the
+//! same counters and policy for every worker count.
 //!
 //! The default tests run the fig1a scenarios at a reduced catalog (3
 //! contents per RSU, age cap 6: 216 states) so they stay fast in debug
@@ -94,9 +94,9 @@ fn assert_certified_identity(full_size: bool) {
                     "{label}: {counters:?}"
                 );
                 // At full size no kernel certifies on its first full sweep,
-                // so the modified phase evaluates between full sweeps.
+                // so the solve evaluates exactly between full sweeps.
                 if full_size {
-                    assert!(counters.eval_sweeps > 0, "{label}: {counters:?}");
+                    assert!(counters.evaluations > 0, "{label}: {counters:?}");
                 }
             }
         }

@@ -47,12 +47,24 @@
 //! action loop (one bitmap word covers all of a state's rows until the row
 //! index crosses a word boundary).
 //!
-//! Policy-evaluation sweeps (`V ← r_π + γ·P_π·V`: policy evaluation,
-//! policy iteration, and the evaluation phase of the certified
-//! value-iteration policy solve) read one row per state. On dense kernels
-//! they stream per-state copies of the chosen rows, taken from the planes
-//! whenever the policy changes; per row the arithmetic is the full sweep's,
-//! so both agree exactly.
+//! Policy-evaluation sweeps (`V ← r_π + γ·P_π·V`: policy evaluation and
+//! policy iteration) read one row per state. On dense kernels they stream
+//! per-state copies of the chosen rows, taken from the planes whenever the
+//! policy changes; per row the arithmetic is the full sweep's, so both
+//! agree exactly.
+//!
+//! # Exact evaluation on dense kernels
+//!
+//! On a dense kernel a stationary policy π gives every state exactly one
+//! successor, so its states form a functional graph: trees feeding
+//! cycles. Its discounted value is then exact in O(n) (Howard's policy
+//! iteration; Puterman 1994 §6.4): on each cycle `v_0 … v_{L−1}`,
+//! `V(v_0) = Σ_k γ^k r(v_k) / (1 − γ^L)`, and every other state takes
+//! `V(x) = r(x) + γ·(0.0 + V(π(x)))` back around the cycle and down
+//! every tree. The certified value-iteration policy solve evaluates each
+//! uncertified sweep's argmax this way, and
+//! [`policy_gain`](CompiledMdp::policy_gain) walks the same graph for the
+//! per-state cycle-mean gain.
 //!
 //! ```
 //! use mdp::{reference, CompiledMdp, FiniteMdp};
@@ -593,6 +605,78 @@ impl CompiledMdp {
         }
     }
 
+    /// Writes the exact discounted value `V_π` of the policy in `rows`
+    /// into `values` by one walk of its functional graph (see the module
+    /// docs). Off a cycle's entry state the arithmetic is
+    /// [`evaluate_block`](Self::evaluate_block)'s, so there
+    /// `T_π V == V` bit for bit. Dense kernels only: `rows` holds no row
+    /// copies on a CSR kernel.
+    pub(crate) fn evaluate_exact(
+        &self,
+        rows: &PolicyRows,
+        gamma: f64,
+        values: &mut [f64],
+        walk: &mut CycleWalk,
+    ) {
+        debug_assert!(self.has_dense_layout(), "exact evaluation needs dense rows");
+        walk.run(
+            rows,
+            values,
+            |cycle| {
+                let (mut sum, mut discount) = (0.0, 1.0);
+                for &v in cycle {
+                    sum += discount * rows.reward(v as usize);
+                    discount *= gamma;
+                }
+                sum / (1.0 - discount)
+            },
+            |s, future| rows.reward(s) + gamma * (0.0 + future),
+        );
+    }
+
+    /// The long-run average reward (gain) of following `policy` forever
+    /// from each state: the mean reward of the cycle its path reaches in
+    /// the policy's functional graph, summed from the first cycle state
+    /// the walk meets.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MdpError::BadParameter`] on a CSR kernel (its policies
+    /// are not functional graphs) and for a policy that does not pick one
+    /// valid action per state.
+    pub fn policy_gain(&self, policy: &TabularPolicy) -> Result<Vec<f64>, MdpError> {
+        if !self.has_dense_layout() {
+            return Err(MdpError::BadParameter {
+                what: "kernel",
+                valid: "a dense (unit-mass deterministic) kernel",
+            });
+        }
+        let actions = policy.actions();
+        let valid = actions.len() == self.n_states
+            && actions
+                .iter()
+                .enumerate()
+                .all(|(s, &a)| a < self.n_actions && self.is_valid(s, a));
+        if !valid {
+            return Err(MdpError::BadParameter {
+                what: "policy",
+                valid: "one valid action per state",
+            });
+        }
+        let rows = self.policy_rows(|s| actions[s]);
+        let mut gain = vec![0.0; self.n_states];
+        CycleWalk::new(self.n_states).run(
+            &rows,
+            &mut gain,
+            |cycle| {
+                let total: f64 = cycle.iter().map(|&v| rows.reward(v as usize)).sum();
+                total / cycle.len() as f64
+            },
+            |_, gain| gain,
+        );
+        Ok(gain)
+    }
+
     /// Greedy policy with respect to `values` (compiled counterpart of
     /// [`solver::greedy_policy`](crate::solver::greedy_policy)).
     ///
@@ -851,6 +935,18 @@ impl PolicyRows {
         self.action[state].load(Ordering::Relaxed)
     }
 
+    /// The destination of `state`'s row copy (dense kernels only).
+    #[inline]
+    fn successor(&self, state: usize) -> usize {
+        self.next[state].load(Ordering::Relaxed) as usize
+    }
+
+    /// The expected reward of `state`'s row copy (dense kernels only).
+    #[inline]
+    fn reward(&self, state: usize) -> f64 {
+        f64::from_bits(self.expected[state].load(Ordering::Relaxed))
+    }
+
     /// The policy the rows hold.
     pub(crate) fn into_policy(self) -> TabularPolicy {
         TabularPolicy::new(
@@ -859,6 +955,74 @@ impl PolicyRows {
                 .map(AtomicUsize::into_inner)
                 .collect(),
         )
+    }
+}
+
+/// Scratch for walking a policy's functional graph on a dense kernel: a
+/// mark per state and the current path, both sized to the state count
+/// once, so a walk allocates nothing.
+pub(crate) struct CycleWalk {
+    /// [`UNSEEN`], [`ON_PATH`] or [`DONE`] per state.
+    mark: Vec<u8>,
+    /// The states of the current path, in walk order.
+    path: Vec<u32>,
+}
+
+const UNSEEN: u8 = 0;
+const ON_PATH: u8 = 1;
+const DONE: u8 = 2;
+
+impl CycleWalk {
+    /// Scratch for walks over `n_states` states.
+    pub(crate) fn new(n_states: usize) -> Self {
+        CycleWalk {
+            mark: vec![UNSEEN; n_states],
+            path: Vec::with_capacity(n_states),
+        }
+    }
+
+    /// Fills `out` with one value per state. States are walked in index
+    /// order, each path followed through `rows`' successors until it meets
+    /// a state already walked. When the path closes a new cycle, the state
+    /// that closes it gets `cycle(states)`, the cycle's states in successor
+    /// order from that one. Every other state `x` of the path, in reverse
+    /// order, gets `link(x, out[successor(x)])`, back around the cycle and
+    /// down the tree.
+    fn run(
+        &mut self,
+        rows: &PolicyRows,
+        out: &mut [f64],
+        mut cycle: impl FnMut(&[u32]) -> f64,
+        link: impl Fn(usize, f64) -> f64,
+    ) {
+        self.mark.fill(UNSEEN);
+        for root in 0..out.len() {
+            let mut x = root;
+            while self.mark[x] == UNSEEN {
+                self.mark[x] = ON_PATH;
+                // `compile` checked that every state index fits in u32.
+                self.path.push(x as u32);
+                x = rows.successor(x);
+            }
+            if self.mark[x] == ON_PATH {
+                // `x` closes a new cycle: the path's last `len` states.
+                let mut len = 1;
+                let mut v = rows.successor(x);
+                while v != x {
+                    v = rows.successor(v);
+                    len += 1;
+                }
+                out[x] = cycle(&self.path[self.path.len() - len..]);
+                self.mark[x] = DONE;
+            }
+            while let Some(v) = self.path.pop() {
+                let v = v as usize;
+                if self.mark[v] != DONE {
+                    out[v] = link(v, out[rows.successor(v)]);
+                    self.mark[v] = DONE;
+                }
+            }
+        }
     }
 }
 
@@ -1228,6 +1392,189 @@ mod tests {
                 serial.values, pooled.values,
                 "iterates must be identical with {workers} workers"
             );
+        }
+    }
+
+    /// Policy shapes of the exact-evaluation tests: the successor of each
+    /// state under action 0, the policy every test evaluates.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        /// Every state loops on itself (cycles of length 1).
+        SelfLoops,
+        /// One cycle through every state.
+        OneCycle,
+        /// Planted cycles `0 → 1 → 2 → 0`, `3 ↔ 4` and `5 → 5` plus a
+        /// random successor for every other state: several cycles with
+        /// trees feeding them. State 5's only valid action is its loop.
+        Forest,
+    }
+
+    /// A seeded dense `n`-state, 3-action model: action 0 follows
+    /// `shape`, the other actions jump to random states, and every reward
+    /// is random in `[-1, 1)`.
+    fn shaped_model(seed: u64, n: usize, shape: Shape) -> CompiledMdp {
+        use crate::model::FnMdp;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|s| {
+                let policy_next = match shape {
+                    Shape::SelfLoops => s,
+                    Shape::OneCycle => (s + 1) % n,
+                    Shape::Forest => match s {
+                        0..=2 => (s + 1) % 3,
+                        3 | 4 => 7 - s,
+                        5 => 5,
+                        _ => rng.gen_range(0..n),
+                    },
+                };
+                let n_valid = if matches!(shape, Shape::Forest) && s == 5 {
+                    1
+                } else {
+                    3
+                };
+                (0..n_valid)
+                    .map(|a| {
+                        let next = if a == 0 {
+                            policy_next
+                        } else {
+                            rng.gen_range(0..n)
+                        };
+                        (next, rng.gen_range(-1.0..1.0))
+                    })
+                    .collect()
+            })
+            .collect();
+        let kernel = CompiledMdp::compile(&FnMdp::new(n, 3, |s, a, out| {
+            if let Some(&(next, reward)) = rows[s].get(a) {
+                out.push(Transition::new(next, 1.0, reward));
+            }
+        }))
+        .unwrap();
+        assert!(kernel.has_dense_layout());
+        kernel
+    }
+
+    /// The models of the exact-evaluation tests, with labels.
+    fn shaped_models() -> Vec<(String, CompiledMdp)> {
+        let mut models = Vec::new();
+        for seed in 0..3 {
+            for (shape, n) in [
+                (Shape::SelfLoops, 17),
+                (Shape::OneCycle, 41),
+                (Shape::Forest, 300),
+            ] {
+                let label = format!("{shape:?} seed {seed}");
+                models.push((label, shaped_model(seed, n, shape)));
+            }
+        }
+        models
+    }
+
+    /// Exact evaluation agrees with iterated policy evaluation run to a
+    /// tight tolerance, and is a fixed point of `T_π` to within the
+    /// certificate's rounding slack.
+    #[test]
+    fn exact_evaluation_matches_iterated_evaluation() {
+        let tolerance = 1e-12;
+        for (label, kernel) in shaped_models() {
+            let n = kernel.n_states();
+            let policy = TabularPolicy::new(vec![0; n]);
+            let rows = kernel.policy_rows(|_| 0);
+            let mut walk = CycleWalk::new(n);
+            for gamma in [0.0, 0.5, 0.9, 0.99] {
+                let label = format!("{label} γ={gamma}");
+                let mut exact = vec![f64::NAN; n];
+                kernel.evaluate_exact(&rows, gamma, &mut exact, &mut walk);
+                let iterated = crate::solver::evaluate_policy_compiled(
+                    &kernel, &policy, gamma, tolerance, 1_000_000,
+                )
+                .unwrap();
+                let slack = crate::solver::certificate_slack(gamma, kernel.reward_bound());
+                let bound = 2.0 * tolerance / (1.0 - gamma) + slack;
+                for s in 0..n {
+                    let diff = (exact[s] - iterated[s]).abs();
+                    assert!(diff <= bound, "{label} state {s}: {diff:e} > {bound:e}");
+                }
+                let mut backed_up = vec![0.0; n];
+                kernel.evaluate_block(0..n, &exact, &mut backed_up, gamma, &rows);
+                let residual = backed_up
+                    .iter()
+                    .zip(&exact)
+                    .map(|(t, v)| (t - v).abs())
+                    .fold(0.0, f64::max);
+                assert!(
+                    residual <= slack,
+                    "{label}: ‖T_π V − V‖ {residual:e} > {slack:e}"
+                );
+            }
+        }
+    }
+
+    /// A self-loop's value is `r / (1 − γ)` and a state whose only valid
+    /// action loops keeps it whatever its other states do.
+    #[test]
+    fn exact_evaluation_of_a_lone_loop_is_closed_form() {
+        let kernel = shaped_model(7, 300, Shape::Forest);
+        assert!((0..3)
+            .map(|a| kernel.is_valid(5, a))
+            .eq([true, false, false]));
+        let rows = kernel.policy_rows(|_| 0);
+        let mut values = vec![0.0; 300];
+        for gamma in [0.0, 0.5, 0.9, 0.99] {
+            kernel.evaluate_exact(&rows, gamma, &mut values, &mut CycleWalk::new(300));
+            assert_eq!(values[5], kernel.expected_reward(5, 0) / (1.0 - gamma));
+        }
+    }
+
+    /// The gain of each state is the mean reward of the cycle its path
+    /// reaches, found here by walking `n` steps (which always lands on the
+    /// cycle) and then once around it.
+    #[test]
+    fn policy_gain_is_the_mean_reward_of_the_reached_cycle() {
+        for (label, kernel) in shaped_models() {
+            let n = kernel.n_states();
+            let gain = kernel.policy_gain(&TabularPolicy::new(vec![0; n])).unwrap();
+            let next = |s: usize| {
+                let mut buf = Vec::new();
+                kernel.transitions(s, 0, &mut buf);
+                buf[0].next
+            };
+            let ulp = f64::EPSILON * kernel.reward_bound();
+            for (s, &g) in gain.iter().enumerate() {
+                let head = (0..n).fold(s, |x, _| next(x));
+                let (mut x, mut total, mut len) = (head, 0.0, 0);
+                loop {
+                    total += kernel.expected_reward(x, 0);
+                    len += 1;
+                    x = next(x);
+                    if x == head {
+                        break;
+                    }
+                }
+                let want = total / len as f64;
+                assert!(
+                    (g - want).abs() <= 4.0 * ulp * len as f64,
+                    "{label} state {s}: {g} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn policy_gain_rejects_csr_kernels_and_bad_policies() {
+        let (chain, _) = reference::chain(6, 0.7);
+        let csr = CompiledMdp::compile(&chain).unwrap();
+        assert!(matches!(
+            csr.policy_gain(&TabularPolicy::new(vec![0; 6])),
+            Err(MdpError::BadParameter { what: "kernel", .. })
+        ));
+        let dense = shaped_model(1, 300, Shape::Forest);
+        for actions in [vec![0; 5], vec![1; 300], vec![3; 300]] {
+            assert!(matches!(
+                dense.policy_gain(&TabularPolicy::new(actions)),
+                Err(MdpError::BadParameter { what: "policy", .. })
+            ));
         }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! * [`ValueIteration`] — Bellman-optimality fixed point (the solver used for
 //!   the paper's cache-management stage); its policy-only
-//!   [`solve_policy`](ValueIteration::solve_policy) runs modified policy
-//!   iteration and stops as soon as the action gap certifies the greedy
-//!   policy,
+//!   [`solve_policy`](ValueIteration::solve_policy) evaluates each greedy
+//!   policy exactly on dense kernels (Howard's policy iteration) and stops
+//!   as soon as the action gap certifies the greedy policy,
 //! * [`PolicyIteration`] — Howard's algorithm,
 //! * [`BackwardInduction`] — exact finite-horizon dynamic programming,
 //! * [`RelativeValueIteration`] — average-reward (long-run gain) solving,
@@ -39,6 +39,8 @@ pub use policy_iteration::{PolicyIteration, PolicyIterationOutcome};
 pub use q_learning::{ExplorationSchedule, LearningRate, QLearning};
 pub use relative_vi::{AverageRewardOutcome, RelativeValueIteration};
 pub use sarsa::Sarsa;
+#[cfg(test)]
+pub(crate) use value_iteration::certificate_slack;
 pub use value_iteration::{
     PolicyOutcome, SolveCounters, StopReason, ValueIteration, ValueIterationOutcome,
 };

@@ -1,12 +1,11 @@
 //! Value iteration (Bellman-optimality fixed point).
 
-use crate::compiled::{run_sweeps, sweep_workers, CompiledMdp, SweepStats};
+use crate::compiled::{run_sweeps, sweep_workers, CompiledMdp, CycleWalk, SweepStats};
 use crate::model::FiniteMdp;
 use crate::policy::TabularPolicy;
 use crate::solver::{greedy_policy, q_value, validate_gamma};
 use crate::MdpError;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Configuration for value iteration.
 ///
@@ -133,20 +132,22 @@ impl ValueIteration {
     /// `1 / (1 − γ)`) absorbs float rounding.
     ///
     /// Because the certificate does not care how `V` was reached, the
-    /// solve runs modified policy iteration (Puterman §6.5): each
-    /// uncertified full sweep is followed by `EVAL_SWEEPS` (10) evaluation
-    /// sweeps `V ← r_π + γ P_π V` of its greedy policy `π`, which read one
-    /// row per state instead of every action's. A certificate from this
-    /// phase must also clear the tolerance rule's error band (so the table
-    /// is the one a tolerance stop would return too), and the returned
-    /// policy is the certifying sweep's argmax.
+    /// solve on a dense kernel ([`CompiledMdp::has_dense_layout`]) runs
+    /// Howard's policy iteration inside the loop (Puterman §6.4): after
+    /// each uncertified full sweep the iterate is replaced by the exact
+    /// value `V_π` of that sweep's argmax `π`, computed in O(n) by walking
+    /// `π`'s functional graph (see [`CompiledMdp`]'s module docs). A
+    /// certificate from this phase must also clear the tolerance rule's
+    /// error band (so the table is the one a tolerance stop would return
+    /// too), and the returned policy is the certifying sweep's argmax.
     ///
-    /// The bound needs every valid row to carry probability mass 1
-    /// ([`CompiledMdp::has_unit_mass_rows`]); other kernels run plain value
-    /// iteration and stop by the tolerance rule at the same sweep as
-    /// `solve_compiled`. The modified phase also gives way to plain value
-    /// iteration restarted from `V = 0` (certified or tolerance stop, the
-    /// rules and counts of a plain solve) when its gap is exactly 0 on two
+    /// CSR kernels run plain value iteration with the certificate and the
+    /// tolerance rule as stops. The bound needs every valid row to carry
+    /// probability mass 1 ([`CompiledMdp::has_unit_mass_rows`]); other
+    /// kernels stop by the tolerance rule at the same sweep as
+    /// `solve_compiled`. The exact phase gives way to plain value iteration
+    /// restarted from `V = 0` (certified or tolerance stop, the rules and
+    /// counts of a plain solve) when its gap is exactly 0 on two
     /// consecutive full sweeps (exact action ties), when its full-sweep
     /// change falls below the tolerance without a certificate, or when it
     /// reaches the sweep cap. The whole solve, restart included, is one
@@ -167,38 +168,27 @@ impl ValueIteration {
         let outlasts_tolerance =
             |stats: &SweepStats| gap_outlasts_tolerance(stats, gamma, tolerance, reward_bound);
         let n = mdp.n_states();
-        // Argmax of the latest full sweep (stored by the sweep workers,
-        // which overwrite every placeholder action 0 before an evaluation
-        // reads it) and the phase flag the epilogue flips between rounds;
-        // the round barrier orders both.
+        // Argmax of the latest full sweep, stored by the sweep workers
+        // (which overwrite every placeholder action 0) and read by the
+        // epilogue after the round barrier.
         let greedy = mdp.policy_rows(|_| 0);
-        let evaluating = AtomicBool::new(false);
-        let mut modified = certifiable;
-        let (mut sweeps, mut eval_sweeps, mut pending_evals) = (0usize, 0usize, 0usize);
+        let mut exact = mdp.has_dense_layout();
+        let mut walk = CycleWalk::new(if exact { n } else { 0 });
+        let (mut sweeps, mut evaluations) = (0usize, 0usize);
         let mut last_gap_zero = false;
         let mut stop = None;
         let outcome = run_sweeps(
             vec![0.0; n],
             sweep_workers(n),
-            // The modified phase runs at most `max_sweeps` full sweeps with
-            // their evaluations, the plain phase `max_sweeps` more.
-            max_sweeps.saturating_mul(EVAL_SWEEPS + 2),
+            // The exact phase runs at most `max_sweeps` full sweeps, the
+            // plain phase `max_sweeps` more.
+            max_sweeps.saturating_mul(2),
             |states, values, out, stats| {
-                if evaluating.load(Ordering::Relaxed) {
-                    mdp.evaluate_block(states, values, out, gamma, &greedy)
-                } else {
-                    mdp.backup_block_with_gap(states, values, out, gamma, stats, &greedy)
-                }
+                mdp.backup_block_with_gap(states, values, out, gamma, stats, &greedy)
             },
             |values, stats, _| {
-                if pending_evals > 0 {
-                    eval_sweeps += 1;
-                    pending_evals -= 1;
-                    evaluating.store(pending_evals > 0, Ordering::Relaxed);
-                    return false;
-                }
                 sweeps += 1;
-                if !modified {
+                if !exact {
                     if certified(stats) {
                         stop = Some(StopReason::Certified);
                     } else if stats.max_abs < tolerance {
@@ -215,13 +205,13 @@ impl ValueIteration {
                 if tied || stats.max_abs < tolerance || sweeps >= max_sweeps {
                     // Restart as plain value iteration from zero, counted
                     // afresh.
-                    modified = false;
-                    (sweeps, eval_sweeps) = (0, 0);
+                    exact = false;
+                    (sweeps, evaluations) = (0, 0);
                     values.fill(0.0);
                     return false;
                 }
-                pending_evals = EVAL_SWEEPS;
-                evaluating.store(true, Ordering::Relaxed);
+                mdp.evaluate_exact(&greedy, gamma, values, &mut walk);
+                evaluations += 1;
                 false
             },
         );
@@ -241,7 +231,7 @@ impl ValueIteration {
             policy,
             counters: SolveCounters {
                 sweeps,
-                eval_sweeps,
+                evaluations,
                 stop,
                 margin: last.margin,
                 span: last.span(),
@@ -303,15 +293,10 @@ impl ValueIteration {
 /// rounding in every sweep compounds over the `1 / (1 − γ)` horizon.
 const CERTIFICATE_ULPS: f64 = 16.0;
 
-/// Evaluation sweeps of the greedy policy after each uncertified full sweep
-/// of [`ValueIteration::solve_policy`]'s modified phase. On the fig1a cache
-/// models 10 took fewer row reads than 5, 20 or 40.
-const EVAL_SWEEPS: usize = 10;
-
 /// The rounding allowance of the certificate tests: `reward_bound / (1 − γ)`
-/// bounds every iterate from `V = 0` (value and evaluation sweeps alike),
-/// and so the magnitude rounding scales with.
-fn certificate_slack(gamma: f64, reward_bound: f64) -> f64 {
+/// bounds every value-iteration iterate from `V = 0` and every policy's
+/// exact value, and so the magnitude rounding scales with.
+pub(crate) fn certificate_slack(gamma: f64, reward_bound: f64) -> f64 {
     let horizon = 1.0 / (1.0 - gamma);
     CERTIFICATE_ULPS * f64::EPSILON * reward_bound * horizon * horizon
 }
@@ -358,10 +343,10 @@ pub enum StopReason {
 pub struct SolveCounters {
     /// Full Bellman sweeps (every action of every state) performed.
     pub sweeps: usize,
-    /// Policy-evaluation sweeps (one row per state) between the full
-    /// sweeps; 0 when the solve ran, or fell back to, plain value
+    /// Exact evaluations of a full sweep's argmax between the full sweeps
+    /// (dense kernels); 0 when the solve ran, or fell back to, plain value
     /// iteration.
-    pub eval_sweeps: usize,
+    pub evaluations: usize,
     /// Which rule stopped the solve.
     pub stop: StopReason,
     /// Smallest best-minus-runner-up Q margin of the final full sweep

@@ -133,8 +133,8 @@ fn certified_policy_sweeps_do_not_allocate() {
 }
 
 /// A deterministic 224-state, 3-action model with scattered destinations
-/// and distinct rewards: no exact ties, so a policy solve certifies in its
-/// modified-policy-iteration phase on the dense sweep path.
+/// and distinct rewards: no exact ties, so a policy solve certifies
+/// between exact evaluations of its greedy policy on the dense path.
 fn scattered_model() -> CompiledMdp {
     let n = 224;
     CompiledMdp::compile(&FnMdp::new(n, 3, |s, a, out| {
@@ -145,32 +145,35 @@ fn scattered_model() -> CompiledMdp {
     .unwrap()
 }
 
+/// The cycle-walk scratch of the exact evaluations is allocated once per
+/// solve: two solves that run different numbers of full sweeps and exact
+/// evaluations must allocate equally.
 #[test]
 fn certified_modified_policy_solve_does_not_allocate_per_sweep() {
     let compiled = scattered_model();
     assert!(compiled.has_dense_layout());
     let solve = |gamma: f64| ValueIteration::new(gamma).solve_policy(&compiled).unwrap();
-    let (fast, slow) = (solve(0.9), solve(0.99));
+    let (fast, slow) = (solve(0.5), solve(0.9));
     for outcome in [&fast, &slow] {
         assert_eq!(outcome.counters.stop, StopReason::Certified);
-        assert!(outcome.counters.eval_sweeps > 0, "{:?}", outcome.counters);
+        assert!(outcome.counters.evaluations > 0, "{:?}", outcome.counters);
     }
     assert!(
-        slow.counters.sweeps + slow.counters.eval_sweeps
-            > fast.counters.sweeps + fast.counters.eval_sweeps,
-        "γ = 0.99 must sweep more: {:?} vs {:?}",
+        slow.counters.sweeps > fast.counters.sweeps
+            && slow.counters.evaluations > fast.counters.evaluations,
+        "γ = 0.9 must sweep and evaluate more: {:?} vs {:?}",
         slow.counters,
         fast.counters
     );
     let fast = allocations_during(|| {
-        let _ = solve(0.9);
+        let _ = solve(0.5);
     });
     let slow = allocations_during(|| {
-        let _ = solve(0.99);
+        let _ = solve(0.9);
     });
     assert_eq!(
         fast, slow,
-        "allocation count must not scale with sweeps (γ 0.9: {fast}, γ 0.99: {slow})"
+        "allocation count must not scale with sweeps (γ 0.5: {fast}, γ 0.9: {slow})"
     );
 }
 

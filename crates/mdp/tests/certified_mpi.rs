@@ -1,14 +1,15 @@
-//! Identity suite for the modified-policy-iteration phase of
-//! `ValueIteration::solve_policy`: full Bellman sweeps alternate with
-//! evaluation sweeps of their greedy policy, and the action-gap
-//! certificate ends the solve. On models with unit-mass rows it must
-//! return exactly `solve_compiled(..).policy`, certified, and the same
-//! outcome for every worker count.
+//! Identity suite for `ValueIteration::solve_policy`: on dense kernels
+//! full Bellman sweeps alternate with exact evaluations of their greedy
+//! policy, on CSR kernels plain value iteration runs, and in both the
+//! action-gap certificate ends the solve. On models with unit-mass rows it
+//! must return exactly `solve_compiled(..).policy`, certified, and the
+//! same outcome for every worker count.
 //!
 //! The random models draw their row probabilities from dyadic splits
 //! (1, ½ + ½, ½ + ¼ + ¼), which sum to exactly 1.0 in floating point, so
-//! the certificate applies; the stochastic ones run the CSR sweep path,
-//! the single-transition ones the dense mirror. Both chains pay their one
+//! the certificate applies; the stochastic ones compile to CSR and run
+//! plain certified value iteration, the single-transition ones compile to
+//! the dense layout and run the exact evaluations. Both chains pay their one
 //! reward at the far end, so states the reward has not reached tie at 0
 //! for two full sweeps and the solve restarts as plain value iteration,
 //! which certifies. The gridworld's optimal policy has exact action ties,
@@ -36,8 +37,10 @@ fn lock_workers() -> std::sync::MutexGuard<'static, ()> {
 /// How a model's solve must end.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Expect {
-    /// Certified in the modified phase (evaluation sweeps ran).
-    Modified,
+    /// Certified between exact evaluations (dense kernels).
+    Exact,
+    /// Certified by plain value iteration from the start (CSR kernels).
+    Plain,
     /// Restarted as plain value iteration, which certifies.
     Restarted,
     /// Restarted, and stopped by the tolerance rule on exact ties.
@@ -71,7 +74,7 @@ fn dyadic_mdp(seed: u64, n_states: usize, n_actions: usize, deterministic: bool)
 /// The models the suite solves, each with a label and its expected end.
 fn models() -> Vec<(String, CompiledMdp, Expect)> {
     let mut models = Vec::new();
-    for seed in 0..8u64 {
+    for seed in 0..10u64 {
         let deterministic = seed >= 6;
         let mdp = dyadic_mdp(
             seed,
@@ -81,7 +84,12 @@ fn models() -> Vec<(String, CompiledMdp, Expect)> {
         );
         let kernel = compile(&mdp);
         assert_eq!(kernel.has_dense_layout(), deterministic, "seed {seed}");
-        models.push((format!("dyadic seed {seed}"), kernel, Expect::Modified));
+        let expect = if deterministic {
+            Expect::Exact
+        } else {
+            Expect::Plain
+        };
+        models.push((format!("dyadic seed {seed}"), kernel, expect));
     }
     for (label, (mdp, _), expect) in [
         (
@@ -125,10 +133,22 @@ fn certified_solve_returns_the_full_solve_policy() {
             assert_eq!(certified.policy, full.policy, "{label}: policy differs");
             // A restart reports the plain value iteration's counts only.
             assert_eq!(
-                counters.eval_sweeps > 0,
-                expect == Expect::Modified,
+                counters.evaluations > 0,
+                expect == Expect::Exact,
                 "{label}: {counters:?}"
             );
+            if expect == Expect::Exact {
+                // Each uncertified full sweep is followed by one exact
+                // evaluation, and Howard's policy iteration needs a
+                // handful of rounds at any γ (at most 9 here, where the
+                // CSR models' plain certified solves take up to 211).
+                assert_eq!(
+                    counters.evaluations + 1,
+                    counters.sweeps,
+                    "{label}: {counters:?}"
+                );
+                assert!(counters.sweeps <= 16, "{label}: {counters:?}");
+            }
             if expect == Expect::Tied {
                 assert_eq!(counters.stop, StopReason::Tolerance, "{label}");
                 assert_eq!(counters.margin, 0.0, "{label}");
@@ -150,7 +170,7 @@ fn certified_solve_returns_the_full_solve_policy() {
 }
 
 /// At loose tolerances plain value iteration can stop while some greedy
-/// actions are still suboptimal, after modified policy iteration could
+/// actions are still suboptimal, after the exact evaluations could
 /// already certify the optimal ones; the solve must return the tolerance
 /// stop's table all the same.
 #[test]

@@ -74,39 +74,42 @@ fn each_solve_creates_exactly_one_pool() {
     assert_eq!(vi, vi_serial, "pool must not change results");
 
     // The policy-only solve on the gridworld, whose optimal policy has
-    // exact action ties: the modified phase gives way to plain value
+    // exact action ties: the exact phase gives way to plain value
     // iteration restarted inside the same sweep loop, so still one pool.
     let (tied, tied_serial) = pooled_and_serial("a restarted policy solve", || {
         ValueIteration::new(0.95).solve_policy(&compiled).unwrap()
     });
     assert!(tied.counters.sweeps > 5, "expected a multi-sweep solve");
     assert_eq!(tied.counters.stop, StopReason::Tolerance);
-    assert_eq!(tied.counters.eval_sweeps, 0, "expected a restart");
+    assert_eq!(tied.counters.evaluations, 0, "expected a restart");
     assert_eq!(tied, tied_serial);
     assert_eq!(tied.policy, vi.policy);
 
-    // A policy solve certified in its modified phase: full and evaluation
-    // sweeps alternate in one loop, one pool.
+    // Policy solves certified on a dense kernel: full sweeps alternate
+    // with exact evaluations of their argmax in one loop, one pool, at a
+    // fast- and a slow-mixing discount.
     let scattered = scattered_model(4096);
-    let (certified, certified_serial) = pooled_and_serial("a certified policy solve", || {
-        ValueIteration::new(0.95).solve_policy(&scattered).unwrap()
-    });
-    assert_eq!(certified.counters.stop, StopReason::Certified);
-    assert!(
-        certified.counters.sweeps > 1,
-        "expected several full sweeps"
-    );
-    assert!(
-        certified.counters.eval_sweeps > 0,
-        "expected evaluation sweeps"
-    );
-    assert_eq!(certified, certified_serial);
-    let full = serialized(|| {
-        ValueIteration::new(0.95)
-            .solve_compiled(&scattered)
-            .unwrap()
-    });
-    assert_eq!(certified.policy, full.policy);
+    for gamma in [0.5, 0.95, 0.99] {
+        let (certified, certified_serial) = pooled_and_serial("a certified policy solve", || {
+            ValueIteration::new(gamma).solve_policy(&scattered).unwrap()
+        });
+        assert_eq!(certified.counters.stop, StopReason::Certified);
+        assert!(
+            certified.counters.sweeps > 1,
+            "γ={gamma}: expected several full sweeps"
+        );
+        assert!(
+            certified.counters.evaluations > 0,
+            "γ={gamma}: expected exact evaluations"
+        );
+        assert_eq!(certified, certified_serial, "γ={gamma}");
+        let full = serialized(|| {
+            ValueIteration::new(gamma)
+                .solve_compiled(&scattered)
+                .unwrap()
+        });
+        assert_eq!(certified.policy, full.policy, "γ={gamma}");
+    }
 
     // Policy iteration: several improvement rounds, each with its own
     // evaluation sweeps — still exactly one pool.
