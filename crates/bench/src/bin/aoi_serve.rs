@@ -26,27 +26,27 @@ use vanet::{RegionId, Request, RequestTrace, RsuId, VehicleId, Zipf};
 const EXTRAS: &[ExtraFlag] = &[
     ExtraFlag {
         name: "--rate",
-        value: Some("R"),
+        value: "R",
         help: "mean requests per RSU per slot (Poisson; default 4)",
     },
     ExtraFlag {
         name: "--seed",
-        value: Some("N"),
+        value: "N",
         help: "workload + serving seed (default 42)",
     },
     ExtraFlag {
         name: "--trace",
-        value: Some("FILE"),
+        value: "FILE",
         help: "replay a recorded request-trace file instead of generating",
     },
     ExtraFlag {
         name: "--record",
-        value: Some("FILE"),
+        value: "FILE",
         help: "write the generated workload as a request-trace file",
     },
     ExtraFlag {
         name: "--json",
-        value: Some("FILE"),
+        value: "FILE",
         help: "write the headline as a JSON summary",
     },
 ];

@@ -60,15 +60,15 @@ pub struct Positional {
     pub help: &'static str,
 }
 
-/// One bin-specific flag beyond the shared set — parsed, validated and
-/// listed in `--help` with the same style as the shared flags.
+/// One bin-specific value-taking flag beyond the shared set — parsed,
+/// validated and listed in `--help` with the same style as the shared
+/// flags.
 #[derive(Debug, Clone, Copy)]
 pub struct ExtraFlag {
     /// The flag itself, with leading dashes (e.g. `"--rate"`).
     pub name: &'static str,
-    /// Display name of the flag's value (e.g. `"R"`); `None` for a
-    /// boolean flag.
-    pub value: Option<&'static str>,
+    /// Display name of the flag's value (e.g. `"R"`).
+    pub value: &'static str,
     /// One-line description for `--help`.
     pub help: &'static str,
 }
@@ -116,8 +116,8 @@ pub struct CliSpec {
     pub horizon: bool,
     /// At most one positional argument.
     pub positional: Option<Positional>,
-    /// Bin-specific flags beyond the shared set (read back with
-    /// [`CliArgs::extra`] / [`CliArgs::extra_flag`]).
+    /// Bin-specific flags beyond the shared set, each taking one value
+    /// (read back with [`CliArgs::extra`]).
     pub extras: &'static [ExtraFlag],
 }
 
@@ -229,14 +229,11 @@ impl CliSpec {
                 other => {
                     if let Some(flag) = self.extras.iter().find(|f| f.name == other) {
                         let value =
-                            match flag.value {
-                                Some(what) => {
-                                    iter.next().filter(|v| !v.starts_with("--")).ok_or_else(
-                                        || self.error(&format!("{} needs a {what}", flag.name)),
-                                    )?
-                                }
-                                None => String::new(),
-                            };
+                            iter.next()
+                                .filter(|v| !v.starts_with("--"))
+                                .ok_or_else(|| {
+                                    self.error(&format!("{} needs a {}", flag.name, flag.value))
+                                })?;
                         parsed.extras.push((flag.name, value));
                     } else if other.starts_with('-') {
                         return Err(self.error(&format!("unrecognized flag '{arg}'")));
@@ -291,10 +288,7 @@ impl CliSpec {
             text.push_str(&format!("  {:<14} {}\n", p.name, p.help));
         }
         for flag in self.extras {
-            let head = match flag.value {
-                Some(what) => format!("{} {what}", flag.name),
-                None => flag.name.to_string(),
-            };
+            let head = format!("{} {}", flag.name, flag.value);
             text.push_str(&format!("  {head:<14} {}\n", flag.help));
         }
         if self.workers {
@@ -353,24 +347,18 @@ pub struct CliArgs {
     /// The positional argument, when accepted and given.
     pub positional: Option<String>,
     /// Values of the spec's bin-specific [`ExtraFlag`]s, in occurrence
-    /// order (boolean flags record an empty value).
+    /// order.
     pub extras: Vec<(&'static str, String)>,
 }
 
 impl CliArgs {
-    /// The value of a value-taking [`ExtraFlag`] (last occurrence wins),
-    /// if given.
+    /// The value of an [`ExtraFlag`] (last occurrence wins), if given.
     pub fn extra(&self, name: &str) -> Option<&str> {
         self.extras
             .iter()
             .rev()
             .find(|(n, _)| *n == name)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether a boolean [`ExtraFlag`] was given.
-    pub fn extra_flag(&self, name: &str) -> bool {
-        self.extras.iter().any(|(n, _)| *n == name)
     }
 }
 
@@ -391,18 +379,11 @@ mod tests {
                 name: "n",
                 help: "a number",
             }),
-            extras: &[
-                ExtraFlag {
-                    name: "--rate",
-                    value: Some("R"),
-                    help: "a number flag",
-                },
-                ExtraFlag {
-                    name: "--fast",
-                    value: None,
-                    help: "a boolean flag",
-                },
-            ],
+            extras: &[ExtraFlag {
+                name: "--rate",
+                value: "R",
+                help: "a number flag",
+            }],
         }
     }
 
@@ -525,11 +506,8 @@ mod tests {
 
     #[test]
     fn extras_parse_and_render() {
-        let parsed = spec()
-            .parse_from(args(&["--rate", "3.5", "--fast"]))
-            .unwrap();
+        let parsed = spec().parse_from(args(&["--rate", "3.5"])).unwrap();
         assert_eq!(parsed.extra("--rate"), Some("3.5"));
-        assert!(parsed.extra_flag("--fast"));
         assert_eq!(parsed.extra("--missing"), None);
         // The last occurrence of a value flag wins.
         let parsed = spec()
@@ -541,7 +519,7 @@ mod tests {
         assert!(err.starts_with("demo: ") && err.contains("--rate"));
         // Help lists extras; specs without them reject them.
         let usage = spec().usage();
-        assert!(usage.contains("--rate R") && usage.contains("--fast"));
+        assert!(usage.contains("--rate R"));
         assert!(CliSpec::bare("bare", "x")
             .parse_from(args(&["--rate", "1"]))
             .is_err());

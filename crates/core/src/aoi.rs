@@ -171,16 +171,6 @@ impl AgeVector {
         self.ages[i] = Age::ONE;
     }
 
-    /// Replaces content `i` with a copy of the given age (an MBS copy that
-    /// is itself not perfectly fresh), capped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn refresh_to(&mut self, i: usize, age: Age) {
-        self.ages[i] = age.min(self.cap);
-    }
-
     /// 0-based coordinates (age − 1 per content) for state-space encoding.
     pub fn coords(&self) -> Vec<usize> {
         self.coord_iter().collect()
@@ -210,16 +200,6 @@ impl AgeVector {
             })
             .collect();
         AgeVector { ages, cap }
-    }
-
-    /// Number of contents whose age violates their freshness limit.
-    pub fn count_violations(&self, max_ages: &[Age]) -> usize {
-        assert_eq!(max_ages.len(), self.ages.len(), "length mismatch");
-        self.ages
-            .iter()
-            .zip(max_ages)
-            .filter(|(a, m)| a.exceeds(**m))
-            .count()
     }
 }
 
@@ -277,8 +257,6 @@ mod tests {
         assert!(v.as_slice().iter().all(|a| *a == age(3)));
         v.refresh(2);
         assert_eq!(v.age(2), Age::ONE);
-        v.refresh_to(0, age(9));
-        assert_eq!(v.age(0), age(6), "refresh_to caps");
     }
 
     #[test]
@@ -296,13 +274,6 @@ mod tests {
         assert!(AgeVector::from_ages(vec![], age(5)).is_err());
         assert!(AgeVector::from_ages(vec![age(6)], age(5)).is_err());
         assert!(AgeVector::from_ages(vec![age(5)], age(5)).is_ok());
-    }
-
-    #[test]
-    fn violations_counted() {
-        let v = AgeVector::from_ages(vec![age(2), age(5), age(9)], age(10)).unwrap();
-        let max_ages = [age(3), age(4), age(9)];
-        assert_eq!(v.count_violations(&max_ages), 1);
     }
 
     #[test]

@@ -583,17 +583,6 @@ impl CacheRunReport {
         &self.aoi_traces[rsu * self.regions_per_rsu + content]
     }
 
-    /// The exact AoI summary statistics of one content (available in every
-    /// [`RecordingMode`], including `SummaryOnly`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn aoi_summary(&self, rsu: usize, content: usize) -> Summary {
-        assert!(rsu < self.n_rsus && content < self.regions_per_rsu);
-        self.aoi_summaries[rsu * self.regions_per_rsu + content]
-    }
-
     /// Fraction of content-slots in violation of their freshness limit.
     pub fn violation_rate(&self) -> f64 {
         self.violation_content_slots as f64 / self.content_slots as f64

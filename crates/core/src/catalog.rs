@@ -84,21 +84,6 @@ impl Catalog {
         })
     }
 
-    /// Creates a catalog from explicit specs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AoiCacheError::BadParameter`] for an empty list.
-    pub fn from_specs(contents: Vec<ContentSpec>) -> Result<Self, AoiCacheError> {
-        if contents.is_empty() {
-            return Err(AoiCacheError::BadParameter {
-                what: "contents",
-                valid: "non-empty",
-            });
-        }
-        Ok(Catalog { contents })
-    }
-
     /// Number of contents `L`.
     pub fn len(&self) -> usize {
         self.contents.len()
@@ -137,16 +122,6 @@ impl Catalog {
         self.contents[range].iter().map(|c| c.max_age).collect()
     }
 
-    /// The largest freshness limit in the catalog (used to choose `A_cap`).
-    pub fn largest_max_age(&self) -> Age {
-        self.contents
-            .iter()
-            .map(|c| c.max_age)
-            .max()
-            // lint:allow(panic-hygiene): every Catalog constructor rejects n == 0.
-            .expect("catalog is non-empty")
-    }
-
     /// Iterates all content specs in region order.
     pub fn iter(&self) -> impl Iterator<Item = &ContentSpec> {
         self.contents.iter()
@@ -168,7 +143,6 @@ mod tests {
             assert_eq!(c.max_age(h).get(), 7);
             assert_eq!(c.spec(h).region, RegionId(h));
         }
-        assert_eq!(c.largest_max_age().get(), 7);
     }
 
     #[test]
@@ -179,7 +153,6 @@ mod tests {
             let m = spec.max_age.get();
             assert!((4..=12).contains(&m));
         }
-        assert!(c.largest_max_age().get() <= 12);
     }
 
     #[test]
@@ -199,7 +172,6 @@ mod tests {
         assert!(Catalog::random(0, 1, 5, &mut rng).is_err());
         assert!(Catalog::random(3, 0, 5, &mut rng).is_err());
         assert!(Catalog::random(3, 6, 5, &mut rng).is_err());
-        assert!(Catalog::from_specs(vec![]).is_err());
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl RsuCacheMdp {
         self.age_cap
     }
 
-    /// The popularity dynamics.
-    pub fn popularity_model(&self) -> &PopularityModel {
-        &self.popularity
-    }
-
     /// Number of cached contents `L′`.
     pub fn n_contents(&self) -> usize {
         self.reward.n_contents()
@@ -210,12 +205,6 @@ impl RsuCacheMdp {
 
     /// The action index meaning "no update".
     pub const ACTION_NONE: usize = 0;
-
-    /// The action index that updates local content `j`.
-    pub fn action_update(&self, j: usize) -> usize {
-        assert!(j < self.n_contents(), "content index out of range");
-        j + 1
-    }
 
     /// Decodes an action index into `Some(local content)` or `None` for the
     /// no-update action.
@@ -360,7 +349,6 @@ mod tests {
         assert_eq!(m.n_actions(), 3);
         assert_eq!(m.n_contents(), 2);
         assert_eq!(RsuCacheMdp::ACTION_NONE, 0);
-        assert_eq!(m.action_update(1), 2);
         assert_eq!(m.decode_action(0), None);
         assert_eq!(m.decode_action(2), Some(1));
     }
@@ -387,8 +375,9 @@ mod tests {
         let (next, _) = m.decode_state(buf[0].next);
         assert_eq!(next.as_slice(), &[age(4), age(3)]);
 
-        // Update content 0: it lands at age 2 next slot (1 fresh + 1 aging).
-        m.transitions(s, m.action_update(0), &mut buf);
+        // Update content 0 (action 1): it lands at age 2 next slot (1 fresh
+        // + 1 aging).
+        m.transitions(s, 1, &mut buf);
         let (next, _) = m.decode_state(buf[0].next);
         assert_eq!(next.as_slice(), &[age(2), age(3)]);
     }
@@ -415,8 +404,8 @@ mod tests {
         // Post-action ages = [2, 4]; utility = 3/2*0.6 + 4/4*0.4 = 1.3.
         assert!((buf[0].reward - 2.0 * 1.3).abs() < 1e-12);
 
-        m.transitions(s, m.action_update(0), &mut buf);
-        // Post-action ages = [1, 4]; utility = 3*0.6 + 1*0.4 = 2.2; minus cost.
+        m.transitions(s, 1, &mut buf);
+        // Update content 0: post-action ages = [1, 4]; utility = 3*0.6 + 1*0.4 = 2.2; minus cost.
         assert!((buf[0].reward - (2.0 * 2.2 - 0.7)).abs() < 1e-12);
     }
 
@@ -457,10 +446,11 @@ mod tests {
         let reward = RewardModel::new(1.0, 0.4, vec![age(4), age(4)]).unwrap();
         let m = RsuCacheMdp::new(reward, age(6), PopularityModel::Static(vec![0.9, 0.1])).unwrap();
         let out = ValueIteration::new(0.95).solve(&m).unwrap();
-        // Both contents equally stale: the popular one gets the update.
+        // Both contents equally stale: the popular one (content 0, action
+        // 1) gets the update.
         let stale = AgeVector::from_ages(vec![age(4), age(4)], age(6)).unwrap();
         let s = m.encode_state(&stale, 0);
-        assert_eq!(out.policy.action(s), m.action_update(0));
+        assert_eq!(out.policy.action(s), 1);
     }
 
     #[test]
@@ -521,6 +511,5 @@ mod tests {
         let m = small_mdp(1.0, 0.5);
         assert_eq!(m.age_cap(), age(5));
         assert_eq!(m.reward_model().update_cost(), 0.5);
-        assert_eq!(m.popularity_model().n_phases(), 1);
     }
 }

@@ -627,6 +627,17 @@ mod tests {
         let stale = AgeVector::from_ages(vec![age(6), age(6)], spec.age_cap).unwrap();
         // Content 0: gain = 0.7*(3 - 0.5) - 0.5 = 1.25; content 1: 0.3*(5-5/6)-0.5 = 0.75.
         assert_eq!(policy.decide(&ctx(0, &stale, &spec), &mut rng), Some(0));
+
+        // The gain grows with age: a young popular content (0.7*(3 - 1.5) -
+        // 0.5 = 0.55) loses to an old unpopular one (0.75).
+        let mixed = AgeVector::from_ages(vec![age(2), age(6)], spec.age_cap).unwrap();
+        assert_eq!(policy.decide(&ctx(0, &mixed, &spec), &mut rng), Some(1));
+        // ... and with popularity: at equal ages the popular content wins.
+        let hot = RsuSpec {
+            popularity: vec![0.3, 0.7],
+            ..spec.clone()
+        };
+        assert_eq!(policy.decide(&ctx(0, &stale, &hot), &mut rng), Some(1));
     }
 
     #[test]

@@ -106,28 +106,6 @@ impl RewardModel {
             0.0
         }
     }
-
-    /// The Eq. 1 per-slot utility of this RSU:
-    /// `w · aoi_utility − action_cost`.
-    pub fn slot_utility(&self, ages: &AgeVector, popularity: &[f64], updated: bool) -> f64 {
-        self.weight * self.aoi_utility(ages, popularity) - self.action_cost(updated)
-    }
-
-    /// The immediate utility *gain* of updating content `h` now versus not
-    /// updating (used by the myopic policy):
-    /// `w · p_h · (A^max_h/1 − A^max_h/age_h) − C`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is out of range or lengths mismatch.
-    pub fn update_gain(&self, ages: &AgeVector, popularity: &[f64], h: usize) -> f64 {
-        assert!(h < self.max_ages.len(), "content index out of range");
-        let max_age = self.max_ages[h];
-        let current = ages.age(h);
-        let fresh_utility = Age::ONE.utility(max_age);
-        let stale_utility = current.utility(max_age);
-        self.weight * popularity[h] * (fresh_utility - stale_utility) - self.update_cost
-    }
 }
 
 #[cfg(test)]
@@ -164,13 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn slot_utility_subtracts_cost_only_when_updating() {
+    fn action_cost_charged_only_when_updating() {
         let m = model();
-        let ages = AgeVector::fresh(2, age(10));
-        let p = [0.5, 0.5];
-        let with = m.slot_utility(&ages, &p, true);
-        let without = m.slot_utility(&ages, &p, false);
-        assert!((without - with - 2.0).abs() < 1e-12);
         assert_eq!(m.action_cost(false), 0.0);
         assert_eq!(m.action_cost(true), 2.0);
     }
@@ -180,27 +153,7 @@ mod tests {
         let heavy = RewardModel::new(3.0, 2.0, vec![age(4)]).unwrap();
         let ages = AgeVector::fresh(1, age(10));
         let p = [1.0];
-        assert!((heavy.slot_utility(&ages, &p, false) - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn update_gain_grows_with_age_and_popularity() {
-        let m = model();
-        let young = AgeVector::from_ages(vec![age(2), age(2)], age(10)).unwrap();
-        let old = AgeVector::from_ages(vec![age(4), age(4)], age(10)).unwrap();
-        let p = [0.5, 0.5];
-        assert!(m.update_gain(&old, &p, 0) > m.update_gain(&young, &p, 0));
-        let p_hot = [0.9, 0.1];
-        assert!(m.update_gain(&old, &p_hot, 0) > m.update_gain(&old, &p_hot, 1));
-    }
-
-    #[test]
-    fn update_gain_of_fresh_content_is_negative() {
-        let m = model();
-        let fresh = AgeVector::fresh(2, age(10));
-        let p = [0.5, 0.5];
-        // No utility gain, pure cost.
-        assert!((m.update_gain(&fresh, &p, 0) + 2.0).abs() < 1e-12);
+        assert!((heavy.weight() * heavy.aoi_utility(&ages, &p) - 12.0).abs() < 1e-12);
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod value_iteration;
 
 pub use finite_horizon::{BackwardInduction, FiniteHorizonSolution};
 pub use policy_iteration::{PolicyIteration, PolicyIterationOutcome};
-pub use q_learning::{ExplorationSchedule, LearningRate, QLearning};
+pub use q_learning::QLearning;
 pub use relative_vi::{AverageRewardOutcome, RelativeValueIteration};
 pub use sarsa::Sarsa;
 #[cfg(test)]

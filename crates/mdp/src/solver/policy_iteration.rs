@@ -7,12 +7,18 @@ use crate::solver::{evaluate_policy_callback, q_value, validate_gamma};
 use crate::MdpError;
 use serde::{Deserialize, Serialize};
 
+/// Sweep cap for each inner policy evaluation.
+const MAX_EVAL_SWEEPS: usize = 10_000;
+/// Cap on improvement rounds.
+const MAX_IMPROVEMENTS: usize = 1_000;
+
 /// Configuration for policy iteration (policy evaluation + greedy
 /// improvement until the policy is stable).
 ///
 /// [`solve`](PolicyIteration::solve) compiles the model into a
 /// [`CompiledMdp`] once; every inner evaluation sweep and improvement pass
-/// then runs on its flat arrays.
+/// then runs on its flat arrays. Each policy evaluation may take up to
+/// 10 000 sweeps, and the solve stops after 1 000 improvement rounds.
 ///
 /// ```
 /// use mdp::solver::PolicyIteration;
@@ -28,21 +34,14 @@ pub struct PolicyIteration {
     pub gamma: f64,
     /// Tolerance for the inner policy-evaluation sweeps.
     pub eval_tolerance: f64,
-    /// Sweep cap for each inner policy evaluation.
-    pub max_eval_sweeps: usize,
-    /// Cap on improvement rounds.
-    pub max_improvements: usize,
 }
 
 impl PolicyIteration {
-    /// Creates a solver with defaults `eval_tolerance = 1e-10`,
-    /// `max_eval_sweeps = 10_000`, `max_improvements = 1_000`.
+    /// Creates a solver with `eval_tolerance = 1e-10`.
     pub fn new(gamma: f64) -> Self {
         PolicyIteration {
             gamma,
             eval_tolerance: 1e-10,
-            max_eval_sweeps: 10_000,
-            max_improvements: 1_000,
         }
     }
 
@@ -50,13 +49,6 @@ impl PolicyIteration {
     #[must_use]
     pub fn eval_tolerance(mut self, tolerance: f64) -> Self {
         self.eval_tolerance = tolerance;
-        self
-    }
-
-    /// Sets the improvement-round cap.
-    #[must_use]
-    pub fn max_improvements(mut self, max_improvements: usize) -> Self {
-        self.max_improvements = max_improvements;
         self
     }
 
@@ -106,34 +98,21 @@ impl PolicyIteration {
                 // no valid action.
                 .expect("compiled models have a valid action per state")
         });
-        // Degenerate cap: with no evaluation budget at all, no policy can
-        // ever be evaluated (the historical per-round evaluation returned
-        // exactly this error after zero sweeps).
-        if self.max_eval_sweeps == 0 {
-            return Err(MdpError::NotConverged {
-                iterations: 0,
-                residual: mdp.bellman_residual(&vec![0.0; n], self.gamma),
-            });
-        }
         let mut rounds = 0usize;
         let mut eval_sweeps = 0usize;
         let mut stable = false;
         let mut eval_failed = false;
 
-        // Total sweep budget across all rounds. `max_improvements == 0`
-        // still runs one evaluate+improve round (the epilogue's round cap
-        // fires after it), matching the historical loop structure.
+        // Total sweep budget across all rounds.
         let outcome = run_sweeps(
             vec![0.0; n],
             sweep_workers(n),
-            self.max_improvements
-                .max(1)
-                .saturating_mul(self.max_eval_sweeps),
+            MAX_IMPROVEMENTS * MAX_EVAL_SWEEPS,
             |states, values, out, _| mdp.evaluate_block(states, values, out, self.gamma, &actions),
             |values, stats, _| {
                 eval_sweeps += 1;
                 if stats.max_abs >= self.eval_tolerance {
-                    if eval_sweeps >= self.max_eval_sweeps {
+                    if eval_sweeps >= MAX_EVAL_SWEEPS {
                         eval_failed = true;
                         return true;
                     }
@@ -167,11 +146,11 @@ impl PolicyIteration {
                         mdp.set_policy_row(&actions, s, best_a);
                     }
                 }
-                if stable || rounds >= self.max_improvements {
+                if stable || rounds >= MAX_IMPROVEMENTS {
                     return true;
                 }
-                // Next round's evaluation starts cold, exactly like the
-                // historical one-loop-per-round structure.
+                // Next round's evaluation starts cold, exactly like
+                // `solve_callback`'s one evaluation per round.
                 values.fill(0.0);
                 eval_sweeps = 0;
                 false
@@ -179,7 +158,7 @@ impl PolicyIteration {
         );
         if eval_failed {
             return Err(MdpError::NotConverged {
-                iterations: self.max_eval_sweeps,
+                iterations: MAX_EVAL_SWEEPS,
                 residual: outcome.last.max_abs,
             });
         }
@@ -229,7 +208,7 @@ impl PolicyIteration {
                 &policy,
                 self.gamma,
                 self.eval_tolerance,
-                self.max_eval_sweeps,
+                MAX_EVAL_SWEEPS,
             )?;
 
             let mut stable = true;
@@ -259,7 +238,7 @@ impl PolicyIteration {
                 improved.push(best_a);
             }
             policy = TabularPolicy::new(improved);
-            if stable || rounds >= self.max_improvements {
+            if stable || rounds >= MAX_IMPROVEMENTS {
                 return Ok(PolicyIterationOutcome {
                     converged: stable,
                     rounds,
@@ -332,30 +311,5 @@ mod tests {
     fn rejects_bad_gamma() {
         let (mdp, _) = reference::two_state();
         assert!(PolicyIteration::new(2.0).solve(&mdp).is_err());
-    }
-
-    #[test]
-    fn degenerate_caps_keep_historic_behavior() {
-        let (mdp, gamma) = reference::two_state();
-        let compiled = CompiledMdp::compile(&mdp).unwrap();
-        // No evaluation budget: the first evaluation cannot converge.
-        let err = PolicyIteration {
-            max_eval_sweeps: 0,
-            ..PolicyIteration::new(gamma)
-        }
-        .solve_compiled(&compiled);
-        assert!(matches!(
-            err,
-            Err(MdpError::NotConverged { iterations: 0, .. })
-        ));
-        // No improvement budget: one evaluate+improve round still runs.
-        let out = PolicyIteration {
-            max_improvements: 0,
-            ..PolicyIteration::new(gamma)
-        }
-        .solve_compiled(&compiled)
-        .unwrap();
-        assert_eq!(out.rounds, 1);
-        assert!(!out.converged);
     }
 }

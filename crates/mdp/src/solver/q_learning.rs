@@ -8,88 +8,28 @@ use rand::Rng;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// Learning-rate schedule for temporal-difference updates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LearningRate {
-    /// Fixed step size.
-    Constant(f64),
-    /// `scale / (scale + visits(s, a))` — satisfies the Robbins–Monro
-    /// conditions for tabular convergence.
-    Harmonic {
-        /// Numerator/offset scale; larger values decay more slowly.
-        scale: f64,
-    },
+/// Scale of the harmonic step size `SCALE / (SCALE + visits(s, a))`,
+/// which satisfies the Robbins–Monro conditions for tabular convergence.
+const STEP_SCALE: f64 = 10.0;
+/// Exploration rate ε at step 0.
+const EPSILON_START: f64 = 1.0;
+/// Exploration rate ε once the decay is over.
+const EPSILON_END: f64 = 0.05;
+/// Environment steps between random restarts.
+pub(crate) const EPISODE_LENGTH: usize = 100;
+
+/// The step size for the `visits`-th update of a state–action pair.
+pub(crate) fn step_size(visits: u64) -> f64 {
+    STEP_SCALE / (STEP_SCALE + visits as f64)
 }
 
-impl LearningRate {
-    pub(crate) fn value(&self, visits: u64) -> f64 {
-        match *self {
-            LearningRate::Constant(a) => a,
-            LearningRate::Harmonic { scale } => scale / (scale + visits as f64),
-        }
-    }
-
-    pub(crate) fn validate(&self) -> Result<(), MdpError> {
-        let ok = match *self {
-            LearningRate::Constant(a) => a.is_finite() && 0.0 < a && a <= 1.0,
-            LearningRate::Harmonic { scale } => scale.is_finite() && scale > 0.0,
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(MdpError::BadParameter {
-                what: "learning rate",
-                valid: "constant in (0, 1] or positive harmonic scale",
-            })
-        }
-    }
-}
-
-/// Exploration schedule for ε-greedy action selection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ExplorationSchedule {
-    /// Fixed exploration rate.
-    Constant(f64),
-    /// Linear decay from `start` to `end` over `steps` environment steps.
-    LinearDecay {
-        /// Initial ε.
-        start: f64,
-        /// Final ε.
-        end: f64,
-        /// Steps over which to interpolate.
-        steps: usize,
-    },
-}
-
-impl ExplorationSchedule {
-    pub(crate) fn value(&self, step: usize) -> f64 {
-        match *self {
-            ExplorationSchedule::Constant(e) => e,
-            ExplorationSchedule::LinearDecay { start, end, steps } => {
-                if steps == 0 || step >= steps {
-                    end
-                } else {
-                    start + (end - start) * (step as f64 / steps as f64)
-                }
-            }
-        }
-    }
-
-    pub(crate) fn validate(&self) -> Result<(), MdpError> {
-        let ok = match *self {
-            ExplorationSchedule::Constant(e) => (0.0..=1.0).contains(&e),
-            ExplorationSchedule::LinearDecay { start, end, .. } => {
-                (0.0..=1.0).contains(&start) && (0.0..=1.0).contains(&end)
-            }
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(MdpError::BadParameter {
-                what: "exploration rate",
-                valid: "[0, 1]",
-            })
-        }
+/// ε at environment step `step`: linear from [`EPSILON_START`] to
+/// [`EPSILON_END`] over the first `decay_steps` steps, then constant.
+pub(crate) fn exploration_rate(step: usize, decay_steps: usize) -> f64 {
+    if step >= decay_steps {
+        EPSILON_END
+    } else {
+        EPSILON_START + (EPSILON_END - EPSILON_START) * (step as f64 / decay_steps as f64)
     }
 }
 
@@ -139,7 +79,11 @@ pub(crate) fn epsilon_greedy_valid<M: FiniteMdp>(
 ///
 /// The learner interacts with a generative model (any [`FiniteMdp`] can be
 /// sampled) for `steps` transitions, restarting from a uniformly random
-/// state every `episode_length` steps so that all states keep being visited.
+/// state every 100 steps so that all states keep being visited. The
+/// schedule is fixed: the `n`-th update of a state–action pair takes the
+/// harmonic step size `10 / (10 + n)`, and actions are ε-greedy over the
+/// valid actions with ε falling linearly from 1.0 to 0.05 over the first
+/// `steps / 2` steps.
 ///
 /// ```
 /// use mdp::solver::{QLearning, ValueIteration};
@@ -158,66 +102,23 @@ pub(crate) fn epsilon_greedy_valid<M: FiniteMdp>(
 pub struct QLearning {
     /// Discount factor in `[0, 1)`.
     pub gamma: f64,
-    /// Step-size schedule.
-    pub alpha: LearningRate,
-    /// Exploration schedule.
-    pub epsilon: ExplorationSchedule,
     /// Total environment steps.
     pub steps: usize,
-    /// Steps between random restarts.
-    pub episode_length: usize,
 }
 
 impl QLearning {
-    /// Creates a learner with harmonic step sizes, ε decaying 1.0 → 0.05,
-    /// 100k steps, episodes of 100.
+    /// Creates a learner that runs 100k steps.
     pub fn new(gamma: f64) -> Self {
         QLearning {
             gamma,
-            alpha: LearningRate::Harmonic { scale: 10.0 },
-            epsilon: ExplorationSchedule::LinearDecay {
-                start: 1.0,
-                end: 0.05,
-                steps: 50_000,
-            },
             steps: 100_000,
-            episode_length: 100,
         }
     }
 
-    /// Sets the total environment steps (and scales the default ε decay to
-    /// half of it).
+    /// Sets the total environment steps.
     #[must_use]
     pub fn steps(mut self, steps: usize) -> Self {
         self.steps = steps;
-        if let ExplorationSchedule::LinearDecay { start, end, .. } = self.epsilon {
-            self.epsilon = ExplorationSchedule::LinearDecay {
-                start,
-                end,
-                steps: steps / 2,
-            };
-        }
-        self
-    }
-
-    /// Sets the step-size schedule.
-    #[must_use]
-    pub fn alpha(mut self, alpha: LearningRate) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Sets the exploration schedule.
-    #[must_use]
-    pub fn epsilon(mut self, epsilon: ExplorationSchedule) -> Self {
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the episode length between random restarts.
-    #[must_use]
-    pub fn episode_length(mut self, episode_length: usize) -> Self {
-        self.episode_length = episode_length.max(1);
         self
     }
 
@@ -225,12 +126,10 @@ impl QLearning {
     ///
     /// # Errors
     ///
-    /// Returns [`MdpError::BadParameter`] for invalid `gamma`, step size or
-    /// exploration rate, and [`MdpError::EmptyModel`] for empty models.
+    /// Returns [`MdpError::BadParameter`] for an invalid `gamma`, and
+    /// [`MdpError::EmptyModel`] for empty models.
     pub fn learn<M: FiniteMdp>(&self, mdp: &M, rng: &mut dyn RngCore) -> Result<QTable, MdpError> {
         validate_gamma(self.gamma)?;
-        self.alpha.validate()?;
-        self.epsilon.validate()?;
         if mdp.n_states() == 0 || mdp.n_actions() == 0 {
             return Err(MdpError::EmptyModel);
         }
@@ -239,11 +138,12 @@ impl QLearning {
         let mut visits = vec![0u64; mdp.n_states() * mdp.n_actions()];
         let mut state = rng.gen_range(0..mdp.n_states());
 
+        let decay_steps = self.steps / 2;
         for step in 0..self.steps {
-            if step % self.episode_length == 0 {
+            if step % EPISODE_LENGTH == 0 {
                 state = rng.gen_range(0..mdp.n_states());
             }
-            let eps = self.epsilon.value(step);
+            let eps = exploration_rate(step, decay_steps);
             let action = epsilon_greedy_valid(mdp, &q, state, eps, rng);
             let (next, reward) = mdp.sample(state, action, rng);
 
@@ -256,7 +156,7 @@ impl QLearning {
 
             let idx = state * mdp.n_actions() + action;
             visits[idx] += 1;
-            let alpha = self.alpha.value(visits[idx]);
+            let alpha = step_size(visits[idx]);
             let old = q.get(state, action);
             q.set(state, action, old + alpha * (target - old));
             state = next;
@@ -308,37 +208,34 @@ mod tests {
 
     #[test]
     fn schedules_validate() {
-        let (mdp, gamma) = reference::two_state();
+        // The fixed schedule stays inside the ranges a TD update needs:
+        // step sizes in (0, 1], exploration rates in [0, 1].
+        for visits in [1, 10, 1_000_000] {
+            let alpha = step_size(visits);
+            assert!(0.0 < alpha && alpha <= 1.0, "step size {alpha}");
+        }
+        for step in [0, 1, 50, 99, 100, 10_000] {
+            assert!((0.0..=1.0).contains(&exploration_rate(step, 100)));
+        }
+        let (mdp, _) = reference::two_state();
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(QLearning::new(gamma)
-            .alpha(LearningRate::Constant(0.0))
-            .learn(&mdp, &mut rng)
-            .is_err());
-        assert!(QLearning::new(gamma)
-            .epsilon(ExplorationSchedule::Constant(1.5))
-            .learn(&mdp, &mut rng)
-            .is_err());
         assert!(QLearning::new(1.0).learn(&mdp, &mut rng).is_err());
     }
 
     #[test]
     fn linear_decay_interpolates() {
-        let sched = ExplorationSchedule::LinearDecay {
-            start: 1.0,
-            end: 0.0,
-            steps: 100,
-        };
-        assert_eq!(sched.value(0), 1.0);
-        assert!((sched.value(50) - 0.5).abs() < 1e-12);
-        assert_eq!(sched.value(100), 0.0);
-        assert_eq!(sched.value(10_000), 0.0);
+        assert_eq!(exploration_rate(0, 100), 1.0);
+        assert!((exploration_rate(50, 100) - 0.525).abs() < 1e-12);
+        assert_eq!(exploration_rate(100, 100), 0.05);
+        assert_eq!(exploration_rate(10_000, 100), 0.05);
+        assert_eq!(exploration_rate(0, 0), 0.05);
     }
 
     #[test]
     fn harmonic_rate_decays() {
-        let lr = LearningRate::Harmonic { scale: 10.0 };
-        assert!(lr.value(0) > lr.value(10));
-        assert!(lr.value(1_000_000) < 1e-4);
+        assert_eq!(step_size(0), 1.0);
+        assert!(step_size(0) > step_size(10));
+        assert!(step_size(1_000_000) < 1e-4);
     }
 
     #[test]

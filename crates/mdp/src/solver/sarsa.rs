@@ -2,7 +2,9 @@
 
 use crate::model::FiniteMdp;
 use crate::policy::QTable;
-use crate::solver::q_learning::{epsilon_greedy_valid, ExplorationSchedule, LearningRate};
+use crate::solver::q_learning::{
+    epsilon_greedy_valid, exploration_rate, step_size, EPISODE_LENGTH,
+};
 use crate::solver::validate_gamma;
 use crate::MdpError;
 use rand::{Rng, RngCore};
@@ -12,7 +14,11 @@ use serde::{Deserialize, Serialize};
 ///
 /// On-policy counterpart of [`QLearning`](crate::solver::QLearning): the TD
 /// target bootstraps from the action the ε-greedy behaviour policy actually
-/// takes next, rather than the greedy maximum.
+/// takes next, rather than the greedy maximum. Restarts, step sizes and
+/// exploration follow the same fixed schedule as `QLearning`: a random
+/// restart every 100 steps, step size `10 / (10 + n)` on the `n`-th update
+/// of a state–action pair, and ε falling linearly from 1.0 to 0.05 over
+/// the first `steps / 2` steps.
 ///
 /// ```
 /// use mdp::solver::Sarsa;
@@ -29,58 +35,24 @@ use serde::{Deserialize, Serialize};
 pub struct Sarsa {
     /// Discount factor in `[0, 1)`.
     pub gamma: f64,
-    /// Step-size schedule.
-    pub alpha: LearningRate,
-    /// Exploration schedule.
-    pub epsilon: ExplorationSchedule,
     /// Total environment steps.
     pub steps: usize,
-    /// Steps between random restarts.
-    pub episode_length: usize,
 }
 
 impl Sarsa {
-    /// Creates a learner with the same defaults as
+    /// Creates a learner that runs 100k steps, like
     /// [`QLearning::new`](crate::solver::QLearning::new).
     pub fn new(gamma: f64) -> Self {
         Sarsa {
             gamma,
-            alpha: LearningRate::Harmonic { scale: 10.0 },
-            epsilon: ExplorationSchedule::LinearDecay {
-                start: 1.0,
-                end: 0.05,
-                steps: 50_000,
-            },
             steps: 100_000,
-            episode_length: 100,
         }
     }
 
-    /// Sets the total environment steps (and scales the default ε decay).
+    /// Sets the total environment steps.
     #[must_use]
     pub fn steps(mut self, steps: usize) -> Self {
         self.steps = steps;
-        if let ExplorationSchedule::LinearDecay { start, end, .. } = self.epsilon {
-            self.epsilon = ExplorationSchedule::LinearDecay {
-                start,
-                end,
-                steps: steps / 2,
-            };
-        }
-        self
-    }
-
-    /// Sets the step-size schedule.
-    #[must_use]
-    pub fn alpha(mut self, alpha: LearningRate) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Sets the exploration schedule.
-    #[must_use]
-    pub fn epsilon(mut self, epsilon: ExplorationSchedule) -> Self {
-        self.epsilon = epsilon;
         self
     }
 
@@ -91,8 +63,6 @@ impl Sarsa {
     /// Same conditions as [`QLearning::learn`](crate::solver::QLearning::learn).
     pub fn learn<M: FiniteMdp>(&self, mdp: &M, rng: &mut dyn RngCore) -> Result<QTable, MdpError> {
         validate_gamma(self.gamma)?;
-        self.alpha.validate()?;
-        self.epsilon.validate()?;
         if mdp.n_states() == 0 || mdp.n_actions() == 0 {
             return Err(MdpError::EmptyModel);
         }
@@ -100,20 +70,23 @@ impl Sarsa {
         let mut q = QTable::zeros(mdp.n_states(), mdp.n_actions());
         let mut visits = vec![0u64; mdp.n_states() * mdp.n_actions()];
         let mut state = rng.gen_range(0..mdp.n_states());
-        let mut action = epsilon_greedy_valid(mdp, &q, state, self.epsilon.value(0), rng);
+        let decay_steps = self.steps / 2;
+        let mut action =
+            epsilon_greedy_valid(mdp, &q, state, exploration_rate(0, decay_steps), rng);
 
         for step in 0..self.steps {
-            if step > 0 && step % self.episode_length == 0 {
+            let eps = exploration_rate(step, decay_steps);
+            if step > 0 && step % EPISODE_LENGTH == 0 {
                 state = rng.gen_range(0..mdp.n_states());
-                action = epsilon_greedy_valid(mdp, &q, state, self.epsilon.value(step), rng);
+                action = epsilon_greedy_valid(mdp, &q, state, eps, rng);
             }
             let (next, reward) = mdp.sample(state, action, rng);
-            let next_action = epsilon_greedy_valid(mdp, &q, next, self.epsilon.value(step), rng);
+            let next_action = epsilon_greedy_valid(mdp, &q, next, eps, rng);
             let target = reward + self.gamma * q.get(next, next_action);
 
             let idx = state * mdp.n_actions() + action;
             visits[idx] += 1;
-            let alpha = self.alpha.value(visits[idx]);
+            let alpha = step_size(visits[idx]);
             let old = q.get(state, action);
             q.set(state, action, old + alpha * (target - old));
 
@@ -160,9 +133,5 @@ mod tests {
         let (mdp, _) = reference::two_state();
         let mut rng = StdRng::seed_from_u64(0);
         assert!(Sarsa::new(1.0).learn(&mdp, &mut rng).is_err());
-        assert!(Sarsa::new(0.9)
-            .alpha(LearningRate::Constant(2.0))
-            .learn(&mdp, &mut rng)
-            .is_err());
     }
 }

@@ -48,18 +48,14 @@ impl ProductSpace {
         &self.dims
     }
 
-    /// Number of dimensions.
-    pub fn n_dims(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Total number of points in the space.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the space is empty (only possible for zero dimensions... it
-    /// never is: a zero-dimensional space has exactly one point).
+    /// Whether the space has no points. Always `false`: [`new`](Self::new)
+    /// rejects zero-sized dimensions, and a zero-dimensional space has
+    /// exactly one point.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -120,7 +116,7 @@ impl ProductSpace {
     ///
     /// # Panics
     ///
-    /// Panics if `index >= len()` or `out.len() != n_dims()`.
+    /// Panics if `index >= len()` or `out.len() != dims().len()`.
     pub fn decode_into(&self, index: usize, out: &mut [usize]) {
         assert!(index < self.len, "index {index} out of range {}", self.len);
         assert_eq!(out.len(), self.dims.len(), "buffer dimension mismatch");

@@ -148,16 +148,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Mean over the last `window` samples (all samples if fewer).
-    pub fn tail_mean(&self, window: usize) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        let start = self.points.len().saturating_sub(window.max(1));
-        let tail = &self.points[start..];
-        tail.iter().map(|p| p.value).sum::<f64>() / tail.len() as f64
-    }
 }
 
 impl Extend<(TimeSlot, f64)> for TimeSeries {
@@ -212,14 +202,6 @@ mod tests {
         let s = series(&[1.0, 2.0]);
         assert_eq!(s.downsample(10), s);
         assert_eq!(s.downsample(0), s);
-    }
-
-    #[test]
-    fn tail_mean_window() {
-        let s = series(&[0.0, 0.0, 10.0, 20.0]);
-        assert_eq!(s.tail_mean(2), 15.0);
-        assert_eq!(s.tail_mean(100), 7.5);
-        assert_eq!(TimeSeries::new("e").tail_mean(5), 0.0);
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl TimeSlot {
     pub const fn next(self) -> Self {
         TimeSlot(self.0 + 1)
     }
-
-    /// Returns the number of whole slots since `earlier`, saturating at zero
-    /// if `earlier` is in the future.
-    pub const fn saturating_since(self, earlier: TimeSlot) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl fmt::Display for TimeSlot {
@@ -115,11 +109,6 @@ impl SlotClock {
     /// Creates a clock at slot 0.
     pub fn new() -> Self {
         SlotClock::default()
-    }
-
-    /// Creates a clock starting at an arbitrary slot (useful for resuming).
-    pub fn starting_at(slot: TimeSlot) -> Self {
-        SlotClock { now: slot }
     }
 
     /// The current slot.
@@ -196,8 +185,6 @@ mod tests {
         assert_eq!(b - a, 3);
         assert_eq!(a + 3, b);
         assert_eq!(a.next(), TimeSlot::new(6));
-        assert_eq!(a.saturating_since(b), 0);
-        assert_eq!(b.saturating_since(a), 3);
     }
 
     #[test]
@@ -221,12 +208,6 @@ mod tests {
             prev = next;
         }
         assert_eq!(c.elapsed(), 10);
-    }
-
-    #[test]
-    fn clock_resume() {
-        let c = SlotClock::starting_at(TimeSlot::new(100));
-        assert_eq!(c.now().index(), 100);
     }
 
     #[test]

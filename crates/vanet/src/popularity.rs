@@ -107,16 +107,6 @@ impl PopularityEstimator {
         out.clear();
         out.extend(self.counts.iter().map(|c| (c + self.smoothing) / total));
     }
-
-    /// Popularity of a specific region (global index), or `None` when the
-    /// region is outside the tracked block.
-    pub fn popularity_of(&self, region: RegionId) -> Option<f64> {
-        let idx = region.0.checked_sub(self.base_region)?;
-        if idx >= self.counts.len() {
-            return None;
-        }
-        Some(self.popularity()[idx])
-    }
 }
 
 #[cfg(test)]
@@ -183,10 +173,8 @@ mod tests {
         est.record(RegionId(0));
         est.record(RegionId(9));
         let p = est.popularity();
+        assert_eq!(p.len(), 2, "only the tracked block has a popularity");
         assert!((p[0] - 0.5).abs() < 1e-12, "counts must be untouched");
-        assert_eq!(est.popularity_of(RegionId(0)), None);
-        assert_eq!(est.popularity_of(RegionId(9)), None);
-        assert!(est.popularity_of(RegionId(5)).is_some());
     }
 
     #[test]

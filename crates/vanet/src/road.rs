@@ -98,16 +98,6 @@ impl Road {
         (region.0 as f64 * w, (region.0 + 1) as f64 * w)
     }
 
-    /// Center position of a region in meters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region index is out of range.
-    pub fn region_center(&self, region: RegionId) -> f64 {
-        let (lo, hi) = self.region_bounds(region);
-        (lo + hi) / 2.0
-    }
-
     /// Center of the road (where the MBS sits).
     pub fn center(&self) -> f64 {
         self.length_m / 2.0
@@ -155,8 +145,8 @@ mod tests {
     fn centers() {
         let road = Road::new(100.0, 4).unwrap();
         assert_eq!(road.center(), 50.0);
-        assert_eq!(road.region_center(RegionId(0)), 12.5);
-        assert_eq!(road.region_center(RegionId(3)), 87.5);
+        assert_eq!(road.region_bounds(RegionId(0)), (0.0, 25.0));
+        assert_eq!(road.region_bounds(RegionId(3)), (75.0, 100.0));
     }
 
     #[test]

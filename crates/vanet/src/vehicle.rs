@@ -201,23 +201,6 @@ impl Traffic {
         }
         MobilitySlot { entered, exited }
     }
-
-    /// Pre-populates the road with `n` vehicles at uniformly random
-    /// positions (useful to skip the warm-up transient).
-    pub fn seed_vehicles(&mut self, n: usize, rng: &mut dyn RngCore) {
-        for _ in 0..n {
-            let id = VehicleId(self.next_id);
-            self.next_id += 1;
-            let position = rng.gen_range(0.0..self.road.length_m());
-            let speed = rng.gen_range(self.config.speed_min..=self.config.speed_max);
-            self.vehicles.push(Vehicle {
-                id,
-                position_m: position,
-                speed_mps: speed,
-            });
-            self.total_entered += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -299,16 +282,6 @@ mod tests {
             traffic.step(&mut rng);
         }
         assert_eq!(traffic.n_vehicles(), 0);
-    }
-
-    #[test]
-    fn seeding_places_vehicles() {
-        let (mut traffic, mut rng) = setup();
-        traffic.seed_vehicles(10, &mut rng);
-        assert_eq!(traffic.n_vehicles(), 10);
-        for v in traffic.vehicles() {
-            assert!(v.position_m >= 0.0 && v.position_m < 500.0);
-        }
     }
 
     #[test]
