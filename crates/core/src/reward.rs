@@ -156,6 +156,34 @@ mod tests {
         assert!((heavy.weight() * heavy.aoi_utility(&ages, &p) - 12.0).abs() < 1e-12);
     }
 
+    /// Eq. 1 utility of refreshing content `h` now versus not updating:
+    /// `w · (aoi_utility(refreshed) − aoi_utility(ages)) − C`.
+    fn refresh_gain(m: &RewardModel, ages: &AgeVector, p: &[f64], h: usize) -> f64 {
+        let mut refreshed = ages.clone();
+        refreshed.refresh(h);
+        m.weight() * (m.aoi_utility(&refreshed, p) - m.aoi_utility(ages, p)) - m.action_cost(true)
+    }
+
+    #[test]
+    fn update_gain_grows_with_age_and_popularity() {
+        let m = model();
+        let young = AgeVector::from_ages(vec![age(2), age(2)], age(10)).unwrap();
+        let old = AgeVector::from_ages(vec![age(4), age(4)], age(10)).unwrap();
+        let p = [0.5, 0.5];
+        assert!(refresh_gain(&m, &old, &p, 0) > refresh_gain(&m, &young, &p, 0));
+        let p_hot = [0.9, 0.1];
+        assert!(refresh_gain(&m, &old, &p_hot, 0) > refresh_gain(&m, &old, &p_hot, 1));
+    }
+
+    #[test]
+    fn update_gain_of_fresh_content_is_negative() {
+        let m = model();
+        let fresh = AgeVector::fresh(2, age(10));
+        let p = [0.5, 0.5];
+        // No utility gain, pure cost.
+        assert!((refresh_gain(&m, &fresh, &p, 0) + 2.0).abs() < 1e-12);
+    }
+
     #[test]
     fn validation() {
         assert!(RewardModel::new(-1.0, 0.0, vec![age(2)]).is_err());
