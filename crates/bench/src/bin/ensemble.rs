@@ -28,7 +28,11 @@
 //! the streaming codec (`.z` files, typically 3–6× smaller); `--resume`
 //! skips any cell whose artifact from a previous run still verifies
 //! (intact footer, matching configuration) and recomputes the rest — the
-//! final figures are bit-identical to a cold run.
+//! final figures are bit-identical to a cold run. Ensemble files are
+//! written only when their bytes would change: one that already holds
+//! exactly this run's bytes is left in place, in every mode, and the
+//! closing `artifacts:` line counts the ensembles left unchanged and
+//! written (a fully warm `--resume` prints `9 unchanged, 0 written`).
 //!
 //! `--claim` (with `--resume`) turns the run into **one worker of a
 //! distributed campaign**: before recomputing a cell the worker claims
@@ -130,6 +134,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let (cache, resume) = plan.run_ensembles_resumable()?;
     let mut quarantined = resume.quarantined.len();
+    let mut ensembles = (resume.ensembles_unchanged, resume.ensembles_written);
     print_resume(&resume, args.resume);
     print_summary(&cache, "final cumulative reward");
     plot_means(
@@ -148,14 +153,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let (service, resume) = plan.run_ensembles_resumable()?;
     quarantined += resume.quarantined.len();
+    ensembles.0 += resume.ensembles_unchanged;
+    ensembles.1 += resume.ensembles_written;
     print_resume(&resume, args.resume);
     print_summary(&service, "final backlog");
     plot_means(&service, "request backlog (ensemble mean over traces)", 120);
 
     if let Some(dir) = &args.out {
         println!(
-            "\nartifacts: per-cell traces and per-group ensemble curves under {}",
-            dir.display()
+            "\nartifacts: per-cell traces and per-group ensemble curves under {} \
+             (ensembles: {} unchanged, {} written)",
+            dir.display(),
+            ensembles.0,
+            ensembles.1
         );
     }
     if quarantined > 0 {

@@ -23,10 +23,14 @@ pub struct ContentSpec {
 /// `A^max_h` varies per content.
 ///
 /// ```
-/// use aoi_cache::{Age, Catalog};
-/// let catalog = Catalog::uniform(10, Age::new(6).unwrap());
+/// use aoi_cache::Catalog;
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+/// let catalog = Catalog::random(10, 6, 6, &mut rng)?;
 /// assert_eq!(catalog.len(), 10);
 /// assert_eq!(catalog.max_age(3).get(), 6);
+/// # Ok::<(), aoi_cache::AoiCacheError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Catalog {
@@ -34,18 +38,6 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Creates a catalog where every content has the same freshness limit.
-    pub fn uniform(n: usize, max_age: Age) -> Self {
-        Catalog {
-            contents: (0..n)
-                .map(|h| ContentSpec {
-                    region: RegionId(h),
-                    max_age,
-                })
-                .collect(),
-        }
-    }
-
     /// Creates a catalog with per-content limits drawn uniformly from
     /// `[min_max_age, max_max_age]` (the paper randomizes the per-region
     /// maximum AoI).
@@ -136,7 +128,9 @@ mod tests {
 
     #[test]
     fn uniform_catalog() {
-        let c = Catalog::uniform(5, Age::new(7).unwrap());
+        // Equal bounds give every content the same freshness limit.
+        let mut rng = StdRng::seed_from_u64(3);
+        let c = Catalog::random(5, 7, 7, &mut rng).unwrap();
         assert_eq!(c.len(), 5);
         assert!(!c.is_empty());
         for h in 0..5 {
@@ -176,7 +170,8 @@ mod tests {
 
     #[test]
     fn max_ages_slice() {
-        let c = Catalog::uniform(10, Age::new(3).unwrap());
+        let mut rng = StdRng::seed_from_u64(4);
+        let c = Catalog::random(10, 3, 3, &mut rng).unwrap();
         let ages = c.max_ages(2..7);
         assert_eq!(ages.len(), 5);
     }

@@ -61,7 +61,7 @@ use crate::AoiCacheError;
 use serde::{Deserialize, Serialize};
 use simkit::executor;
 use simkit::lease;
-use simkit::persist::{self, ArtifactKind, ArtifactWriter, Compression, Manifest};
+use simkit::persist::{self, ArtifactKind, ArtifactWriter, Compression, Manifest, WriteOutcome};
 use simkit::supervise;
 use simkit::{CurveAccumulator, CurveSummary, RecordingMode, TimeSeries};
 use std::fmt;
@@ -180,7 +180,9 @@ pub struct ExperimentPlan {
     /// (missing, truncated, corrupt, foreign or stale artifact) is re-run
     /// and its artifact rewritten. Because re-read curves are bit-identical
     /// to computed ones, the final ensembles are bit-identical whether the
-    /// grid ran cold, warm, or half-interrupted.
+    /// grid ran cold, warm, or half-interrupted. Ensemble artifacts are
+    /// written only when their bytes would change ([`EnsembleFold::write`]),
+    /// so a fully warm resume rewrites no file at all.
     pub resume: bool,
     /// When `true` (requires [`resume`](ExperimentPlan::resume) and an
     /// artifact directory), the run becomes one **worker of a distributed
@@ -314,6 +316,9 @@ impl ExperimentPlan {
     /// [`run_ensembles_resumable`](ExperimentPlan::run_ensembles_resumable);
     /// the batch engine ([`run`](ExperimentPlan::run)) rejects it, because
     /// its full per-cell reports cannot be reconstructed from artifacts.
+    /// Ensemble artifacts whose bytes would not change are left in place,
+    /// with or without this flag ([`EnsembleFold::write`]); the
+    /// [`ResumeReport`] counts them.
     #[must_use]
     pub fn resume(mut self, resume: bool) -> Self {
         self.resume = resume;
@@ -831,7 +836,8 @@ impl ExperimentPlan {
         if let Some(campaign) = campaign.as_mut() {
             campaign.sweep_stale_leases(&all_ids)?;
         }
-        Ok((self.finish_groups(groups, &gaps)?, report))
+        let ensembles = self.finish_groups(groups, &gaps, &mut report)?;
+        Ok((ensembles, report))
     }
 
     /// The artifact channel holding a cell's headline curve (what
@@ -1083,7 +1089,7 @@ impl ExperimentPlan {
                 self.expected_cell_hash(cell.id),
             );
         }
-        self.finish_groups(folds, &[])
+        self.finish_groups(folds, &[], &mut ResumeReport::default())
     }
 
     /// One empty fold per `(scenario, policy)` group, in ensemble-report
@@ -1101,11 +1107,13 @@ impl ExperimentPlan {
 
     /// `gaps` is the per-group count of replicates missing because a
     /// claim-mode campaign quarantined their cells (all zero, or empty,
-    /// when every group folds its full complement).
+    /// when every group folds its full complement). Each ensemble artifact
+    /// written or left unchanged is counted in `report`.
     fn finish_groups(
         &self,
         folds: Vec<EnsembleFold>,
         gaps: &[usize],
+        report: &mut ResumeReport,
     ) -> Result<Vec<EnsembleSummary>, AoiCacheError> {
         let mut ensembles = Vec::with_capacity(folds.len());
         for (i, fold) in folds.into_iter().enumerate() {
@@ -1125,7 +1133,10 @@ impl ExperimentPlan {
             if let Some(dir) = &self.artifacts {
                 // An ensemble carries the recording of the cells it folds,
                 // as `aoi-artifacts merge` reads it back from them.
-                fold.write(&curve, dir, self.cell_recording(), self.compression)?;
+                match fold.write(&curve, dir, self.cell_recording(), self.compression)? {
+                    WriteOutcome::Unchanged => report.ensembles_unchanged += 1,
+                    WriteOutcome::Written => report.ensembles_written += 1,
+                }
             }
             ensembles.push(EnsembleSummary {
                 scenario: fold.scenario,
@@ -1185,10 +1196,18 @@ impl EnsembleFold {
 
     /// Writes `curve` (this fold's [`finish`](EnsembleFold::finish)) as
     /// the group's ensemble artifact under `dir`
-    /// ([`ExperimentPlan::ensemble_artifact_path_with`]). The manifest's
-    /// `config_hash` is an FNV-1a fold ([`persist::config_hash`]) over the
-    /// hashes of the cells folded, in replicate order — so it can be
-    /// recomputed from the cell artifacts in a directory alone.
+    /// ([`ExperimentPlan::ensemble_artifact_path_with`]), **only when its
+    /// bytes would change**. The manifest's `config_hash` is an FNV-1a fold
+    /// ([`persist::config_hash`]) over the hashes of the cells folded, in
+    /// replicate order — so it can be recomputed from the cell artifacts in
+    /// a directory alone.
+    ///
+    /// A file already at the path in `compression`'s encoding is compared,
+    /// byte for byte, with what would be written ([`persist::write_if_changed`])
+    /// and left untouched when equal; otherwise the artifact is written to a
+    /// temporary and renamed into place. The rule is the same in cold,
+    /// resumed and claim-mode runs and in `aoi-artifacts merge`, so a worker
+    /// never recompresses an ensemble another worker has already landed.
     ///
     /// # Errors
     ///
@@ -1199,7 +1218,7 @@ impl EnsembleFold {
         dir: &Path,
         recording: RecordingMode,
         compression: Compression,
-    ) -> Result<(), persist::PersistError> {
+    ) -> Result<WriteOutcome, persist::PersistError> {
         let manifest = Manifest {
             artifact: ArtifactKind::Ensemble,
             scenario: format!("s{}", self.scenario),
@@ -1214,9 +1233,9 @@ impl EnsembleFold {
             self.policy,
             compression,
         );
-        let mut writer = ArtifactWriter::create_with(&path, &manifest, compression)?;
-        writer.curve(&self.label, self.scenario, self.policy, curve)?;
-        writer.finish()
+        persist::write_if_changed(&path, &manifest, compression, |writer| {
+            writer.curve(&self.label, self.scenario, self.policy, curve)
+        })
     }
 }
 
@@ -1544,6 +1563,12 @@ pub struct ResumeReport {
     /// with the total attempts this worker made (a quarantined cell shows
     /// the whole budget).
     pub attempts: Vec<(CellId, u32)>,
+    /// Ensemble artifacts left in place because the file already held
+    /// exactly the bytes this run would write ([`EnsembleFold::write`]).
+    pub ensembles_unchanged: usize,
+    /// Ensemble artifacts written: no file was there, or its bytes
+    /// differed from this run's.
+    pub ensembles_written: usize,
 }
 
 impl ResumeReport {
@@ -1591,6 +1616,13 @@ impl fmt::Display for ResumeReport {
                 "; supervision: {} retried, {} quarantined",
                 self.attempts.len(),
                 self.quarantined.len()
+            )?;
+        }
+        if self.ensembles_unchanged + self.ensembles_written > 0 {
+            write!(
+                f,
+                "; ensembles: {} unchanged, {} written",
+                self.ensembles_unchanged, self.ensembles_written
             )?;
         }
         for (id, why) in &self.invalidated {

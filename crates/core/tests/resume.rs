@@ -8,6 +8,7 @@ use aoi_cache::{
     CachePolicyKind, CacheScenario, CacheSimulation, ExperimentPlan, JointScenario, ResumeReport,
     ServicePolicyKind, ServiceScenario,
 };
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -94,6 +95,186 @@ fn warm_and_interrupted_resumes_are_bit_identical_to_cold() {
     assert_eq!(resumed, cold, "interrupted resume must be bit-identical");
     assert_eq!(read_dir_artifacts(&cold_dir), cold_files);
     std::fs::remove_dir_all(&cold_dir).unwrap();
+}
+
+/// Every file under `dir` with its bytes: what `cmp` compares.
+fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().to_string();
+            (name, std::fs::read(&p).unwrap())
+        })
+        .collect()
+}
+
+/// The inode of every ensemble artifact under `dir`. Writing an artifact
+/// renames a new file into place, so an unchanged inode means the file
+/// was left alone.
+#[cfg(unix)]
+fn ensemble_inodes(dir: &Path) -> BTreeMap<String, u64> {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("ensemble-"))
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().to_string();
+            (name, e.metadata().unwrap().ino())
+        })
+        .collect()
+}
+
+/// A full resume finds every ensemble artifact byte-identical to what it
+/// would write and leaves each file in place (same inode), in both
+/// encodings and in claim mode; the directory still equals the cold one.
+#[cfg(unix)]
+#[test]
+fn warm_resume_leaves_every_ensemble_file_in_place() {
+    for compression in [Compression::None, Compression::Deflate] {
+        let dir = scratch_dir("ensembles-in-place");
+        let plan = |d: &Path| cache_plan(d).compress(compression);
+        let (cold, report) = plan(&dir).run_ensembles_resumable().unwrap();
+        assert_eq!(
+            (report.ensembles_unchanged, report.ensembles_written),
+            (0, 2),
+            "{compression:?}: {report}"
+        );
+        let cold_bytes = dir_bytes(&dir);
+        let inodes = ensemble_inodes(&dir);
+        assert_eq!(inodes.len(), 2);
+
+        for claim in [false, true] {
+            let (warm, report) = plan(&dir)
+                .resume(true)
+                .claim(claim)
+                .run_ensembles_resumable()
+                .unwrap();
+            assert!(report.is_warm(), "{report}");
+            assert_eq!(warm, cold);
+            assert_eq!(
+                (report.ensembles_unchanged, report.ensembles_written),
+                (2, 0),
+                "{compression:?} claim={claim}: {report}"
+            );
+            assert!(report
+                .to_string()
+                .contains("ensembles: 2 unchanged, 0 written"));
+            assert_eq!(
+                ensemble_inodes(&dir),
+                inodes,
+                "{compression:?} claim={claim}"
+            );
+            let mut now = dir_bytes(&dir);
+            // Claim mode leaves its health journal beside the artifacts.
+            now.retain(|name, _| !name.starts_with("events-"));
+            assert_eq!(now, cold_bytes, "{compression:?} claim={claim}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Seven ensemble groups: enough to damage six ensemble files in six
+/// different ways and keep one intact.
+fn seven_group_plan(dir: &Path, horizon: usize, compression: Compression) -> ExperimentPlan {
+    ExperimentPlan::cache(
+        vec![CacheScenario {
+            horizon,
+            ..tiny_cache()
+        }],
+        vec![
+            CachePolicyKind::Myopic,
+            CachePolicyKind::Never,
+            CachePolicyKind::AgeThreshold { margin: 1 },
+            CachePolicyKind::AgeThreshold { margin: 2 },
+            CachePolicyKind::Periodic { period: 2 },
+            CachePolicyKind::Periodic { period: 3 },
+            CachePolicyKind::Random { probability: 0.3 },
+        ],
+    )
+    .replicate_seeds(vec![5, 6])
+    .artifact_dir(dir)
+    .compress(compression)
+}
+
+/// An ensemble file whose bytes differ in any way from what the run would
+/// write is rewritten to exactly the cold run's bytes: a flipped byte in
+/// the middle or at the very end (for a compressed file, its checksum), a
+/// truncated file, the other encoding's file at this encoding's path, a
+/// file from a different horizon, and a trailing byte after the footer or
+/// stream. The intact one is left in place.
+#[cfg(unix)]
+#[test]
+fn damaged_or_stale_ensembles_are_rewritten_to_the_cold_bytes() {
+    for compression in [Compression::None, Compression::Deflate] {
+        let other = match compression {
+            Compression::None => Compression::Deflate,
+            Compression::Deflate => Compression::None,
+        };
+        let cold_dir = scratch_dir("ensembles-cold");
+        let (cold, _) = seven_group_plan(&cold_dir, 60, compression)
+            .run_ensembles_resumable()
+            .unwrap();
+        let cold_bytes = dir_bytes(&cold_dir);
+        let other_encoding = scratch_dir("ensembles-other-encoding");
+        seven_group_plan(&other_encoding, 60, other)
+            .run_ensembles()
+            .unwrap();
+        let other_horizon = scratch_dir("ensembles-other-horizon");
+        seven_group_plan(&other_horizon, 40, compression)
+            .run_ensembles()
+            .unwrap();
+
+        let dir = scratch_dir("ensembles-damaged");
+        for (name, bytes) in &cold_bytes {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let path = |d: &Path, policy: usize, c: Compression| {
+            ExperimentPlan::ensemble_artifact_path_with(d, 0, policy, c)
+        };
+        let mut bytes = std::fs::read(path(&dir, 0, compression)).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x01;
+        std::fs::write(path(&dir, 0, compression), &bytes).unwrap();
+        let mut bytes = std::fs::read(path(&dir, 1, compression)).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(path(&dir, 1, compression), &bytes).unwrap();
+        let bytes = std::fs::read(path(&dir, 2, compression)).unwrap();
+        std::fs::write(path(&dir, 2, compression), &bytes[..bytes.len() / 2]).unwrap();
+        std::fs::copy(path(&other_encoding, 3, other), path(&dir, 3, compression)).unwrap();
+        std::fs::copy(
+            path(&other_horizon, 4, compression),
+            path(&dir, 4, compression),
+        )
+        .unwrap();
+        let mut bytes = std::fs::read(path(&dir, 5, compression)).unwrap();
+        bytes.push(b'\n');
+        std::fs::write(path(&dir, 5, compression), &bytes).unwrap();
+        let intact =
+            ensemble_inodes(&dir)[&format!("ensemble-s0-p6.jsonl{}", compression.suffix())];
+
+        let (resumed, report) = seven_group_plan(&dir, 60, compression)
+            .resume(true)
+            .run_ensembles_resumable()
+            .unwrap();
+        assert!(report.is_warm(), "{report}");
+        assert_eq!(resumed, cold);
+        assert_eq!(
+            (report.ensembles_unchanged, report.ensembles_written),
+            (1, 6),
+            "{compression:?}: {report}"
+        );
+        assert_eq!(dir_bytes(&dir), cold_bytes, "{compression:?}");
+        assert_eq!(
+            ensemble_inodes(&dir)[&format!("ensemble-s0-p6.jsonl{}", compression.suffix())],
+            intact,
+            "{compression:?}: the intact ensemble is left in place"
+        );
+        for d in [cold_dir, other_encoding, other_horizon, dir] {
+            std::fs::remove_dir_all(d).unwrap();
+        }
+    }
 }
 
 #[test]

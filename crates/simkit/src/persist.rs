@@ -47,6 +47,15 @@
 //! allocation-free with compression enabled (the codec's buffers are
 //! sized at creation).
 //!
+//! ## Unchanged artifacts
+//!
+//! [`write_if_changed`] writes an artifact only when its bytes would
+//! change: it first compares what it would write with the file already at
+//! the path (decoding it block by block, never buffering a whole file)
+//! and leaves a byte-identical file in place. The experiment engine
+//! writes its ensemble artifacts this way, so a resumed grid whose cells
+//! all verify recompresses nothing.
+//!
 //! Floats are written with Rust's shortest-round-trip `Display`, so a
 //! re-read [`TimeSeries`]/[`CurveSummary`] is **bit-identical** to the
 //! value that was written (`-0.0` included). Non-finite values are not
@@ -257,11 +266,13 @@ pub struct ArtifactWriter {
 }
 
 /// Where an [`ArtifactWriter`]'s bytes go: straight to the buffered file,
-/// or through the streaming compressor first.
+/// through the streaming compressor first, or into a byte-for-byte
+/// comparison with the file already at the artifact path.
 #[derive(Debug)]
 enum ArtifactSink {
     Plain(io::BufWriter<fs::File>),
     Deflate(CompressWriter<io::BufWriter<fs::File>>),
+    Compare(CompareSink),
     /// Placeholder left behind by [`ArtifactSink::finish`]; never written.
     Finished,
 }
@@ -271,6 +282,7 @@ impl Write for ArtifactSink {
         match self {
             ArtifactSink::Plain(w) => w.write(buf),
             ArtifactSink::Deflate(w) => w.write(buf),
+            ArtifactSink::Compare(w) => w.write(buf),
             ArtifactSink::Finished => unreachable!("write after finish"),
         }
     }
@@ -279,12 +291,19 @@ impl Write for ArtifactSink {
         match self {
             ArtifactSink::Plain(w) => w.flush(),
             ArtifactSink::Deflate(w) => w.flush(),
+            ArtifactSink::Compare(w) => w.flush(),
             ArtifactSink::Finished => unreachable!("flush after finish"),
         }
     }
 }
 
 impl ArtifactSink {
+    /// Whether the bytes go to a file (a temporary renamed into place on
+    /// finish), rather than into a comparison.
+    fn writes_file(&self) -> bool {
+        matches!(self, ArtifactSink::Plain(_) | ArtifactSink::Deflate(_))
+    }
+
     /// Completes the stream (end marker + checksum for the compressed
     /// encoding) and flushes everything to the file.
     fn finish(&mut self) -> io::Result<()> {
@@ -292,9 +311,151 @@ impl ArtifactSink {
             ArtifactSink::Plain(mut w) => w.flush(),
             // CompressWriter::finish flushes the inner writer itself.
             ArtifactSink::Deflate(w) => w.finish().map(|_| ()),
-            ArtifactSink::Finished => Ok(()),
+            ArtifactSink::Compare(_) | ArtifactSink::Finished => Ok(()),
         }
     }
+}
+
+/// An existing artifact file, read back in the encoding a writer would
+/// use: plain, or decoded block by block through the same
+/// [`DecompressReader`] that [`read_artifact`] uses.
+#[derive(Debug)]
+enum Existing {
+    Plain(io::BufReader<fs::File>),
+    Deflate(DecompressReader<io::BufReader<fs::File>>),
+}
+
+/// The sink of a comparing [`ArtifactWriter`] (see [`write_if_changed`]):
+/// every byte written is checked against the next byte of the existing
+/// file instead of being written. It holds one read buffer, or one decoded
+/// block, at a time, never a whole file. The first difference or read
+/// error clears `same` for good and later bytes are ignored, so the sink
+/// itself never fails.
+#[derive(Debug)]
+struct CompareSink {
+    existing: Existing,
+    same: bool,
+}
+
+impl CompareSink {
+    /// Opens the file at `path` for comparison under `compression`.
+    /// `None` when it cannot be opened or, for the compressed encoding,
+    /// does not start with the codec's magic bytes.
+    fn open(path: &Path, compression: Compression) -> Option<Self> {
+        let file = io::BufReader::new(fs::File::open(path).ok()?);
+        let existing = match compression {
+            Compression::None => Existing::Plain(file),
+            Compression::Deflate => Existing::Deflate(DecompressReader::new(file).ok()?),
+        };
+        Some(CompareSink {
+            existing,
+            same: true,
+        })
+    }
+
+    fn reader(&mut self) -> &mut dyn BufRead {
+        match &mut self.existing {
+            Existing::Plain(r) => r,
+            Existing::Deflate(r) => r,
+        }
+    }
+
+    /// Whether every byte written so far matched and the existing file
+    /// ends exactly there. For the compressed encoding, reading to the end
+    /// of the stream verifies its end marker and checksum, and no byte may
+    /// follow the stream in the file.
+    fn matches_whole_file(mut self) -> bool {
+        let at_end = |r: &mut dyn BufRead| r.fill_buf().is_ok_and(|rest| rest.is_empty());
+        self.same
+            && at_end(self.reader())
+            && match self.existing {
+                Existing::Plain(_) => true,
+                Existing::Deflate(r) => at_end(&mut r.into_inner()),
+            }
+    }
+}
+
+impl Write for CompareSink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let mut rest = buf;
+        while self.same && !rest.is_empty() {
+            let reader = self.reader();
+            let step = match reader.fill_buf() {
+                Ok(have) if !have.is_empty() => {
+                    let n = have.len().min(rest.len());
+                    Some((n, have[..n] == rest[..n]))
+                }
+                // The file ended early, or could not be read or decoded.
+                _ => None,
+            };
+            match step {
+                Some((n, equal)) => {
+                    reader.consume(n);
+                    rest = &rest[n..];
+                    self.same = equal;
+                }
+                None => self.same = false,
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// What [`write_if_changed`] did with an artifact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteOutcome {
+    /// The file at the path already held exactly the bytes that would be
+    /// written, and was left in place untouched.
+    Unchanged,
+    /// The artifact was written: to a temporary, renamed into place.
+    Written,
+}
+
+/// Writes the artifact that `records` emits at `path`, unless the file
+/// already there holds exactly those bytes.
+///
+/// When a file exists at `path`, `records` first runs against a
+/// *comparing* writer: the manifest, every record and the footer are
+/// formatted exactly as [`ArtifactWriter`] writes them, and checked byte
+/// for byte against the file, read in `compression`'s encoding (plain, or
+/// through [`DecompressReader`]). The file is left alone only when every
+/// byte matches and the file ends at the footer; for the compressed
+/// encoding that includes a valid end marker and checksum. The compressed
+/// bytes on disk are then the bytes the writer would produce, because the
+/// encoder is deterministic (`crates/simkit/tests/codec_pin.rs` pins it).
+/// Any difference, read or decode error, or an error from `records`
+/// (such as a non-finite value) falls through to the write path: `records`
+/// runs again on a writer from [`ArtifactWriter::create_with`], exactly as
+/// if no file had been there.
+///
+/// The comparison writes nothing, so it consults no fault-injection hook:
+/// [`faults::on_sample`](crate::faults::on_sample) counts only samples
+/// written to a file, and [`faults::on_finalize`](crate::faults::on_finalize)
+/// runs only when a file is renamed into place.
+///
+/// # Errors
+///
+/// Those of the write path: [`ArtifactWriter::create_with`], the
+/// writer's record methods and [`ArtifactWriter::finish`].
+pub fn write_if_changed(
+    path: &Path,
+    manifest: &Manifest,
+    compression: Compression,
+    mut records: impl FnMut(&mut ArtifactWriter) -> Result<(), PersistError>,
+) -> Result<WriteOutcome, PersistError> {
+    if let Some(mut compare) = ArtifactWriter::compare_with(path, manifest, compression) {
+        if records(&mut compare).is_ok() && compare.finish_compare() {
+            return Ok(WriteOutcome::Unchanged);
+        }
+    }
+    let mut writer = ArtifactWriter::create_with(path, manifest, compression)?;
+    records(&mut writer)?;
+    writer.finish()?;
+    Ok(WriteOutcome::Written)
 }
 
 impl ArtifactWriter {
@@ -351,6 +512,36 @@ impl ArtifactWriter {
         };
         writer.write_manifest(manifest)?;
         Ok(writer)
+    }
+
+    /// A writer whose bytes are compared with the file at `path` instead
+    /// of written (see [`write_if_changed`]); `None` when there is no file
+    /// to compare with in `compression`'s encoding.
+    fn compare_with(path: &Path, manifest: &Manifest, compression: Compression) -> Option<Self> {
+        let mut writer = ArtifactWriter {
+            out: ArtifactSink::Compare(CompareSink::open(path, compression)?),
+            path: path.display().to_string(),
+            tmp: PathBuf::new(),
+            dest: path.to_path_buf(),
+            channels: 0,
+            curves: 0,
+            samples: 0,
+            error: None,
+        };
+        writer.write_manifest(manifest).ok()?;
+        Some(writer)
+    }
+
+    /// Ends a comparing writer: writes the footer into the comparison and
+    /// reports whether the file held exactly this artifact.
+    fn finish_compare(mut self) -> bool {
+        if self.write_footer().is_err() {
+            return false;
+        }
+        match std::mem::replace(&mut self.out, ArtifactSink::Finished) {
+            ArtifactSink::Compare(sink) => sink.matches_whole_file(),
+            _ => false,
+        }
     }
 
     /// Wraps this writer for sharing across the [`TraceRecorder`] sinks
@@ -464,7 +655,13 @@ impl ArtifactWriter {
         value: f64,
     ) -> Result<(), PersistError> {
         self.guard()?;
-        if let Err(e) = crate::faults::on_sample() {
+        // A comparing writer writes nothing, so there is no write to fail.
+        let hook = if self.out.writes_file() {
+            crate::faults::on_sample()
+        } else {
+            Ok(())
+        };
+        if let Err(e) = hook {
             let error = PersistError::Io {
                 op: "write sample",
                 path: self.path.clone(),
@@ -611,6 +808,16 @@ impl ArtifactWriter {
         Ok(())
     }
 
+    fn write_footer(&mut self) -> Result<(), PersistError> {
+        self.guard()?;
+        let result = writeln!(
+            self.out,
+            "{{\"kind\":\"footer\",\"channels\":{},\"curves\":{},\"samples\":{}}}",
+            self.channels, self.curves, self.samples
+        );
+        self.io("write footer", result)
+    }
+
     /// Writes the footer record, flushes the temporary file and renames
     /// it into place under the final path — the artifact appears under
     /// its final name only when complete. An artifact without a footer is
@@ -621,13 +828,7 @@ impl ArtifactWriter {
     /// Returns the latched error (the first failure of any earlier write)
     /// or an I/O failure of the footer/flush/rename itself.
     pub fn finish(mut self) -> Result<(), PersistError> {
-        self.guard()?;
-        let result = writeln!(
-            self.out,
-            "{{\"kind\":\"footer\",\"channels\":{},\"curves\":{},\"samples\":{}}}",
-            self.channels, self.curves, self.samples
-        );
-        self.io("write footer", result)?;
+        self.write_footer()?;
         let finish = self.out.finish();
         self.io("finish", finish)?;
         if let Err(e) = fs::rename(&self.tmp, &self.dest) {
@@ -649,7 +850,7 @@ impl Drop for ArtifactWriter {
     /// Temporaries orphaned by a hard crash (no destructors) are swept by
     /// the resume pass instead.
     fn drop(&mut self) {
-        if !matches!(self.out, ArtifactSink::Finished) {
+        if self.out.writes_file() {
             // Close the file handle before unlinking.
             self.out = ArtifactSink::Finished;
             let _ = fs::remove_file(&self.tmp);
@@ -776,7 +977,7 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, PersistError> {
         .map_err(|e| io_error("read", &display, &e))?;
     let mut reader: Box<dyn BufRead> = if compress::is_compressed(head) {
         let decoder = DecompressReader::new(plain).map_err(|e| io_error("read", &display, &e))?;
-        Box::new(io::BufReader::new(decoder))
+        Box::new(decoder)
     } else {
         Box::new(plain)
     };

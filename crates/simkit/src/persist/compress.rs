@@ -39,10 +39,11 @@
 //! **no heap allocation after construction** — all window, hash-chain and
 //! block buffers are sized up front — which keeps the artifact writer's
 //! per-sample hot path allocation-free with compression enabled.
-//! [`DecompressReader`] implements [`io::Read`] and is what
-//! [`read_artifact`](super::read_artifact) wraps transparently around
-//! compressed files (detected by the magic bytes, regardless of file
-//! name).
+//! [`DecompressReader`] implements [`io::Read`] and [`io::BufRead`]. It
+//! is what [`read_artifact`](super::read_artifact) reads compressed files
+//! through (detected by the magic bytes, regardless of file name), and
+//! what an unchanged-artifact check compares an existing file through
+//! ([`write_if_changed`](super::write_if_changed)).
 //!
 //! ```
 //! use simkit::persist::compress::{compress, decompress};
@@ -54,7 +55,7 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// The stream's self-describing prefix: readers detect a compressed
@@ -288,12 +289,17 @@ fn decompress_block(payload: &[u8], raw_len: usize, out: &mut Vec<u8>) -> io::Re
             if out.len() + len > raw_len {
                 return Err(corrupt("match overruns the declared block length"));
             }
-            // Overlapping copies are meaningful (run-length encoding), so
-            // copy byte by byte.
             let start = out.len() - dist;
-            for i in 0..len {
-                let b = out[start + i];
-                out.push(b);
+            if dist >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                // Overlapping copies are meaningful (run-length encoding):
+                // later bytes repeat ones this copy writes, so copy byte by
+                // byte.
+                for i in 0..len {
+                    let b = out[start + i];
+                    out.push(b);
+                }
             }
         } else {
             let b = *payload
@@ -461,6 +467,12 @@ impl<R: Read> DecompressReader<R> {
         })
     }
 
+    /// The underlying reader, positioned just past the end marker and
+    /// checksum once the stream has been read to its end.
+    pub(crate) fn into_inner(self) -> R {
+        self.inner
+    }
+
     fn next_block(&mut self) -> io::Result<()> {
         let corrupt = |why: &str| io::Error::new(io::ErrorKind::InvalidData, why.to_string());
         let mut header = [0u8; 8];
@@ -515,16 +527,29 @@ fn truncated(e: io::Error) -> io::Error {
 
 impl<R: Read> Read for DecompressReader<R> {
     fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let available = self.fill_buf()?;
+        let n = available.len().min(out.len());
+        out[..n].copy_from_slice(&available[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+/// Serves the decoded block in place, so a line reader or a comparing
+/// sink needs no second buffer on top of the decoder's own.
+impl<R: Read> BufRead for DecompressReader<R> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
         while self.pos == self.buf.len() {
             if self.done {
-                return Ok(0);
+                return Ok(&[]);
             }
             self.next_block()?;
         }
-        let n = (self.buf.len() - self.pos).min(out.len());
-        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
+        Ok(&self.buf[self.pos..])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.pos = (self.pos + amt).min(self.buf.len());
     }
 }
 
