@@ -30,9 +30,10 @@
 //! (intact footer, matching configuration) and recomputes the rest — the
 //! final figures are bit-identical to a cold run. Ensemble files are
 //! written only when their bytes would change: one that already holds
-//! exactly this run's bytes is left in place, in every mode, and the
-//! closing `artifacts:` line counts the ensembles left unchanged and
-//! written (a fully warm `--resume` prints `9 unchanged, 0 written`).
+//! exactly this run's content (for `.z`, the decoded stream, end marker
+//! and checksum) is left in place, in every mode, and the closing
+//! `artifacts:` line counts the ensembles left unchanged and written (a
+//! fully warm `--resume` prints `9 unchanged, 0 written`).
 //!
 //! `--claim` (with `--resume`) turns the run into **one worker of a
 //! distributed campaign**: before recomputing a cell the worker claims

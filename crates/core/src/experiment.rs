@@ -1203,11 +1203,13 @@ impl EnsembleFold {
     /// a directory alone.
     ///
     /// A file already at the path in `compression`'s encoding is compared,
-    /// byte for byte, with what would be written ([`persist::write_if_changed`])
-    /// and left untouched when equal; otherwise the artifact is written to a
-    /// temporary and renamed into place. The rule is the same in cold,
-    /// resumed and claim-mode runs and in `aoi-artifacts merge`, so a worker
-    /// never recompresses an ensemble another worker has already landed.
+    /// byte for byte and for `.z` after decoding, with what would be
+    /// written ([`persist::write_if_changed`]) and left untouched when
+    /// equal; otherwise the artifact is written to a temporary and renamed
+    /// into place. The rule is the same in cold, resumed and claim-mode
+    /// runs and in `aoi-artifacts merge`. It saves work only when the file
+    /// is already there, as after a finished run; a file that differs
+    /// costs the comparison on top of the write.
     ///
     /// # Errors
     ///

@@ -52,9 +52,10 @@
 //! [`write_if_changed`] writes an artifact only when its bytes would
 //! change: it first compares what it would write with the file already at
 //! the path (decoding it block by block, never buffering a whole file)
-//! and leaves a byte-identical file in place. The experiment engine
-//! writes its ensemble artifacts this way, so a resumed grid whose cells
-//! all verify recompresses nothing.
+//! and leaves the file in place when it holds the same content (for a
+//! compressed file: the same decoded stream, end marker and checksum).
+//! The experiment engine writes its ensemble artifacts this way, so a
+//! resumed grid whose cells all verify recompresses nothing.
 //!
 //! Floats are written with Rust's shortest-round-trip `Display`, so a
 //! re-read [`TimeSeries`]/[`CurveSummary`] is **bit-identical** to the
@@ -416,7 +417,7 @@ pub enum WriteOutcome {
 }
 
 /// Writes the artifact that `records` emits at `path`, unless the file
-/// already there holds exactly those bytes.
+/// already there holds exactly that content.
 ///
 /// When a file exists at `path`, `records` first runs against a
 /// *comparing* writer: the manifest, every record and the footer are
@@ -424,13 +425,17 @@ pub enum WriteOutcome {
 /// for byte against the file, read in `compression`'s encoding (plain, or
 /// through [`DecompressReader`]). The file is left alone only when every
 /// byte matches and the file ends at the footer; for the compressed
-/// encoding that includes a valid end marker and checksum. The compressed
-/// bytes on disk are then the bytes the writer would produce, because the
-/// encoder is deterministic (`crates/simkit/tests/codec_pin.rs` pins it).
-/// Any difference, read or decode error, or an error from `records`
-/// (such as a non-finite value) falls through to the write path: `records`
-/// runs again on a writer from [`ArtifactWriter::create_with`], exactly as
-/// if no file had been there.
+/// encoding that includes a valid end marker and checksum, with no byte
+/// after it. For a compressed file this checks the *decoded* content, not
+/// the stored bytes: any valid stream of the same content is kept, stored
+/// blocks or another block split included. Such a file is byte-identical
+/// to a fresh write only if this encoder wrote it;
+/// `crates/simkit/tests/codec_pin.rs` holds that across versions, as long
+/// as a change to the encoder's output bytes also changes
+/// [`compress::MAGIC`]. Any difference, read or decode error, or an error
+/// from `records` (such as a non-finite value) falls through to the write
+/// path: `records` runs again on a writer from
+/// [`ArtifactWriter::create_with`], exactly as if no file had been there.
 ///
 /// The comparison writes nothing, so it consults no fault-injection hook:
 /// [`faults::on_sample`](crate::faults::on_sample) counts only samples

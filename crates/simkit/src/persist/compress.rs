@@ -289,17 +289,15 @@ fn decompress_block(payload: &[u8], raw_len: usize, out: &mut Vec<u8>) -> io::Re
             if out.len() + len > raw_len {
                 return Err(corrupt("match overruns the declared block length"));
             }
+            // An overlapping copy (dist < len, run-length encoding) repeats
+            // every `dist` bytes, so copying the `dist`-byte window at
+            // `start` over and over covers both cases.
             let start = out.len() - dist;
-            if dist >= len {
-                out.extend_from_within(start..start + len);
-            } else {
-                // Overlapping copies are meaningful (run-length encoding):
-                // later bytes repeat ones this copy writes, so copy byte by
-                // byte.
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
-                }
+            let mut left = len;
+            while left > 0 {
+                let n = left.min(dist);
+                out.extend_from_within(start..start + n);
+                left -= n;
             }
         } else {
             let b = *payload

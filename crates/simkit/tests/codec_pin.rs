@@ -3,12 +3,13 @@
 //! An ensemble artifact is left in place when a run would write the same
 //! bytes (`simkit::persist::write_if_changed`). For a compressed artifact
 //! that check compares the *decoded* stream, which is only the same as
-//! comparing the file if the encoder turns equal input into equal output,
-//! every time and in every version. This suite is that guard: it
-//! compresses a committed fixture and asserts a pinned digest of the
-//! output. A change to the encoder that moves these bytes also changes the
-//! files that resumed runs leave in place, so it must come with a new
-//! stream version, not a new pin.
+//! comparing the file if the file was written by this encoder and the
+//! encoder turns equal input into equal output, every time and in every
+//! version. This suite guards the second half: it compresses a committed
+//! fixture and asserts a pinned digest of the output. A change to the
+//! encoder that moves these bytes also changes the files that resumed runs
+//! leave in place, so it must come with a new stream version (a new
+//! `MAGIC`), not a new pin.
 //!
 //! The fixture is a real artifact, not a tuned one: the `mdp-avg` cell
 //! trace of `ensemble 1 --horizon 80 --out DIR` (fig1a, seed 1). At 86 KB
