@@ -317,13 +317,35 @@ impl ArtifactSink {
     }
 }
 
-/// An existing artifact file, read back in the encoding a writer would
-/// use: plain, or decoded block by block through the same
-/// [`DecompressReader`] that [`read_artifact`] uses.
+/// An artifact file read in its encoding: plain, or decoded block by
+/// block through [`DecompressReader`]. [`read_artifact`] and the compare
+/// sink of [`write_if_changed`] both read through it.
 #[derive(Debug)]
-enum Existing {
+enum FileReader {
     Plain(io::BufReader<fs::File>),
     Deflate(DecompressReader<io::BufReader<fs::File>>),
+}
+
+impl FileReader {
+    fn reader(&mut self) -> &mut dyn BufRead {
+        match self {
+            FileReader::Plain(r) => r,
+            FileReader::Deflate(r) => r,
+        }
+    }
+
+    /// Whether the file ends where the reader stands: no content byte is
+    /// left and, for the compressed encoding, no byte follows the stream
+    /// in the file. Reading a compressed stream to its end verifies its end
+    /// marker and checksum; a read error counts as not at the end.
+    fn at_file_end(mut self) -> bool {
+        let at_end = |r: &mut dyn BufRead| r.fill_buf().is_ok_and(|rest| rest.is_empty());
+        at_end(self.reader())
+            && match self {
+                FileReader::Plain(_) => true,
+                FileReader::Deflate(r) => at_end(&mut r.into_inner()),
+            }
+    }
 }
 
 /// The sink of a comparing [`ArtifactWriter`] (see [`write_if_changed`]):
@@ -334,7 +356,7 @@ enum Existing {
 /// itself never fails.
 #[derive(Debug)]
 struct CompareSink {
-    existing: Existing,
+    existing: FileReader,
     same: bool,
 }
 
@@ -345,8 +367,8 @@ impl CompareSink {
     fn open(path: &Path, compression: Compression) -> Option<Self> {
         let file = io::BufReader::new(fs::File::open(path).ok()?);
         let existing = match compression {
-            Compression::None => Existing::Plain(file),
-            Compression::Deflate => Existing::Deflate(DecompressReader::new(file).ok()?),
+            Compression::None => FileReader::Plain(file),
+            Compression::Deflate => FileReader::Deflate(DecompressReader::new(file).ok()?),
         };
         Some(CompareSink {
             existing,
@@ -354,25 +376,10 @@ impl CompareSink {
         })
     }
 
-    fn reader(&mut self) -> &mut dyn BufRead {
-        match &mut self.existing {
-            Existing::Plain(r) => r,
-            Existing::Deflate(r) => r,
-        }
-    }
-
     /// Whether every byte written so far matched and the existing file
-    /// ends exactly there. For the compressed encoding, reading to the end
-    /// of the stream verifies its end marker and checksum, and no byte may
-    /// follow the stream in the file.
-    fn matches_whole_file(mut self) -> bool {
-        let at_end = |r: &mut dyn BufRead| r.fill_buf().is_ok_and(|rest| rest.is_empty());
-        self.same
-            && at_end(self.reader())
-            && match self.existing {
-                Existing::Plain(_) => true,
-                Existing::Deflate(r) => at_end(&mut r.into_inner()),
-            }
+    /// ends exactly there (see [`FileReader::at_file_end`]).
+    fn matches_whole_file(self) -> bool {
+        self.same && self.existing.at_file_end()
     }
 }
 
@@ -380,7 +387,7 @@ impl Write for CompareSink {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let mut rest = buf;
         while self.same && !rest.is_empty() {
-            let reader = self.reader();
+            let reader = self.existing.reader();
             let step = match reader.fill_buf() {
                 Ok(have) if !have.is_empty() => {
                     let n = have.len().min(rest.len());
@@ -980,12 +987,13 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, PersistError> {
     let head = plain
         .fill_buf()
         .map_err(|e| io_error("read", &display, &e))?;
-    let mut reader: Box<dyn BufRead> = if compress::is_compressed(head) {
+    let mut file = if compress::is_compressed(head) {
         let decoder = DecompressReader::new(plain).map_err(|e| io_error("read", &display, &e))?;
-        Box::new(decoder)
+        FileReader::Deflate(decoder)
     } else {
-        Box::new(plain)
+        FileReader::Plain(plain)
     };
+    let reader = file.reader();
 
     struct PendingCurve {
         label: String,
@@ -1190,6 +1198,13 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, PersistError> {
         }
     }
 
+    // A compressed stream read to its end marker must also end the file.
+    if !file.at_file_end() {
+        return Err(corrupt(
+            number,
+            "bytes after the compressed stream".to_string(),
+        ));
+    }
     let manifest = manifest.ok_or(PersistError::Truncated)?;
     if footer.is_none() {
         return Err(PersistError::Truncated);

@@ -221,6 +221,55 @@ fn truncated_artifact_is_rejected() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Bytes after a compressed stream's end marker and checksum are damage,
+/// not padding: a cell (trace) and an ensemble artifact with a trailing
+/// `garbage` both fail to read, while the same files without it read.
+#[test]
+fn bytes_after_a_compressed_stream_are_rejected() {
+    let trace = scratch("trailing-trace");
+    let mut writer = ArtifactWriter::create_with(
+        &trace,
+        &manifest(ArtifactKind::Trace, RecordingMode::Full),
+        Compression::Deflate,
+    )
+    .unwrap();
+    let ch = writer.channel("x", RecordingMode::Full).unwrap();
+    for i in 0..50 {
+        writer.sample(ch, TimeSlot::new(i), i as f64 * 0.5).unwrap();
+    }
+    writer.finish().unwrap();
+
+    let ensemble = scratch("trailing-ensemble");
+    let mut writer = ArtifactWriter::create_with(
+        &ensemble,
+        &manifest(ArtifactKind::Ensemble, RecordingMode::SummaryOnly),
+        Compression::Deflate,
+    )
+    .unwrap();
+    let mut acc = CurveAccumulator::new("s0/test");
+    let mut curve = TimeSeries::new("replicate");
+    for (i, v) in awkward_values().iter().enumerate() {
+        curve.push(TimeSlot::new(i as u64), *v);
+    }
+    acc.push_curve(&curve);
+    writer.curve("test", 0, 1, &acc.finish().unwrap()).unwrap();
+    writer.finish().unwrap();
+
+    for path in [&trace, &ensemble] {
+        assert!(read_artifact(path).is_ok(), "{}", path.display());
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes.extend_from_slice(b"garbage");
+        std::fs::write(path, &bytes).unwrap();
+        assert!(
+            matches!(read_artifact(path), Err(PersistError::Corrupt { .. })),
+            "{}: {:?}",
+            path.display(),
+            read_artifact(path)
+        );
+        std::fs::remove_file(path).unwrap();
+    }
+}
+
 #[test]
 fn corrupted_records_are_rejected_with_line_numbers() {
     let path = scratch("corrupt");
