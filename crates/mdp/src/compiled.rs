@@ -35,10 +35,13 @@
 //! ([`simkit::executor::run_rounds`]) so a block's output slice and
 //! streamed row data stay cache-resident.
 //!
-//! On dense kernels blocked sweeps batch across *states*: action-outer /
-//! state-inner, the inner loop streams `(expected, next)` contiguously with
-//! one `values` gather per row and no per-row validity test (invalid rows
-//! are `-∞`, which the over-actions max skips). A row's Q is
+//! On dense kernels a block is backed up in register blocks of a few
+//! consecutive states, action-outer: each action plane yields the register
+//! block's `(expected, next)` contiguously with one `values` gather per
+//! row, and every state's best Q (and, for the ranked backups of the
+//! certified policy solve, its runner-up and argmax) stays in a register
+//! across all actions. There is no per-row validity test: invalid rows are
+//! `-∞`, which the over-actions max skips. A row's Q is
 //! `expected + γ·(0.0 + V[next])`: the CSR gather of a single-transition
 //! row accumulates `0.0 + p·V[next]`, and with `p == 1.0` the product
 //! `1.0·x` is exactly `x`, so both layouts give a row the same Q to the
@@ -46,6 +49,16 @@
 //! row left to right, with the per-row validity bit test hoisted out of the
 //! action loop (one bitmap word covers all of a state's rows until the row
 //! index crosses a word boundary).
+//!
+//! Each state's backup then goes straight into its solver's per-state
+//! step, in the same pass: value iteration stores it and records its
+//! change; relative value iteration damps it, records the damped change
+//! and stores it re-anchored; the certified policy solve also folds the
+//! action gap and stores the argmax. So a sweep reads and writes the
+//! iterate once. The re-anchor offset is state 0's damped backup, which
+//! every block computes for itself from the previous iterate (one state's
+//! backup, O(actions) per block); serial and pooled sweeps subtract the
+//! same bits, and no pass over the whole iterate follows the sweep.
 //!
 //! Policy-evaluation sweeps (`V ← r_π + γ·P_π·V`: policy evaluation and
 //! policy iteration) read one row per state. On dense kernels they stream
@@ -330,20 +343,7 @@ impl CompiledMdp {
     /// actions.
     #[inline]
     pub fn backup_state(&self, state: usize, values: &[f64], gamma: f64) -> f64 {
-        self.backup_state_with_action(state, values, gamma).0
-    }
-
-    /// Backup of one state with its argmax action (ties break to the lowest
-    /// action index).
-    #[inline]
-    pub(crate) fn backup_state_with_action(
-        &self,
-        state: usize,
-        values: &[f64],
-        gamma: f64,
-    ) -> (f64, usize) {
-        let (best, best_a, _) = self.backup_state_ranked(state, values, gamma);
-        (best, best_a)
+        self.backup_state_ranked(state, values, gamma).0
     }
 
     /// Backup of one state as `(best Q, argmax action, runner-up Q)`; the
@@ -383,13 +383,13 @@ impl CompiledMdp {
     }
 
     /// Bellman-optimality backups of a contiguous state range, written into
-    /// `out` (`out[0]` is `states.start`). This is the sweep body of value
-    /// and relative value iteration: row data streams linearly through the
-    /// block while the iterate stays cache-hot.
+    /// `out` (`out[0]` is `states.start`), each equal to
+    /// [`backup_state`](Self::backup_state) bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `out.len() != states.len()`.
+    /// Panics if `out` is shorter than `states` (in debug builds, if the
+    /// lengths differ).
     pub fn backup_block(
         &self,
         states: std::ops::Range<usize>,
@@ -397,11 +397,76 @@ impl CompiledMdp {
         out: &mut [f64],
         gamma: f64,
     ) {
-        let (stats, greedy) = (&mut SweepStats::new(), &PolicyRows::default());
-        self.backup_block_tracked::<false>(states, values, out, gamma, stats, greedy);
+        debug_assert_eq!(out.len(), states.len(), "output block length mismatch");
+        let lo = states.start;
+        self.backup_each::<false>(states, values, gamma, |s, best, _, _| out[s - lo] = best);
     }
 
-    /// [`backup_block`](Self::backup_block) that also folds each state's
+    /// Bellman-optimality backups of a contiguous state range with each
+    /// state's ranking: calls `visit(state, best, runner_up, argmax)` once
+    /// per state, in ascending order. `best` is
+    /// [`backup_state`](Self::backup_state)'s value bit for bit, `runner_up`
+    /// the second-largest Q (`-∞` when only one action is valid, `best`
+    /// itself on an exact tie) and `argmax` the lowest action whose Q is
+    /// `best`.
+    pub fn backup_block_ranked(
+        &self,
+        states: std::ops::Range<usize>,
+        values: &[f64],
+        gamma: f64,
+        visit: impl FnMut(usize, f64, f64, usize),
+    ) {
+        self.backup_each::<true>(states, values, gamma, visit);
+    }
+
+    /// One value-iteration sweep block: the backups of
+    /// [`backup_block`](Self::backup_block), with each state's change from
+    /// `values` recorded into `stats` in the same pass.
+    pub(crate) fn sweep_block(
+        &self,
+        states: std::ops::Range<usize>,
+        values: &[f64],
+        out: &mut [f64],
+        gamma: f64,
+        stats: &mut SweepStats,
+    ) {
+        let lo = states.start;
+        let mut change = *stats;
+        self.backup_each::<false>(states, values, gamma, |s, best, _, _| {
+            change.record(best - values[s]);
+            out[s - lo] = best;
+        });
+        *stats = change;
+    }
+
+    /// One relative-value-iteration sweep block (`γ = 1`, damping `τ`) in
+    /// one pass: each state's damped backup `(1 − τ)·h(s) + τ·max_a Q(s, a)`
+    /// records its change from `h(s)` into `stats` and is stored re-anchored,
+    /// minus state 0's damped backup, so a full sweep leaves `h(0) = 0`.
+    /// Every block computes that offset itself from `h` (one state's
+    /// backup), so all blocks of a sweep, serial or pooled, subtract the
+    /// same bits.
+    pub(crate) fn relative_sweep_block(
+        &self,
+        states: std::ops::Range<usize>,
+        h: &[f64],
+        out: &mut [f64],
+        damping: f64,
+        stats: &mut SweepStats,
+    ) {
+        let damp = |old: f64, best: f64| (1.0 - damping) * old + damping * best;
+        let offset = damp(h[0], self.backup_state(0, h, 1.0));
+        let lo = states.start;
+        let mut change = *stats;
+        self.backup_each::<false>(states, h, 1.0, |s, best, _, _| {
+            let damped = damp(h[s], best);
+            change.record(damped - h[s]);
+            out[s - lo] = damped - offset;
+        });
+        *stats = change;
+    }
+
+    /// [`sweep_block`](Self::sweep_block) that also folds each state's
     /// action gap (best minus runner-up Q, computed from `values`) into
     /// `stats.margin` and points each state's entry of `greedy` at its
     /// argmax action (ties break to the lowest index). The backed-up values
@@ -415,132 +480,91 @@ impl CompiledMdp {
         stats: &mut SweepStats,
         greedy: &PolicyRows,
     ) {
-        self.backup_block_tracked::<true>(states, values, out, gamma, stats, greedy);
+        let lo = states.start;
+        let mut change = *stats;
+        self.backup_block_ranked(states, values, gamma, |s, best, runner_up, argmax| {
+            change.record(best - values[s]);
+            change.record_gap(best - runner_up);
+            self.set_policy_row(greedy, s, argmax);
+            out[s - lo] = best;
+        });
+        *stats = change;
     }
 
+    /// The backup kernel of every optimality sweep: calls
+    /// `visit(state, best, runner_up, argmax)` for each state of `states`
+    /// in ascending order. Runner-up and argmax are tracked only when
+    /// `RANKED` (otherwise they read `-∞` and `0`). CSR kernels back up one
+    /// state at a time; dense kernels run [`dense_lanes`](Self::dense_lanes)
+    /// over register blocks of [`LANES`] states, then one state at a time
+    /// over the tail.
     #[inline(always)]
-    fn backup_block_tracked<const GAP: bool>(
+    fn backup_each<const RANKED: bool>(
         &self,
         states: std::ops::Range<usize>,
         values: &[f64],
-        out: &mut [f64],
         gamma: f64,
-        stats: &mut SweepStats,
-        greedy: &PolicyRows,
+        mut visit: impl FnMut(usize, f64, f64, usize),
     ) {
-        debug_assert_eq!(out.len(), states.len(), "output block length mismatch");
-        if let Rows::Dense(dense) = &self.rows {
-            return self
-                .backup_block_dense::<GAP>(dense, states, values, out, gamma, stats, greedy);
-        }
-        for (slot, s) in out.iter_mut().zip(states) {
-            let (best, best_a, runner_up) = self.backup_state_ranked(s, values, gamma);
-            *slot = best;
-            if GAP {
-                stats.record_gap(best - runner_up);
-                self.set_policy_row(greedy, s, best_a);
+        let Rows::Dense(dense) = &self.rows else {
+            for s in states {
+                let (best, argmax, runner_up) = self.backup_state_ranked(s, values, gamma);
+                visit(s, best, runner_up, argmax);
             }
+            return;
+        };
+        let mut s = states.start;
+        while s + LANES <= states.end {
+            self.dense_lanes::<RANKED, LANES>(dense, s, values, gamma, &mut visit);
+            s += LANES;
+        }
+        for s in s..states.end {
+            self.dense_lanes::<RANKED, 1>(dense, s, values, gamma, &mut visit);
         }
     }
 
-    /// [`backup_block`](Self::backup_block) over the dense planes. When
-    /// gaps are tracked it runs in pieces of at most [`SWEEP_BLOCK`] states
-    /// (one piece per sweep block), whose runner-up Qs and argmax actions
-    /// live in stack buffers, so the sweep stays allocation-free.
-    #[allow(clippy::too_many_arguments)]
-    fn backup_block_dense<const GAP: bool>(
-        &self,
-        dense: &DenseRows,
-        states: std::ops::Range<usize>,
-        values: &[f64],
-        out: &mut [f64],
-        gamma: f64,
-        stats: &mut SweepStats,
-        greedy: &PolicyRows,
-    ) {
-        if !GAP {
-            return self.dense_pass::<false>(
-                dense,
-                states.start,
-                values,
-                out,
-                gamma,
-                &mut [],
-                &mut [],
-            );
-        }
-        let mut runner_up = [0.0; SWEEP_BLOCK];
-        let mut argmax = [0usize; SWEEP_BLOCK];
-        for (i, run) in out.chunks_mut(SWEEP_BLOCK).enumerate() {
-            let lo = states.start + i * SWEEP_BLOCK;
-            let second = &mut runner_up[..run.len()];
-            let arg = &mut argmax[..run.len()];
-            self.dense_pass::<true>(dense, lo, values, run, gamma, second, arg);
-            for (j, &a) in arg.iter().enumerate() {
-                self.set_policy_row(greedy, lo + j, a);
-            }
-            // Reduced in a register, not through `stats`, so the per-state
-            // min is one compare.
-            let run_margin = run
-                .iter()
-                .zip(second.iter())
-                .map(|(&best, &second)| best - second)
-                .fold(
-                    f64::INFINITY,
-                    |margin, gap| if gap < margin { gap } else { margin },
-                );
-            stats.record_gap(run_margin);
-        }
-    }
-
-    /// The dense sweep kernel: action-outer / state-inner over the states
-    /// `lo..lo + out.len()`, so the inner loop streams `(expected, next)`
-    /// contiguously with exactly one `values` gather per row and folds
-    /// validity into the data (invalid rows are `-∞ + γ·future`, which the
-    /// strict max skips). Per row this is [`q_value`](Self::q_value)'s
-    /// arithmetic, so the results agree exactly (`==`) with
-    /// [`backup_state`](Self::backup_state); ties in the max resolve
-    /// identically because both iterate actions in ascending order with
-    /// strict improvement. With `GAP`, `second[j]` and `arg[j]` also end up
-    /// holding state `lo + j`'s runner-up Q (`-∞` when only one action is
-    /// valid) and argmax action; without it both are unused.
+    /// Backs up the `W` dense states `first..first + W`, action-outer: each
+    /// action plane yields the `W` states' `(expected, next)` contiguously,
+    /// one `values` gather per row, and every state's best Q (with
+    /// `RANKED`, its runner-up and argmax too) stays in a register across
+    /// all actions. Invalid rows are `-∞ + γ·future`, which the strict max
+    /// skips, so no row tests validity. Per row this is
+    /// [`q_value`](Self::q_value)'s arithmetic, and actions run in
+    /// ascending order with strict improvement, as in
+    /// [`backup_state`](Self::backup_state): the results, runner-ups and
+    /// argmaxes agree exactly.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn dense_pass<const GAP: bool>(
+    fn dense_lanes<const RANKED: bool, const W: usize>(
         &self,
         dense: &DenseRows,
-        lo: usize,
+        first: usize,
         values: &[f64],
-        out: &mut [f64],
         gamma: f64,
-        second: &mut [f64],
-        arg: &mut [usize],
+        visit: &mut impl FnMut(usize, f64, f64, usize),
     ) {
-        let n = out.len();
-        let second = if GAP { &mut second[..n] } else { second };
-        let arg = if GAP { &mut arg[..n] } else { arg };
-        out.fill(f64::NEG_INFINITY);
-        second.fill(f64::NEG_INFINITY);
-        arg.fill(0);
+        let mut best = [f64::NEG_INFINITY; W];
+        let mut second = [f64::NEG_INFINITY; W];
+        let mut arg = [0usize; W];
         for a in 0..self.n_actions {
-            let base = a * self.n_states + lo;
-            let exp = &dense.expected[base..base + n];
-            let next = &dense.next[base..base + n];
-            for j in 0..n {
+            let row = a * self.n_states + first;
+            let expected = &dense.expected[row..row + W];
+            let next = &dense.next[row..row + W];
+            for k in 0..W {
                 // The CSR gather's single-term sum `0.0 + 1.0·V[next]`
                 // (`1.0·x == x` exactly).
-                let future = 0.0 + values[next[j] as usize];
-                let q = exp[j] + gamma * future;
-                let best = out[j];
-                if GAP {
+                let q = expected[k] + gamma * (0.0 + values[next[k] as usize]);
+                if RANKED {
                     // The new runner-up is the larger of the old runner-up
                     // and whichever of (old best, q) loses.
-                    let lower = if q > best { best } else { q };
-                    second[j] = if lower > second[j] { lower } else { second[j] };
-                    arg[j] = if q > best { a } else { arg[j] };
+                    let lower = if q > best[k] { best[k] } else { q };
+                    second[k] = if lower > second[k] { lower } else { second[k] };
+                    arg[k] = if q > best[k] { a } else { arg[k] };
                 }
-                out[j] = if q > best { q } else { best };
+                best[k] = if q > best[k] { q } else { best[k] };
             }
+        }
+        for k in 0..W {
+            visit(first + k, best[k], second[k], arg[k]);
         }
     }
 
@@ -577,7 +601,8 @@ impl CompiledMdp {
     }
 
     /// Policy-evaluation backups `Q(s, π(s))` of a contiguous state range,
-    /// written into `out` (`out[0]` is `states.start`): one row per state
+    /// written into `out` (`out[0]` is `states.start`) with each state's
+    /// change from `values` recorded into `stats`: one row per state
     /// instead of every action's. Dense kernels stream the rows' copies in
     /// `rows`, CSR kernels gather the row of `π(s)`; both perform the
     /// arithmetic of [`q_value`](Self::q_value) in the same order, so the
@@ -589,20 +614,25 @@ impl CompiledMdp {
         out: &mut [f64],
         gamma: f64,
         rows: &PolicyRows,
+        stats: &mut SweepStats,
     ) {
         debug_assert_eq!(out.len(), states.len(), "output block length mismatch");
+        let mut change = *stats;
         if self.has_dense_layout() {
             let expected = &rows.expected[states.clone()];
-            let next = &rows.next[states];
-            for (j, slot) in out.iter_mut().enumerate() {
+            let next = &rows.next[states.clone()];
+            for (j, (slot, s)) in out.iter_mut().zip(states).enumerate() {
                 let future = 0.0 + values[next[j].load(Ordering::Relaxed) as usize];
                 *slot = f64::from_bits(expected[j].load(Ordering::Relaxed)) + gamma * future;
+                change.record(*slot - values[s]);
             }
-            return;
+        } else {
+            for (slot, s) in out.iter_mut().zip(states) {
+                *slot = self.q_row(s, rows.action(s), values, gamma);
+                change.record(*slot - values[s]);
+            }
         }
-        for (slot, s) in out.iter_mut().zip(states) {
-            *slot = self.q_row(s, rows.action(s), values, gamma);
-        }
+        *stats = change;
     }
 
     /// Writes the exact discounted value `V_π` of the policy in `rows`
@@ -690,9 +720,10 @@ impl CompiledMdp {
                 valid: "one value per state",
             });
         }
-        let actions = (0..self.n_states)
-            .map(|s| self.backup_state_with_action(s, values, gamma).1)
-            .collect();
+        let mut actions = Vec::with_capacity(self.n_states);
+        self.backup_block_ranked(0..self.n_states, values, gamma, |_, _, _, argmax| {
+            actions.push(argmax)
+        });
         Ok(TabularPolicy::new(actions))
     }
 
@@ -1029,7 +1060,8 @@ impl CycleWalk {
 /// Per-sweep change statistics shared by all sweep-based solvers: the
 /// sup-norm change, the signed span (used by relative value iteration and
 /// the action-gap certificate), and — for sweeps run through
-/// [`CompiledMdp::backup_block_with_gap`] — the smallest action gap.
+/// [`CompiledMdp::backup_block_with_gap`] — the smallest action gap. Each
+/// sweep block records its own states' changes (see [`run_sweeps`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SweepStats {
     /// `max_s |new(s) − old(s)|`.
@@ -1064,11 +1096,22 @@ impl SweepStats {
         }
     }
 
+    /// Folds one state's change `new − old` into the stats. Compare and
+    /// select, as `f64::max`/`min` would fold it: a NaN change is skipped
+    /// and the fields never become NaN. The folds differ only on `±0.0`
+    /// ties, and no sweep's change is `−0.0` (that takes `new = −0.0`
+    /// against `old = +0.0`, and no backup of a `+0.0` iterate entry
+    /// rounds to `−0.0`).
     #[inline]
     fn record(&mut self, delta: f64) {
-        self.max_abs = self.max_abs.max(delta.abs());
-        self.lo = self.lo.min(delta);
-        self.hi = self.hi.max(delta);
+        let size = delta.abs();
+        self.max_abs = if size > self.max_abs {
+            size
+        } else {
+            self.max_abs
+        };
+        self.lo = if delta < self.lo { delta } else { self.lo };
+        self.hi = if delta > self.hi { delta } else { self.hi };
     }
 
     /// Folds an action gap (best minus runner-up Q of one state, or the
@@ -1131,6 +1174,11 @@ pub(crate) fn sweep_workers(n_states: usize) -> usize {
     simkit::executor::worker_count(n_states, true, MIN_STATES_PER_WORKER)
 }
 
+/// States per register block of the dense backup kernel: each of them
+/// keeps its best Q (and, ranked, its runner-up and argmax) in registers
+/// across every action. 16 spills registers and runs slower.
+const LANES: usize = 8;
+
 /// States per cache block in [`run_sweeps`]. 1024 states × 8 bytes keeps
 /// one block's output slice (8 KiB) plus the row data streaming through it
 /// comfortably inside a 32 KiB L1d, while the full previous iterate stays
@@ -1141,19 +1189,21 @@ const SWEEP_BLOCK: usize = 1024;
 
 /// The Jacobi sweep loop every compiled solver runs: per sweep, `backup`
 /// fills contiguous state ranges of the fresh iterate from the previous one
-/// (e.g. [`CompiledMdp::backup_block`]), `epilogue` post-processes the
-/// fresh iterate (e.g. normalizes it) and decides convergence, and the
-/// loop stops at `max_sweeps`.
+/// and records each state's change `new − old` into the range's stats
+/// (e.g. [`CompiledMdp::sweep_block`]); `epilogue` then reads the sweep's
+/// merged stats, may post-process the fresh iterate, and decides
+/// convergence; the loop stops at `max_sweeps`.
 ///
-/// Per-state change stats are recorded here, in state order, after each
-/// block fills; `backup` also gets the block's stats, for reductions only
-/// the kernel can see (the action gap of
-/// [`CompiledMdp::backup_block_with_gap`]). This is a thin domain adapter
-/// over [`simkit::executor::run_rounds`], the workspace's single
-/// thread-pool implementation: one persistent barrier-synchronized pool
-/// per solve when `workers >= 2`, no per-sweep allocation, and a schedule
-/// that is bit-for-bit identical to the serial loop (every backup reads
-/// only the previous iterate).
+/// The loop itself never reads the iterate, so a sweep is one pass over
+/// it: each backup folds its solver's per-state work (damping,
+/// re-anchoring, action gaps, policy rows) into the pass that computes
+/// the state's value. A backup whose epilogue reads no stats may skip
+/// recording. This is a thin domain adapter over
+/// [`simkit::executor::run_rounds`], the workspace's single thread-pool
+/// implementation: one persistent barrier-synchronized pool per solve when
+/// `workers >= 2`, no per-sweep allocation, and a schedule that is
+/// bit-for-bit identical to the serial loop (every backup reads only the
+/// previous iterate, and each chunk records its states in state order).
 pub(crate) fn run_sweeps(
     values: Vec<f64>,
     workers: usize,
@@ -1161,19 +1211,8 @@ pub(crate) fn run_sweeps(
     backup: impl Fn(std::ops::Range<usize>, &[f64], &mut [f64], &mut SweepStats) + Sync,
     epilogue: impl FnMut(&mut [f64], &SweepStats, usize) -> bool,
 ) -> SweepOutcome {
-    let outcome = simkit::executor::run_rounds(
-        values,
-        workers,
-        max_sweeps,
-        SWEEP_BLOCK,
-        |range, old, out, stats: &mut SweepStats| {
-            backup(range.clone(), old, out, stats);
-            for (slot, s) in out.iter().zip(range) {
-                stats.record(slot - old[s]);
-            }
-        },
-        epilogue,
-    );
+    let outcome =
+        simkit::executor::run_rounds(values, workers, max_sweeps, SWEEP_BLOCK, backup, epilogue);
     SweepOutcome {
         values: outcome.values,
         sweeps: outcome.rounds,
@@ -1356,7 +1395,7 @@ mod tests {
             vec![0.0; n],
             1,
             max_sweeps,
-            |range, old, out, _| compiled.backup_block(range, old, out, gamma),
+            |range, old, out, stats| compiled.sweep_block(range, old, out, gamma, stats),
             |_, stats, _| stats.max_abs < tolerance,
         );
         assert_eq!(swept.sweeps, sweeps);
@@ -1378,7 +1417,7 @@ mod tests {
                 vec![0.0; compiled.n_states()],
                 workers,
                 60,
-                |range, old, out, _| compiled.backup_block(range, old, out, gamma),
+                |range, old, out, stats| compiled.sweep_block(range, old, out, gamma, stats),
                 |_, stats, _| stats.max_abs < 1e-9,
             )
         };
@@ -1497,7 +1536,8 @@ mod tests {
                     assert!(diff <= bound, "{label} state {s}: {diff:e} > {bound:e}");
                 }
                 let mut backed_up = vec![0.0; n];
-                kernel.evaluate_block(0..n, &exact, &mut backed_up, gamma, &rows);
+                let stats = &mut SweepStats::new();
+                kernel.evaluate_block(0..n, &exact, &mut backed_up, gamma, &rows, stats);
                 let residual = backed_up
                     .iter()
                     .zip(&exact)

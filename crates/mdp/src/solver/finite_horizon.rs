@@ -127,11 +127,11 @@ impl BackwardInduction {
             workers,
             horizon,
             |states, prev, out, _| {
-                for (slot, s) in out.iter_mut().zip(states) {
-                    let (value, action) = mdp.backup_state_with_action(s, prev, gamma);
+                let lo = states.start;
+                mdp.backup_block_ranked(states, prev, gamma, |s, value, _, action| {
                     actions[s].store(action, Ordering::Relaxed);
-                    *slot = value;
-                }
+                    out[s - lo] = value;
+                });
             },
             |iterate, _, sweep| {
                 let stage = horizon - sweep;

@@ -198,7 +198,7 @@ pub fn evaluate_policy_compiled(
         vec![0.0; n],
         sweep_workers(n),
         max_sweeps,
-        |states, values, out, _| mdp.evaluate_block(states, values, out, gamma, &rows),
+        |states, values, out, stats| mdp.evaluate_block(states, values, out, gamma, &rows, stats),
         |_, stats, _| stats.max_abs < tolerance,
     );
     if outcome.converged {

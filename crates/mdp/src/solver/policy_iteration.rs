@@ -108,7 +108,9 @@ impl PolicyIteration {
             vec![0.0; n],
             sweep_workers(n),
             MAX_IMPROVEMENTS * MAX_EVAL_SWEEPS,
-            |states, values, out, _| mdp.evaluate_block(states, values, out, self.gamma, &actions),
+            |states, values, out, stats| {
+                mdp.evaluate_block(states, values, out, self.gamma, &actions, stats)
+            },
             |values, stats, _| {
                 eval_sweeps += 1;
                 if stats.max_abs >= self.eval_tolerance {

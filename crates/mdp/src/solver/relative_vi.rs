@@ -110,6 +110,12 @@ impl RelativeValueIteration {
     /// inside [`simkit::executor::serialized`] (bit-for-bit identical
     /// either way).
     ///
+    /// Each sweep is one pass over the iterate: every state's damped
+    /// backup `(1 − τ)·h(s) + τ·max_a Q(s, a)` records its change (the span
+    /// the stop rule tests, whose midpoint over `τ` is the gain) and is
+    /// stored minus state 0's damped backup, which each sweep block
+    /// computes for itself, so `bias[0] = 0` after every sweep.
+    ///
     /// # Errors
     ///
     /// Returns [`MdpError::BadParameter`] for an invalid damping factor or
@@ -118,26 +124,16 @@ impl RelativeValueIteration {
         self.validate()?;
         let damping = self.damping;
         let tolerance = self.tolerance;
-        // Damped Bellman backup (gamma = 1) with the iterate re-anchored at
-        // the reference state 0 after every sweep so the bias stays bounded.
+        // Damped Bellman backup (gamma = 1), its change recorded and the
+        // iterate re-anchored at the reference state 0, all in the backup's
+        // one pass, so the bias stays bounded.
         let n = mdp.n_states();
         let outcome = run_sweeps(
             vec![0.0; n],
             sweep_workers(n),
             self.max_sweeps,
-            |states, h, out, _| {
-                mdp.backup_block(states.clone(), h, out, 1.0);
-                for (slot, s) in out.iter_mut().zip(states) {
-                    *slot = (1.0 - damping) * h[s] + damping * *slot;
-                }
-            },
-            |iterate, stats, _| {
-                let offset = iterate[0];
-                for v in iterate.iter_mut() {
-                    *v -= offset;
-                }
-                stats.hi - stats.lo < tolerance
-            },
+            |states, h, out, stats| mdp.relative_sweep_block(states, h, out, damping, stats),
+            |_, stats, _| stats.span() < tolerance,
         );
         if !outcome.converged {
             return Err(MdpError::NotConverged {

@@ -94,7 +94,7 @@ impl ValueIteration {
             vec![0.0; n],
             sweep_workers(n),
             self.max_sweeps,
-            |states, values, out, _| mdp.backup_block(states, values, out, gamma),
+            |states, values, out, stats| mdp.sweep_block(states, values, out, gamma, stats),
             |_, stats, _| stats.max_abs < tolerance,
         );
         let policy = mdp.greedy_policy(&outcome.values, gamma)?;

@@ -7,7 +7,9 @@
 //! large sweep budget must allocate exactly the same number of times (all
 //! buffers are set up before the first sweep).
 
-use mdp::solver::{evaluate_policy_compiled, PolicyIteration, StopReason, ValueIteration};
+use mdp::solver::{
+    evaluate_policy_compiled, PolicyIteration, RelativeValueIteration, StopReason, ValueIteration,
+};
 use mdp::{reference, CompiledMdp, FiniteMdp, FnMdp, Transition};
 use simkit::executor;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -175,6 +177,33 @@ fn certified_modified_policy_solve_does_not_allocate_per_sweep() {
         fast, slow,
         "allocation count must not scale with sweeps (γ 0.5: {fast}, γ 0.9: {slow})"
     );
+}
+
+/// Relative value iteration's fused sweep (backup, damping, span stats
+/// and re-anchor in one pass) allocates nothing: at tolerance 0 every
+/// budget ends on the same `NotConverged` path, and the count must not
+/// depend on the budget. The gridworld runs the CSR backups, the
+/// scattered model the dense ones.
+#[test]
+fn relative_value_iteration_sweeps_do_not_allocate() {
+    for (compiled, dense) in [(compiled_model(), false), (scattered_model(), true)] {
+        assert_eq!(compiled.has_dense_layout(), dense);
+        let solver = RelativeValueIteration::new().tolerance(0.0);
+        let _ = solver.max_sweeps(3).solve_compiled(&compiled).unwrap_err();
+        let short = allocations_during(|| {
+            let _ = solver.max_sweeps(5).solve_compiled(&compiled).unwrap_err();
+        });
+        let long = allocations_during(|| {
+            let _ = solver
+                .max_sweeps(400)
+                .solve_compiled(&compiled)
+                .unwrap_err();
+        });
+        assert_eq!(
+            short, long,
+            "allocation count must not scale with sweeps (short {short}, long {long})"
+        );
+    }
 }
 
 #[test]

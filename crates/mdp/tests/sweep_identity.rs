@@ -77,6 +77,7 @@ proptest! {
             }
             prop_assert_eq!(&out, &reference, "block width {}", width);
         }
+        assert_ranked_matches_per_state(&kernel, &values, gamma);
     }
 
     /// Value iteration through the dense blocked sweeps against the
@@ -231,6 +232,149 @@ fn relative_vi_dense_matches_callback() {
     for (a, b) in dense.bias.iter().zip(&callback.bias) {
         assert!((a - b).abs() < 1e-8, "bias gap {a} vs {b}");
     }
+}
+
+/// Each state's `(best, runner-up, argmax)` from its row-level Q values:
+/// actions ascending, strict improvement, the runner-up `-∞` for a lone
+/// valid action and equal to the best on an exact tie.
+fn ranked_reference(
+    kernel: &CompiledMdp,
+    s: usize,
+    values: &[f64],
+    gamma: f64,
+) -> (f64, f64, usize) {
+    let (mut best, mut runner_up, mut argmax) = (f64::NEG_INFINITY, f64::NEG_INFINITY, 0);
+    for a in 0..kernel.n_actions() {
+        let Some(q) = kernel.q_value(s, a, values, gamma) else {
+            continue;
+        };
+        if q > best {
+            (runner_up, best, argmax) = (best, q, a);
+        } else if q > runner_up {
+            runner_up = q;
+        }
+    }
+    (best, runner_up, argmax)
+}
+
+/// The ranked backups of every state range of `kernel` — whole, and split
+/// into pieces of 7 and 1,024 states, so ranges start mid register block —
+/// equal the per-state reference bit for bit: values (which also equal
+/// `backup_state`), runner-ups, the smallest action gap, and argmaxes.
+fn assert_ranked_matches_per_state(kernel: &CompiledMdp, values: &[f64], gamma: f64) {
+    let n = kernel.n_states();
+    let reference: Vec<(f64, f64, usize)> = (0..n)
+        .map(|s| ranked_reference(kernel, s, values, gamma))
+        .collect();
+    for (s, &(best, ..)) in reference.iter().enumerate() {
+        assert_eq!(
+            best.to_bits(),
+            kernel.backup_state(s, values, gamma).to_bits(),
+            "state {s}"
+        );
+    }
+    let bits = |(best, runner_up, argmax): (f64, f64, usize)| {
+        (best.to_bits(), runner_up.to_bits(), argmax)
+    };
+    let margin = |ranks: &[(f64, f64, usize)]| {
+        ranks
+            .iter()
+            .map(|&(best, runner_up, _)| best - runner_up)
+            .fold(f64::INFINITY, f64::min)
+    };
+    for width in [7, 1_024, n] {
+        let mut start = 0;
+        while start < n {
+            let end = (start + width).min(n);
+            let mut ranked = Vec::with_capacity(end - start);
+            let mut next = start;
+            kernel.backup_block_ranked(start..end, values, gamma, |s, best, runner_up, argmax| {
+                assert_eq!(s, next, "states visited in order");
+                next += 1;
+                ranked.push((best, runner_up, argmax));
+            });
+            assert_eq!(next, end, "every state visited");
+            for (j, (&got, &want)) in ranked.iter().zip(&reference[start..end]).enumerate() {
+                assert_eq!(bits(got), bits(want), "width {width}, state {}", start + j);
+            }
+            assert_eq!(
+                margin(&ranked).to_bits(),
+                margin(&reference[start..end]).to_bits(),
+                "width {width}, states {start}..{end}"
+            );
+            let mut out = vec![f64::NAN; end - start];
+            kernel.backup_block(start..end, values, &mut out, gamma);
+            for (j, (&got, &(want, ..))) in out.iter().zip(&reference[start..end]).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "width {width}, state {}",
+                    start + j
+                );
+            }
+            start = end;
+        }
+    }
+}
+
+/// A dense `n`-state, 3-action model with scattered destinations: every
+/// 11th state has only action 0 valid (a lone action, runner-up `-∞`),
+/// every other state ≡ 3 (mod 5) lacks action 2 (a `-∞` row inside the
+/// register block), and in even states action 1 repeats action 0's row, so
+/// their Qs tie exactly.
+fn ranked_model(n: usize) -> CompiledMdp {
+    let kernel = CompiledMdp::compile(&mdp::FnMdp::new(n, 3, |s, a, out| {
+        if (s % 11 == 0 && a > 0) || (s % 5 == 3 && a == 2) {
+            return;
+        }
+        let a = if s % 2 == 0 && a == 1 { 0 } else { a };
+        let next = (s * 7 + a * 13 + 1) % n;
+        let reward = ((s * 31 + a * 17) % 101) as f64 / 100.0 - 0.5;
+        out.push(mdp::Transition::new(next, 1.0, reward));
+    }))
+    .unwrap();
+    assert!(kernel.has_dense_layout());
+    kernel
+}
+
+/// The dense backup kernel against the per-state backup at state counts
+/// below one register block, just past one (4 + 1 and 8 + 1), and above
+/// one 1,024-state sweep block without being a multiple of 4 or 8, on a
+/// model with invalid rows and exact ties (the ties must show: some runner-up
+/// equals its best).
+#[test]
+fn dense_ranked_backups_match_per_state_bitwise() {
+    for n in [1, 2, 3, 5, 7, 9, 1_031, 2_403] {
+        let kernel = ranked_model(n);
+        for gamma in [0.0, 0.9, 1.0] {
+            assert_ranked_matches_per_state(&kernel, &probe_values(n), gamma);
+        }
+        let values = probe_values(n);
+        let ranks: Vec<_> = (0..n)
+            .map(|s| ranked_reference(&kernel, s, &values, 0.9))
+            .collect();
+        assert_eq!(
+            ranks[0].1,
+            f64::NEG_INFINITY,
+            "state 0 has one valid action"
+        );
+        if n > 1_000 {
+            assert!(
+                ranks.iter().any(|&(best, runner_up, _)| best == runner_up),
+                "some best Q ties exactly"
+            );
+        }
+    }
+}
+
+/// The CSR kernel's ranked backups (one state at a time) against the same
+/// per-state reference.
+#[test]
+fn csr_ranked_backups_match_per_state_bitwise() {
+    let (grid, gamma) = mdp::reference::gridworld(40, 30, 0.15);
+    let kernel = CompiledMdp::compile(&grid).unwrap();
+    assert!(!kernel.has_dense_layout());
+    assert_ranked_matches_per_state(&kernel, &probe_values(kernel.n_states()), gamma);
 }
 
 /// Per-state backups must equal the blocked backup of the whole range.
