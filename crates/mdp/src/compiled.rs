@@ -471,7 +471,7 @@ impl CompiledMdp {
     /// `stats.margin` and points each state's entry of `greedy` at its
     /// argmax action (ties break to the lowest index). The backed-up values
     /// are bit-identical to `backup_block`'s.
-    pub(crate) fn backup_block_with_gap(
+    pub(crate) fn sweep_block_with_gap(
         &self,
         states: std::ops::Range<usize>,
         values: &[f64],
@@ -1060,7 +1060,7 @@ impl CycleWalk {
 /// Per-sweep change statistics shared by all sweep-based solvers: the
 /// sup-norm change, the signed span (used by relative value iteration and
 /// the action-gap certificate), and — for sweeps run through
-/// [`CompiledMdp::backup_block_with_gap`] — the smallest action gap. Each
+/// [`CompiledMdp::sweep_block_with_gap`] — the smallest action gap. Each
 /// sweep block records its own states' changes (see [`run_sweeps`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SweepStats {
@@ -1402,6 +1402,49 @@ mod tests {
         assert_eq!(swept.converged, last.max_abs < tolerance);
         assert_eq!(swept.last, last);
         assert_eq!(swept.values, values, "blocked iterate must be identical");
+    }
+
+    /// Relative value iteration's one-pass sweep (backup, damping, change
+    /// stats and re-anchor per block) reproduces the three-pass sweep it
+    /// replaces bit for bit, serial and pooled: per-state backups, then
+    /// damping, then `f64::max`/`min` stats in state order, then the
+    /// whole iterate shifted by its state 0. The model is dense, spans
+    /// three sweep blocks and ends on a short register-block tail.
+    #[test]
+    fn fused_relative_sweep_matches_the_three_pass_sweep_bitwise() {
+        let kernel = shaped_model(5, 2_403, Shape::Forest);
+        let n = kernel.n_states();
+        let (damping, sweeps) = (0.7, 40);
+        let mut h = vec![0.0; n];
+        let mut last = SweepStats::new();
+        for _ in 0..sweeps {
+            let mut next: Vec<f64> = (0..n).map(|s| kernel.backup_state(s, &h, 1.0)).collect();
+            last = SweepStats::new();
+            for (slot, old) in next.iter_mut().zip(&h) {
+                *slot = (1.0 - damping) * old + damping * *slot;
+                let delta = *slot - old;
+                last.max_abs = last.max_abs.max(delta.abs());
+                last.lo = last.lo.min(delta);
+                last.hi = last.hi.max(delta);
+            }
+            let offset = next[0];
+            h = next.iter().map(|v| v - offset).collect();
+        }
+        for workers in [1, 3] {
+            let fused = run_sweeps(
+                vec![0.0; n],
+                workers,
+                sweeps,
+                |range, old, out, stats| {
+                    kernel.relative_sweep_block(range, old, out, damping, stats)
+                },
+                |_, _, _| false,
+            );
+            assert_eq!(fused.sweeps, sweeps);
+            assert_eq!(fused.last, last, "{workers} workers");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fused.values), bits(&h), "{workers} workers");
+        }
     }
 
     /// Drives the sweep loop with forced worker counts so the pooled code

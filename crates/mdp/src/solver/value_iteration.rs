@@ -184,7 +184,7 @@ impl ValueIteration {
             // plain phase `max_sweeps` more.
             max_sweeps.saturating_mul(2),
             |states, values, out, stats| {
-                mdp.backup_block_with_gap(states, values, out, gamma, stats, &greedy)
+                mdp.sweep_block_with_gap(states, values, out, gamma, stats, &greedy)
             },
             |values, stats, _| {
                 sweeps += 1;
